@@ -1,9 +1,10 @@
 """The restricted total Chern class of the conjugation representation.
 
 The product of the linear factors 1 + sum(i_k xi_k + j_k eta_k) over all
-nonzero tuples of F_p^{2l} is accumulated degree by degree in dense integer
-arrays (one slab per total degree, reduced mod p after every factor), then
-split back into sparse graded parts.  Degrees follow the half-degree
+nonzero tuples of F_p^{2l} is read off the homogeneous product of
+T + sum(i_k xi_k + j_k eta_k) over all tuples, built by the subspace
+recursion of dickson.linear_form_product: the graded part of degree d is
+the coefficient of T^{p^{2l} - d}.  Degrees follow the half-degree
 convention: each ring variable counts 1, standing for a cohomology class of
 topological degree 2.
 """
@@ -12,18 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-import numpy as np
-
-from .dickson import DicksonContext, dickson_c, delta_ni
-from .errors import ArityMismatch, SizeGuard
+from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
+from .errors import ArityMismatch
 from .fp import check_modulus
 from .poly import Poly, PolyRing, diff_detail
 from .report import VerificationReport, timed_check
 from .steenrod import even_to_poly, r_closed
-
-MAX_FACTORS = 100
 
 
 class ChernContext:
@@ -95,39 +91,14 @@ class GradedChern:
 def total_conj_chern(ctx: ChernContext) -> GradedChern:
     """The exact product of the p^{2l} linear factors (the zero tuple
     contributes the factor 1), split into graded parts."""
-    p = ctx.p
-    nvar = 2 * ctx.l
-    tuples = [t for t in product(range(p), repeat=nvar) if any(t)]
-    if len(tuples) > MAX_FACTORS:
-        raise SizeGuard(
-            f"{len(tuples)} linear factors exceed the {MAX_FACTORS} product guard"
-        )
-    ndim = nvar - 1
-    slabs = [np.ones((1,) * ndim, dtype=np.int64)]
-    for k, t in enumerate(tuples, start=1):
-        slabs.append(np.zeros((k + 1,) * ndim, dtype=np.int64))
-        for d in range(k, 0, -1):
-            src = slabs[d - 1]
-            dst = slabs[d]
-            for var, c in enumerate(t):
-                if not c:
-                    continue
-                idx = [slice(0, d)] * ndim
-                if var < ndim:
-                    idx[var] = slice(1, d + 1)
-                dst[tuple(idx)] += c * src
-            np.remainder(dst, p, out=dst)
-    parts = {}
-    for d, slab in enumerate(slabs):
-        coords = np.argwhere(slab)
-        if coords.size == 0:
-            continue
-        terms = {}
-        for pos in coords:
-            head = tuple(int(e) for e in pos)
-            terms[head + (d - sum(head),)] = int(slab[tuple(pos)])
-        parts[d] = Poly(ctx.ring, terms)
-    return GradedChern(ring=ctx.ring, top=len(tuples), parts=parts)
+    top = ctx.p ** (2 * ctx.l)
+    tring = PolyRing(ctx.p, ctx.ring.variables + ("T",))
+    product = linear_form_product(tring)
+    terms: dict = {}
+    for m, c in product.terms.items():
+        terms.setdefault(top - m[-1], {})[m[:-1]] = c
+    parts = {d: Poly(ctx.ring, t) for d, t in terms.items()}
+    return GradedChern(ring=ctx.ring, top=top - 1, parts=parts)
 
 
 def _dickson_images(ctx: ChernContext, swap_last_pair: bool = False):

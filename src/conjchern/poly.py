@@ -635,19 +635,23 @@ def parse(text: str, ring: PolyRing) -> Poly:
     return Poly._raw(ring, terms)
 
 
-def diff_detail(a: Poly, b: Poly, limit: int = 5) -> str:
-    """Describe the first differing terms of two polynomials, canonical order."""
-    monos = set(a.terms) | set(b.terms)
+def diff_detail(a: Poly, b: Poly, limit: int = 5, order=grlex_key, name=None) -> str:
+    """Describe the first differing terms of two polynomials, canonical order.
+
+    Other sparse classes pass the sort key of their terms and a function
+    naming a monomial ("" for the unit)."""
+    if name is None:
+
+        def name(m):
+            return "*".join(
+                f"{v}^{e}" if e > 1 else v for v, e in zip(a.ring.variables, m) if e
+            )
+
     diffs = []
-    for m in sorted(monos, key=grlex_key, reverse=True):
+    for m in sorted(set(a.terms) | set(b.terms), key=order, reverse=True):
         ca, cb = a.terms.get(m, 0), b.terms.get(m, 0)
         if ca != cb:
-            name = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(a.ring.variables, m)
-                if e
-            ) or "1"
-            diffs.append(f"{name}: {ca} != {cb}")
+            diffs.append(f"{name(m) or '1'}: {ca} != {cb}")
             if len(diffs) >= limit:
                 break
     if not diffs:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .chern import ChernContext, total_conj_chern
 from .dickson import DicksonContext, delta_ni
-from .errors import IndexOutOfRange, SamePartition, SizeGuard
+from .errors import IndexOutOfRange, SamePartition, SizeGuard, VerificationFailure
 from .fp import check_modulus
 from .poly import Poly, PolyRing, diff_detail
 from .report import VerificationReport, timed_check
@@ -76,13 +76,14 @@ def _perm_sign(base, target) -> int:
 
 def epsilon(rho: Partition22) -> int:
     """Sign of the permutation listing the blocks after the sorted support;
-    both block orders give the same sign, which is asserted."""
+    both block orders must give the same sign."""
     base = rho.support
     k1, l1 = rho.first
     k2, l2 = rho.second
     sign_a = _perm_sign(base, (k1, l1, k2, l2))
     sign_b = _perm_sign(base, (k2, l2, k1, l1))
-    assert sign_a == sign_b, "block order changed the sign"
+    if sign_a != sign_b:
+        raise VerificationFailure(f"block order changed the sign of {rho!r}")
     return sign_a
 
 
@@ -105,7 +106,8 @@ def slash(rho: Partition22, kappa: Partition22) -> int:
         return 1 if fk < fl else -1
 
     value = from_domain(rho.first, rho.second)
-    assert value == from_domain(rho.second, rho.first), "domain choice changed slash"
+    if value != from_domain(rho.second, rho.first):
+        raise VerificationFailure(f"domain choice changed {rho!r}/{kappa!r}")
     return value
 
 

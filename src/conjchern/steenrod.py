@@ -12,6 +12,7 @@ is needed on this algebra.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     ParseError,
 )
 from .fp import check_modulus
-from .poly import Poly, PolyRing, grlex_key
+from .poly import Poly, PolyRing, diff_detail, grlex_key
 from .report import VerificationReport, timed_check
 
 MAX_MILNOR_INDEX = 6
@@ -136,6 +137,24 @@ def _merge_odd(s1: tuple, s2: tuple):
     merged.extend(s1[i:])
     merged.extend(s2[j:])
     return (-1 if crossings % 2 else 1), tuple(merged)
+
+
+def _term_order(key):
+    """Sort key of a term (S, e): topological degree, then graded lex."""
+    odd, even = key
+    return (len(odd) + 2 * sum(even), grlex_key(even), odd)
+
+
+def _monomial_text(algebra: CohAlgebra, key) -> str:
+    """The generators of a term as "a1*x1^2", or "" for the unit."""
+    odd, even = key
+    factors = [algebra.odd_names[k - 1] for k in odd]
+    for name, e in zip(algebra.even_names, even):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
 
 
 class CohClass:
@@ -295,25 +314,14 @@ class CohClass:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        alg = self.algebra
-
-        def sort_key(key):
-            odd, even = key
-            return (len(odd) + 2 * sum(even), grlex_key(even), odd)
-
         bits = []
-        for odd, even in sorted(self.terms, key=sort_key, reverse=True):
-            c = self.terms[(odd, even)]
-            factors = []
-            if c != 1 or (not odd and not any(even)):
-                factors.append(str(c))
-            factors += [alg.odd_names[k - 1] for k in odd]
-            for name, e in zip(alg.even_names, even):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            bits.append("*".join(factors))
+        for key in sorted(self.terms, key=_term_order, reverse=True):
+            c = self.terms[key]
+            mono = _monomial_text(self.algebra, key)
+            if not mono:
+                bits.append(str(c))
+            else:
+                bits.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(bits)
 
     def __repr__(self):
@@ -679,7 +687,11 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
         def run():
             lhs = milnor_q(i, x_class(p, l))
             rhs = r_closed(p, i, l)
-            return lhs == rhs
+            if lhs == rhs:
+                return True, ""
+            return False, diff_detail(
+                lhs, rhs, order=_term_order, name=partial(_monomial_text, alg)
+            )
 
         return run
 

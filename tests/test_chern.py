@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conjchern import chern, cli
 from conjchern.chern import (
     ChernContext,
     GradedChern,
@@ -150,3 +151,50 @@ def test_graded_chern_part_outside_range():
     graded = total_conj_chern(C31)
     assert graded.part(100).is_zero()
     assert isinstance(graded, GradedChern)
+
+
+def test_rank_two_product_size_and_degrees():
+    graded = total_conj_chern(ChernContext(3, 2))
+    assert sum(len(part.terms) for part in graded.parts.values()) == 1316
+    assert graded.nonzero_degrees() == [0, 54, 72, 78, 80]
+    assert graded.top == 80
+
+
+def test_size_guard_detail_states_the_cost():
+    with pytest.raises(SizeGuard, match=r"5\^4 linear forms .* about \d+ s;"):
+        total_conj_chern(ChernContext(5, 2))
+
+
+# -- negative control ----------------------------------------------------------------
+
+
+@pytest.fixture
+def flipped_gamma(monkeypatch):
+    """The total class with the sign of its degree top - p part flipped."""
+    original = chern.total_conj_chern
+
+    def broken(ctx):
+        graded = original(ctx)
+        parts = dict(graded.parts)
+        d = graded.top + 1 - ctx.p
+        parts[d] = -parts[d]
+        return GradedChern(ring=graded.ring, top=graded.top, parts=parts)
+
+    monkeypatch.setattr(chern, "total_conj_chern", broken)
+
+
+def test_verify_conj_chern_fails_on_flipped_part(flipped_gamma):
+    report = verify_conj_chern(C31)
+    status = {c.name: c for c in report.checks}
+    assert not report.passed()
+    assert status["gamma-degree-6"].status == "fail"
+    assert status["gamma-degree-6"].detail.startswith("first differing terms: ")
+    assert status["gamma-degree-8"].status == "pass"
+
+
+def test_cli_exits_one_on_flipped_part(flipped_gamma, capsys):
+    code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    assert "chern/gamma-degree-6" in out

@@ -154,3 +154,16 @@ def test_threads_flag_accepted():
     assert proc.returncode == 0
     proc = run_cli("--suite", "signs", "--threads", "0")
     assert proc.returncode == 2
+
+
+def test_signs_suite_exits_zero_under_optimize():
+    # invariants raise library errors, so they still hold with asserts stripped
+    env = dict(os.environ, NO_COLOR="1")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "conjchern", "--suite", "signs"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: PASS" in proc.stdout

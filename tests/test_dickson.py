@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conjchern import cli, dickson
 from conjchern.dickson import (
     DicksonContext,
     GLMatrix,
@@ -13,6 +14,7 @@ from conjchern.dickson import (
     f_n_product,
     gl_action,
     int_det_mod,
+    linear_form_product,
     random_gl,
     verify_dickson,
 )
@@ -219,3 +221,71 @@ def test_verify_dickson_reports():
         assert "delta-factorization" in names
         assert "gl-invariance" in names
         assert f"two-route-c{n}" in names
+
+
+# -- the subspace recursion ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2), (7, 2)])
+def test_linear_form_product_matches_naive_oracle(p, n):
+    ctx = DicksonContext(p, n)
+    ring = ctx.xring
+    x_aux = ring.variable(n)
+    factors = []
+    for ks in product(range(p), repeat=n):
+        form = x_aux
+        for j, k in enumerate(ks):
+            form = form - ring.monomial({j: 1}, k)
+        factors.append(form)
+    assert linear_form_product(ring) == naive_product(factors)
+    assert f_n_product(ctx) == naive_product(factors)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+def test_two_routes_agree_beyond_acceptance_grid(p, n):
+    ctx = DicksonContext(p, n)
+    for i in range(n + 1):
+        assert dickson_c(ctx, i) == dickson_c_from_f(ctx, i)
+
+
+def test_size_guard_detail_states_the_cost():
+    with pytest.raises(SizeGuard, match=r"monomial pairs, about .* h;"):
+        f_n_product(DicksonContext(101, 3))
+    with pytest.raises(SizeGuard, match=r"3\^5 linear forms .* about \d+ s;"):
+        linear_form_product(DicksonContext(3, 5).xring)
+
+
+# -- negative control ----------------------------------------------------------------
+
+
+@pytest.fixture
+def perturbed_f(monkeypatch):
+    """f_n with its X^{p^n} coefficient moved from 1 to 2."""
+    original = dickson.f_n_product
+
+    def broken(ctx):
+        f = original(ctx)
+        return f + ctx.xring.monomial({ctx.n: ctx.p**ctx.n})
+
+    dickson_c_from_f.cache_clear()
+    monkeypatch.setattr(dickson, "f_n_product", broken)
+    yield
+    dickson_c_from_f.cache_clear()
+
+
+def test_verify_dickson_fails_on_perturbed_product(perturbed_f):
+    report = verify_dickson(DicksonContext(3, 2), trials=2, seed=1)
+    status = {c.name: c for c in report.checks}
+    assert not report.passed()
+    assert status["two-route-c2"].status == "fail"
+    assert status["two-route-c2"].detail == "first differing terms: 1: 1 != 2"
+    assert status["delta-factorization"].status == "fail"
+    assert status["delta-factorization"].detail.startswith("first differing terms:")
+    assert status["two-route-c0"].status == "pass"
+
+
+def test_cli_exits_one_on_perturbed_product(perturbed_f, capsys):
+    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2", "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()

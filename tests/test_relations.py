@@ -2,7 +2,13 @@ from itertools import combinations
 
 import pytest
 
-from conjchern.errors import IndexOutOfRange, SamePartition, SizeGuard
+from conjchern import relations
+from conjchern.errors import (
+    IndexOutOfRange,
+    SamePartition,
+    SizeGuard,
+    VerificationFailure,
+)
 from conjchern.relations import (
     Partition22,
     epsilon,
@@ -59,6 +65,13 @@ def test_slash_frozen_values():
     assert slash(U, W) == -1
     assert slash(V, W) == -1
     assert slash(W, V) == -1
+
+
+def test_epsilon_invariant_raises_library_error(monkeypatch):
+    signs = iter([1, -1])
+    monkeypatch.setattr(relations, "_perm_sign", lambda base, target: next(signs))
+    with pytest.raises(VerificationFailure):
+        epsilon(U)
 
 
 def test_slash_same_partition():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conjchern import steenrod
 from conjchern.errors import ContextMismatch, DepthGuard, OddPartPresent, ParseError
 from conjchern.poly import PolyRing
 from conjchern.steenrod import (
@@ -278,3 +279,21 @@ def test_steenrod_suite_report():
     names = [c.name for c in report.checks]
     assert "milnor-closed-form-q4" in names
     assert "total-power-endomorphism" in names
+
+
+def test_closed_form_failure_names_the_differing_terms(monkeypatch):
+    original = steenrod.r_closed
+
+    def doubled_r1(p, i, l):
+        r = original(p, i, l)
+        return r + r if i == 1 else r
+
+    monkeypatch.setattr(steenrod, "r_closed", doubled_r1)
+    report = verify_steenrod(3, 1, trials=4, seed=5)
+    status = {c.name: c for c in report.checks}
+    assert status["milnor-closed-form-q1"].status == "fail"
+    assert status["milnor-closed-form-q1"].detail == (
+        "first differing terms: xi1^3*eta1: 1 != 2; xi1*eta1^3: 2 != 1"
+    )
+    assert status["milnor-closed-form-q2"].status == "pass"
+    assert status["milnor-closed-form-q2"].detail == ""
