@@ -20,7 +20,7 @@ from .dickson import (
     random_gl,
 )
 from .errors import ConjChernError
-from .fp import FpElem, is_prime
+from .fp import is_prime
 from .poly import (
     Poly,
     PolyMatrix,
@@ -55,7 +55,6 @@ __all__ = [
     "CycInt",
     "CycMatrix",
     "DicksonContext",
-    "FpElem",
     "GLMatrix",
     "GradedChern",
     "OperationWord",

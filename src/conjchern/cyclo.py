@@ -20,6 +20,7 @@ from .errors import (
     VerificationFailure,
 )
 from .fp import check_modulus
+from .poly import _laplace_det, _perm_sign
 from .report import VerificationReport, timed_check
 
 MAX_TENSOR_DIM = 27
@@ -129,6 +130,9 @@ class CycInt:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def omega_exponent(self):
         """k if self == w^k, else None."""
@@ -411,6 +415,7 @@ def cyc_determinant(mat: CycMatrix) -> CycInt:
         groups.setdefault(find(n + c), [[], []])[1].append(c)
 
     components = sorted(groups.values(), key=lambda g: g[0][0] if g[0] else n)
+    one = CycInt.from_int(mat.p, 1)
     row_order, col_order = [], []
     dets = []
     for rows, cols in components:
@@ -418,44 +423,12 @@ def cyc_determinant(mat: CycMatrix) -> CycInt:
             return CycInt.zero(mat.p)
         row_order.extend(rows)
         col_order.extend(cols)
-        dets.append(_component_det(mat, rows, cols))
-    sign = _perm_parity(row_order) * _perm_parity(col_order)
+        dets.append(_laplace_det([[mat.rows[r][c] for c in cols] for r in rows], one))
+    sign = _perm_sign(range(n), row_order) * _perm_sign(range(n), col_order)
     det = CycInt.from_int(mat.p, sign)
     for d in dets:
         det = det * d
     return det
-
-
-def _perm_parity(seq) -> int:
-    inversions = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _component_det(mat: CycMatrix, rows, cols) -> CycInt:
-    p = mat.p
-    memo: dict = {}
-
-    def minor(level: int, remaining: tuple) -> CycInt:
-        if not remaining:
-            return CycInt.from_int(p, 1)
-        got = memo.get((level, remaining))
-        if got is not None:
-            return got
-        r = rows[level]
-        acc = CycInt.zero(p)
-        for k, c in enumerate(remaining):
-            e = mat.rows[r][c]
-            if e.is_zero():
-                continue
-            sub = minor(level + 1, remaining[:k] + remaining[k + 1 :])
-            contrib = e * sub
-            acc = acc + contrib if k % 2 == 0 else acc - contrib
-        memo[(level, remaining)] = acc
-        return acc
-
-    return minor(0, tuple(cols))
 
 
 def verify_extraspecial(p: int) -> VerificationReport:

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import IndexOutOfRange, RingMismatch, SizeGuard
 from .fp import check_modulus
-from .poly import Poly, PolyMatrix, PolyRing, determinant, diff_detail, exact_div
+from .poly import (
+    Poly,
+    PolyMatrix,
+    PolyRing,
+    _laplace_det,
+    determinant,
+    diff_detail,
+    exact_div,
+)
 from .report import VerificationReport, timed_check
 
 # Size guard of linear_form_product over F_p^m, in the monomial pairs that the
@@ -207,19 +214,7 @@ class GLMatrix:
 
 def int_det_mod(rows, p: int) -> int:
     """Determinant mod p of a small integer matrix, by signed expansion."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        prod = 1
-        for r, c in enumerate(perm):
-            prod = prod * rows[r][c] % p
-            if not prod:
-                break
-        total += prod if inversions % 2 == 0 else -prod
-    return total % p
+    return _laplace_det(rows, 1) % p
 
 
 def random_gl(n: int, p: int, seed: int) -> GLMatrix:

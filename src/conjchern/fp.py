@@ -1,8 +1,6 @@
-"""Prime moduli and exact residue arithmetic in F_p."""
+"""Prime moduli: the primality test and the modulus check."""
 
 from __future__ import annotations
-
-from .errors import RingMismatch
 
 MAX_MODULUS = 2**31
 
@@ -32,92 +30,3 @@ def check_modulus(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
-
-
-class FpElem:
-    """A fully reduced residue modulo a prime.
-
-    Construction reduces the value into [0, p); all arithmetic stays reduced.
-    """
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, value: int, p: int):
-        check_modulus(p)
-        self.p = p
-        self.value = value % p
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise RingMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElem(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem(-self.value, self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElem(pow(self.value, e, self.p), self.p)
-
-    def inverse(self) -> FpElem:
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return FpElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FpElem(v, self.p).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FpElem({self.value}, p={self.p})"

@@ -9,6 +9,8 @@ by comparing exponent vectors left to right.
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
+from operator import add
 
 from .errors import (
     ArityMismatch,
@@ -27,6 +29,56 @@ MAX_DET_SIZE = 8
 def grlex_key(monomial):
     """Ascending graded-lex sort key for an exponent tuple."""
     return (sum(monomial), monomial)
+
+
+def _add_terms(pairs, p: int, out=None) -> dict:
+    """Sum (key, coefficient) pairs onto a copy of the term dict out, then
+    reduce mod p once, dropping the zero coefficients.
+
+    The one sparse accumulate loop: polynomials and cohomology classes add,
+    multiply and substitute through it."""
+    acc = dict(out) if out else {}
+    get = acc.get
+    for key, c in pairs:
+        acc[key] = get(key, 0) + c
+    return {key: r for key, c in acc.items() if (r := c % p)}
+
+
+def _laplace_det(rows, one):
+    """Determinant of a square matrix over any commutative ring, by signed
+    expansion along the rows, memoized over the remaining column subsets.
+
+    Entries are tested for zero by truth value and skipped; one is the unit
+    of the ring of the entries."""
+    n = len(rows)
+    zero = one - one
+    memo: dict = {}
+
+    def minor(cols: tuple):
+        if not cols:
+            return one
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        row = rows[n - len(cols)]
+        acc = zero
+        for k, c in enumerate(cols):
+            e = row[c]
+            if not e:
+                continue
+            contrib = e * minor(cols[:k] + cols[k + 1 :])
+            acc = acc + contrib if k % 2 == 0 else acc - contrib
+        memo[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+def _perm_sign(base, target) -> int:
+    """Sign of the permutation that carries the sequence base to target."""
+    positions = [base.index(t) for t in target]
+    inversions = sum(1 for a, b in combinations(positions, 2) if a > b)
+    return -1 if inversions % 2 else 1
 
 
 class PolyRing:
@@ -153,15 +205,9 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = (out.get(mono, 0) + c) % p
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
-        return Poly._raw(self.ring, out)
+        return Poly._raw(
+            self.ring, _add_terms(other.terms.items(), self.ring.p, self.terms)
+        )
 
     __radd__ = __add__
 
@@ -191,22 +237,17 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        p = self.ring.p
-        out: dict = {}
         # iterate over the smaller operand's terms in the outer loop
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         bitems = list(b.items())
-        for m1, c1 in a.items():
-            for m2, c2 in bitems:
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                v = (out.get(mono, 0) + c1 * c2) % p
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
-        return Poly._raw(self.ring, out)
+        products = (
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in a.items()
+            for m2, c2 in bitems
+        )
+        return Poly._raw(self.ring, _add_terms(products, self.ring.p))
 
     __rmul__ = __mul__
 
@@ -329,41 +370,39 @@ class Poly:
         if all(len(im.terms) == 1 for im in images):
             # every image is a single term: map exponent vectors directly
             parts = [next(iter(im.terms.items())) for im in images]
-            out: dict = {}
-            for m, c in self.terms.items():
-                exps = [0] * ring.arity
-                coeff = c
-                for e, (vm, vc) in zip(m, parts):
-                    if not e:
-                        continue
-                    if vc != 1:
-                        coeff = coeff * pow(vc, e, p) % p
-                    for k, ve in enumerate(vm):
-                        if ve:
-                            exps[k] += ve * e
-                mono = tuple(exps)
-                v = (out.get(mono, 0) + coeff) % p
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
-            return Poly._raw(ring, out)
-        cache: list = [{} for _ in images]
 
-        def power(i: int, e: int) -> Poly:
-            got = cache[i].get(e)
-            if got is None:
-                got = cache[i][e] = images[i] ** e
-            return got
+            def terms():
+                for m, c in self.terms.items():
+                    exps = [0] * ring.arity
+                    coeff = c
+                    for e, (vm, vc) in zip(m, parts):
+                        if not e:
+                            continue
+                        if vc != 1:
+                            coeff = coeff * pow(vc, e, p) % p
+                        for k, ve in enumerate(vm):
+                            if ve:
+                                exps[k] += ve * e
+                    yield tuple(exps), coeff
 
-        acc = ring.zero()
-        for m, c in self.terms.items():
-            term = ring.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+        else:
+            cache: list = [{} for _ in images]
+
+            def power(i: int, e: int) -> Poly:
+                got = cache[i].get(e)
+                if got is None:
+                    got = cache[i][e] = images[i] ** e
+                return got
+
+            def terms():
+                for m, c in self.terms.items():
+                    term = ring.constant(c)
+                    for i, e in enumerate(m):
+                        if e:
+                            term = term * power(i, e)
+                    yield from term.terms.items()
+
+        return Poly._raw(ring, _add_terms(terms(), p))
 
     # -- text ---------------------------------------------------------------
 
@@ -452,28 +491,7 @@ def determinant(mat: PolyMatrix) -> Poly:
     n = mat.rows
     if n > MAX_DET_SIZE:
         raise SizeGuard(f"determinant size {n} exceeds {MAX_DET_SIZE}")
-    ring = mat.ring
-    memo: dict = {}
-
-    def minor(cols: tuple) -> Poly:
-        if not cols:
-            return ring.one()
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        r = n - len(cols)
-        acc = ring.zero()
-        for k, c in enumerate(cols):
-            e = mat.entries[r][c]
-            if e.is_zero():
-                continue
-            sub = minor(cols[:k] + cols[k + 1 :])
-            contrib = e * sub
-            acc = acc + contrib if k % 2 == 0 else acc - contrib
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+    return _laplace_det(mat.entries, mat.ring.one())
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
@@ -497,6 +515,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     heap = [(-sum(m), tuple(-e for e in m), m) for m in rem]
     heapq.heapify(heap)
     quot: dict = {}
+    # The remainder loop stays separate from _add_terms: every monomial new to
+    # the remainder must also be pushed onto the heap of candidate leaders.
     while rem:
         while True:
             _, _, m = heapq.heappop(heap)
@@ -542,12 +562,15 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")
 
 
-def parse(text: str, ring: PolyRing) -> Poly:
-    """Parse the polynomial grammar: terms joined by " + " / " - ", each term
-    an optional decimal coefficient followed by "*"-separated variable powers.
+def _scan_terms(text: str):
+    """Scan the polynomial grammar: terms joined by " + " / " - ", each term
+    an optional decimal coefficient followed by "*"-separated powers name^e,
+    names matching [A-Za-z_][A-Za-z0-9_]*.
+
+    Yields each term as (signed coefficient, [(name, exponent, position)]);
+    the caller resolves the names.  Syntax errors raise ParseError at their
+    position.
     """
-    p = ring.p
-    arity = ring.arity
     s = text
     n = len(s)
     pos = 0
@@ -576,10 +599,16 @@ def parse(text: str, ring: PolyRing) -> Poly:
             pos += 1
         return s[start:pos]
 
-    def read_term():
-        nonlocal pos
+    skip_ws()
+    if pos == n:
+        raise ParseError("empty input", pos)
+    sign = 1
+    if s[pos] in "+-":
+        sign = -1 if s[pos] == "-" else 1
+        pos += 1
+    while True:
         coeff = 1
-        exps = [0] * arity
+        factors = []
         first = True
         while True:
             skip_ws()
@@ -590,41 +619,20 @@ def parse(text: str, ring: PolyRing) -> Poly:
             else:
                 start = pos
                 name = read_name()
-                if name not in ring._index:
-                    raise ParseError(f"unknown variable {name!r}", start)
                 e = 1
                 if pos < n and s[pos] == "^":
                     pos += 1
                     e = read_int()
-                exps[ring._index[name]] += e
+                factors.append((name, e, start))
             first = False
-            save = pos
             skip_ws()
             if pos < n and s[pos] == "*":
                 pos += 1
                 continue
-            pos = save
-            return coeff, tuple(exps)
-
-    terms: dict = {}
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty input", pos)
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    while True:
-        skip_ws()
-        coeff, mono = read_term()
-        v = (terms.get(mono, 0) + sign * coeff) % p
-        if v:
-            terms[mono] = v
-        elif mono in terms:
-            del terms[mono]
-        skip_ws()
-        if pos == n:
             break
+        yield sign * coeff, factors
+        if pos == n:
+            return
         if s[pos] == "+":
             sign = 1
         elif s[pos] == "-":
@@ -632,7 +640,21 @@ def parse(text: str, ring: PolyRing) -> Poly:
         else:
             raise ParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
         pos += 1
-    return Poly._raw(ring, terms)
+
+
+def parse(text: str, ring: PolyRing) -> Poly:
+    """Parse the polynomial grammar of _scan_terms over the ring's variables."""
+
+    def terms():
+        for coeff, factors in _scan_terms(text):
+            exps = [0] * ring.arity
+            for name, e, pos in factors:
+                if name not in ring._index:
+                    raise ParseError(f"unknown variable {name!r}", pos)
+                exps[ring._index[name]] += e
+            yield tuple(exps), coeff
+
+    return Poly._raw(ring, _add_terms(terms(), ring.p))
 
 
 def diff_detail(a: Poly, b: Poly, limit: int = 5, order=grlex_key, name=None) -> str:

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 from .chern import ChernContext, total_conj_chern
 from .dickson import DicksonContext, delta_ni
-from .errors import IndexOutOfRange, SamePartition, SizeGuard, VerificationFailure
+from .errors import IndexOutOfRange, SamePartition, VerificationFailure
 from .fp import check_modulus
-from .poly import Poly, PolyRing, diff_detail
+from .poly import Poly, PolyRing, _perm_sign, diff_detail
 from .report import VerificationReport, timed_check
 from .steenrod import even_to_poly, r_closed
 
@@ -61,17 +61,6 @@ def partitions22(iset) -> list:
         Partition22.of((i1, i3), (i2, i4)),
         Partition22.of((i1, i4), (i2, i3)),
     ]
-
-
-def _perm_sign(base, target) -> int:
-    positions = [base.index(t) for t in target]
-    inversions = sum(
-        1
-        for a in range(len(positions))
-        for b in range(a + 1, len(positions))
-        if positions[a] > positions[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def epsilon(rho: Partition22) -> int:
@@ -198,21 +187,9 @@ def _r_classes(p: int, ring: PolyRing) -> list:
     return [even_to_poly(r_closed(p, i, 2), ring) for i in range(1, 5)]
 
 
-def _check_heavy(p: int, heavy: bool):
-    if p == 3:
-        return
-    if p == 5 and heavy:
-        return
-    raise SizeGuard(
-        f"p = {p} substitution identities are feature-flagged (heavy); "
-        "only p = 3 runs by default"
-    )
-
-
-def verify_r_delta(p: int, heavy: bool = False) -> VerificationReport:
+def verify_r_delta(p: int) -> VerificationReport:
     """Substituting r_i for Y_i turns R_j into the Moore minor with the rows
     (eta_1, xi_1, eta_2, xi_2); gradings are checked before equality."""
-    _check_heavy(p, heavy)
     ctx = ChernContext(p, 2)
     ring = ctx.ring
     rs = _r_classes(p, ring)
@@ -253,11 +230,10 @@ def verify_r_delta(p: int, heavy: bool = False) -> VerificationReport:
     return VerificationReport(suite="relations", params={"p": p}, checks=checks)
 
 
-def verify_chern_r_relations(p: int, heavy: bool = False) -> VerificationReport:
+def verify_chern_r_relations(p: int) -> VerificationReport:
     """R_j(r) = (-1)^j gamma_{p^4 - p^j} R_4(r) for j = 0..4 (the j = 4
     instance is the tautology gamma_0 = 1), plus the four explicit displays
     written out with literal exponents."""
-    _check_heavy(p, heavy)
     ctx = ChernContext(p, 2)
     ring = ctx.ring
     rs = _r_classes(p, ring)

@@ -13,7 +13,9 @@ is needed on this algebra.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import product, repeat
+from math import prod
+from operator import add
 
 from .errors import (
     ContextMismatch,
@@ -22,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .fp import check_modulus
-from .poly import Poly, PolyRing, diff_detail, grlex_key
+from .poly import Poly, PolyRing, _add_terms, _scan_terms, diff_detail, grlex_key
 from .report import VerificationReport, timed_check
 
 MAX_MILNOR_INDEX = 6
@@ -203,15 +205,9 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        p = self.algebra.p
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = (out.get(key, 0) + c) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return CohClass._raw(self.algebra, out)
+        return CohClass._raw(
+            self.algebra, _add_terms(other.terms.items(), self.algebra.p, self.terms)
+        )
 
     __radd__ = __add__
 
@@ -238,22 +234,17 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        p = self.algebra.p
-        out: dict = {}
-        for (s1, e1), c1 in self.terms.items():
-            for (s2, e2), c2 in other.terms.items():
-                merged = _merge_odd(s1, s2)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                even = tuple(a + b for a, b in zip(e1, e2))
-                key = (odd, even)
-                v = (out.get(key, 0) + sign * c1 * c2) % p
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return CohClass._raw(self.algebra, out)
+
+        def products():
+            for (s1, e1), c1 in self.terms.items():
+                for (s2, e2), c2 in other.terms.items():
+                    merged = _merge_odd(s1, s2)
+                    if merged is None:
+                        continue
+                    sign, odd = merged
+                    yield (odd, tuple(map(add, e1, e2))), sign * c1 * c2
+
+        return CohClass._raw(self.algebra, _add_terms(products(), self.algebra.p))
 
     __rmul__ = __mul__
 
@@ -334,22 +325,16 @@ class CohClass:
 def bockstein(x: CohClass) -> CohClass:
     """The degree-(+1) differential: a_k -> x_k, x_k -> 0, extended as a
     derivation with the Koszul sign."""
-    alg = x.algebra
-    p = alg.p
-    out: dict = {}
-    for (odd, even), c in x.terms.items():
-        for pos, k in enumerate(odd):
-            sign = -1 if pos % 2 else 1
-            new_odd = odd[:pos] + odd[pos + 1 :]
-            new_even = list(even)
-            new_even[k - 1] += 1
-            key = (new_odd, tuple(new_even))
-            v = (out.get(key, 0) + sign * c) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return CohClass._raw(alg, out)
+
+    def terms():
+        for (odd, even), c in x.terms.items():
+            for pos, k in enumerate(odd):
+                new_even = list(even)
+                new_even[k - 1] += 1
+                key = (odd[:pos] + odd[pos + 1 :], tuple(new_even))
+                yield key, -c if pos % 2 else c
+
+    return CohClass._raw(x.algebra, _add_terms(terms(), x.algebra.p))
 
 
 def _binom_support(e: int, p: int):
@@ -379,31 +364,20 @@ def _binom_support(e: int, p: int):
 def total_power(x: CohClass) -> CohClass:
     """The total reduced-power operation: the ring endomorphism fixing the
     exterior generators and sending each even generator t to t + t^p."""
-    alg = x.algebra
-    p = alg.p
-    out: dict = {}
-    for (odd, even), c in x.terms.items():
-        options = []
-        for e in even:
-            if e:
-                options.append(list(_binom_support(e, p)))
-            else:
-                options.append([(0, 1)])
-        for picks in product(*options):
-            coeff = c
-            new_even = []
-            for e, (k, b) in zip(even, picks):
-                coeff = coeff * b % p
-                new_even.append(e + k * (p - 1))
-            if not coeff:
-                continue
-            key = (odd, tuple(new_even))
-            v = (out.get(key, 0) + coeff) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return CohClass._raw(alg, out)
+    p = x.algebra.p
+
+    def terms():
+        for (odd, even), c in x.terms.items():
+            # t^e -> sum_k C(e,k) t^(e + k(p-1)); both products below walk the
+            # same picks in the same order, one for exponents, one for binomials
+            supports = [list(_binom_support(e, p)) for e in even]
+            exps = product(
+                *[[e + k * (p - 1) for k, _ in s] for e, s in zip(even, supports)]
+            )
+            binoms = product(*[[b for _, b in s] for s in supports])
+            yield from zip(zip(repeat(odd), exps), map(partial(prod, start=c), binoms))
+
+    return CohClass._raw(x.algebra, _add_terms(terms(), p))
 
 
 def power_op(k: int, x: CohClass) -> CohClass:
@@ -531,90 +505,18 @@ def poly_to_even(f: Poly, algebra: CohAlgebra) -> CohClass:
 def parse_class(text: str, algebra: CohAlgebra) -> CohClass:
     """Parse the polynomial grammar extended with the exterior generators;
     squares of exterior generators parse to zero."""
-    s = text
-    n = len(s)
-    pos = 0
-    p = algebra.p
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos] in " \t":
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", start)
-        return int(s[start:pos])
-
-    def read_name() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or not (s[pos].isalpha() or s[pos] == "_"):
-            raise ParseError("expected a generator name", pos)
-        pos += 1
-        while pos < n and (s[pos].isalnum() or s[pos] == "_"):
-            pos += 1
-        return s[start:pos]
-
-    def read_term() -> CohClass:
-        nonlocal pos
-        acc = algebra.one()
-        first = True
-        while True:
-            skip_ws()
-            if pos < n and s[pos].isdigit():
-                if not first:
-                    raise ParseError("coefficient must come first in a term", pos)
-                acc = acc * read_int()
-            else:
-                start = pos
-                name = read_name()
-                e = 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    e = read_int()
-                if name in algebra._odd_index:
-                    gen = algebra.odd_gen(algebra._odd_index[name])
-                elif name in algebra._even_index:
-                    gen = algebra.even_gen(algebra._even_index[name])
-                else:
-                    raise ParseError(f"unknown generator {name!r}", start)
-                acc = acc * gen**e
-            first = False
-            save = pos
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            pos = save
-            return acc
-
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty input", pos)
     total = algebra.zero()
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    while True:
-        skip_ws()
-        term = read_term()
-        total = total + term * sign
-        skip_ws()
-        if pos == n:
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
-        pos += 1
+    for coeff, factors in _scan_terms(text):
+        term = algebra.constant(coeff)
+        for name, e, pos in factors:
+            if name in algebra._odd_index:
+                gen = algebra.odd_gen(algebra._odd_index[name])
+            elif name in algebra._even_index:
+                gen = algebra.even_gen(algebra._even_index[name])
+            else:
+                raise ParseError(f"unknown generator {name!r}", pos)
+            term = term * gen**e
+        total = total + term
     return total
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -155,6 +155,29 @@ def test_int_det_mod():
     assert int_det_mod(((1, 0), (0, 1)), 3) == 1
     assert int_det_mod(((1, 2), (2, 4)), 5) == 0
     assert int_det_mod(((0, 1), (2, 0)), 3) == 1  # -2 mod 3
+
+
+def permutation_det_mod(rows, p):
+    """Leibniz expansion over all permutations: the oracle for int_det_mod."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = (-1) ** inversions
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (3, 7), (4, 2), (4, 5)])
+def test_int_det_mod_matches_permutation_expansion(n, p):
+    rng = random.Random(97 * n + p)
+    for _ in range(60):
+        # zeros are common so that the expansion's skipped entries are exercised
+        entries = [0, 0] + list(range(p))
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        assert int_det_mod(rows, p) == permutation_det_mod(rows, p)
 
 
 def test_random_gl_deterministic_and_invertible():

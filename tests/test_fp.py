@@ -1,7 +1,6 @@
 import pytest
 
-from conjchern.errors import RingMismatch
-from conjchern.fp import FpElem, check_modulus, is_prime
+from conjchern.fp import check_modulus, is_prime
 
 
 def test_is_prime_small():
@@ -17,35 +16,3 @@ def test_check_modulus_rejects_composite():
     with pytest.raises(ValueError):
         check_modulus(2**31 + 11)
 
-
-def test_reduction_on_construction():
-    assert FpElem(7, 3).value == 1
-    assert FpElem(-1, 5).value == 4
-
-
-def test_arithmetic():
-    a, b = FpElem(2, 5), FpElem(4, 5)
-    assert a + b == FpElem(1, 5)
-    assert a - b == 3
-    assert a * b == 3
-    assert -a == 3
-    assert a**3 == 3
-    assert b.inverse() * b == 1
-    assert a / b == a * b.inverse()
-
-
-def test_mixed_int_operands():
-    a = FpElem(2, 7)
-    assert 3 + a == 5
-    assert 10 - a == 1
-    assert 4 * a == 1
-
-
-def test_modulus_mismatch():
-    with pytest.raises(RingMismatch):
-        FpElem(1, 3) + FpElem(1, 5)
-
-
-def test_zero_inverse():
-    with pytest.raises(ZeroDivisionError):
-        FpElem(0, 3).inverse()

@@ -160,8 +160,7 @@ def test_chern_relations_p3():
         assert f"display-j{j}" in names
 
 
-def test_heavy_guard_at_p5():
-    with pytest.raises(SizeGuard):
-        verify_r_delta(5)
-    with pytest.raises(SizeGuard):
+def test_p5_runs_r_delta_and_guards_the_chern_product():
+    assert verify_r_delta(5).passed()
+    with pytest.raises(SizeGuard, match=r"5\^4 linear forms"):
         verify_chern_r_relations(5)

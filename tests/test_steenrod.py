@@ -4,7 +4,7 @@ import pytest
 
 from conjchern import steenrod
 from conjchern.errors import ContextMismatch, DepthGuard, OddPartPresent, ParseError
-from conjchern.poly import PolyRing
+from conjchern.poly import PolyRing, parse
 from conjchern.steenrod import (
     CohAlgebra,
     CohClass,
@@ -263,6 +263,29 @@ def test_parse_class_errors():
         parse_class("a9", A31)
     with pytest.raises(ParseError):
         parse_class("", A31)
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("xi1 & eta1", 4), ("", 0), ("xi1 +", 5), ("xi1^", 4), ("xi1*3", 4)],
+)
+def test_parse_and_parse_class_share_error_positions(text, position):
+    alg = CohAlgebra.bv(3, 1)
+    ring = PolyRing(3, alg.even_names)
+    with pytest.raises(ParseError) as poly_err:
+        parse(text, ring)
+    with pytest.raises(ParseError) as class_err:
+        parse_class(text, alg)
+    assert poly_err.value.position == class_err.value.position == position
+
+
+@pytest.mark.parametrize("p,l", [(3, 2), (5, 1)])
+def test_parse_class_roundtrip_random(p, l):
+    alg = CohAlgebra.bv(p, l)
+    rng = random.Random(100 * p + l)
+    for _ in range(100):
+        x = random_homogeneous(rng, alg)
+        assert parse_class(x.to_text(), alg) == x
 
 
 # -- verifiers ------------------------------------------------------------------------
