@@ -35,7 +35,6 @@ from .report import Check, VerificationReport
 from .steenrod import (
     CohAlgebra,
     CohClass,
-    OperationWord,
     bockstein,
     even_to_poly,
     milnor_q,
@@ -57,7 +56,6 @@ __all__ = [
     "DicksonContext",
     "GLMatrix",
     "GradedChern",
-    "OperationWord",
     "Poly",
     "PolyMatrix",
     "PolyRing",

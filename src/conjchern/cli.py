@@ -18,7 +18,7 @@ from ._version import __version__
 from .chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
 from .cyclo import verify_extraspecial, verify_weight_basis
 from .dickson import DicksonContext, verify_dickson
-from .errors import SizeGuard, VerificationFailure
+from .errors import SizeGuard
 from .fp import is_prime
 from .relations import (
     verify_chern_r_relations,
@@ -72,10 +72,7 @@ def _checks_rep(args) -> list:
         name = f"rep/weight-basis-l{l}"
 
         def run(l=l):
-            try:
-                table = verify_weight_basis(args.p, l)
-            except VerificationFailure as failure:
-                return False, str(failure)
+            table = verify_weight_basis(args.p, l)
             detail = f"{len(table)} weight lines verified"
             if l == 1:
                 detail += "; coordinate determinant nonzero"

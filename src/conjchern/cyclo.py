@@ -104,44 +104,11 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        out = CycInt.from_int(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def mul_omega(self, k: int) -> CycInt:
-        """Multiply by w^k: a cheap coordinate rotation plus reduction."""
-        k %= self.p
-        if k == 0:
-            return self
-        p = self.p
-        buf = [0] * (p + p - 2)
-        for i, a in enumerate(self.coords):
-            if a:
-                buf[i + k] += a
-        return CycInt(p, _reduce_power_buf(p, buf))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
     def __bool__(self):
         return not self.is_zero()
-
-    def omega_exponent(self):
-        """k if self == w^k, else None."""
-        nonzero = [(i, a) for i, a in enumerate(self.coords) if a]
-        if len(nonzero) == 1 and nonzero[0][1] == 1:
-            return nonzero[0][0]
-        if len(nonzero) == self.p - 1 and all(a == -1 for _, a in nonzero):
-            return self.p - 1
-        return None
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -183,66 +150,66 @@ def _reduce_power_buf(p: int, buf) -> tuple:
 
 
 class CycMatrix:
-    """A square matrix over Z[w]."""
+    """A monomial matrix over Z[w]: row r holds w^{powers[r]} in column
+    columns[r] and zeros elsewhere.
 
-    __slots__ = ("p", "size", "rows")
+    Every generator and every A_{i,j} is of this shape, and so are their
+    products, Kronecker products and inverses, so each operation below costs
+    O(size) and the type itself guarantees monomiality.
+    """
 
-    def __init__(self, p: int, rows):
-        rows = tuple(tuple(r) for r in rows)
-        size = len(rows)
-        for r in rows:
-            if len(r) != size:
-                raise ValueError("matrix must be square")
-            for e in r:
-                if not isinstance(e, CycInt) or e.p != p:
-                    raise PrimeMismatch("entry prime differs from the matrix prime")
+    __slots__ = ("p", "columns", "powers")
+
+    def __init__(self, p: int, columns, powers):
+        check_modulus(p)
+        if p == 2:
+            raise ValueError("cyclotomic arithmetic here needs an odd prime")
+        columns = tuple(columns)
+        powers = tuple(powers)
+        if sorted(columns) != list(range(len(columns))):
+            raise NotMonomial(f"columns {columns} are not a permutation")
+        if len(powers) != len(columns):
+            raise NotMonomial(
+                f"need one power per row: {len(columns)} rows, {len(powers)} powers"
+            )
         self.p = p
-        self.size = size
-        self.rows = rows
+        self.columns = columns
+        self.powers = tuple(k % p for k in powers)
+
+    @property
+    def size(self) -> int:
+        return len(self.columns)
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows as CycInt entries (a read-only view)."""
+        zero = CycInt.zero(self.p)
+        out = []
+        for c, k in zip(self.columns, self.powers):
+            row = [zero] * self.size
+            row[c] = CycInt.omega(self.p, k)
+            out.append(tuple(row))
+        return tuple(out)
 
     @classmethod
     def identity(cls, p: int, size: int) -> CycMatrix:
-        one = CycInt.from_int(p, 1)
-        zero = CycInt.zero(p)
-        return cls(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
+        return cls(p, range(size), (0,) * size)
 
-    @classmethod
-    def from_omega_powers(cls, p: int, grid) -> CycMatrix:
-        """Build from a grid of entries that are None (zero) or w-exponents."""
-        zero = CycInt.zero(p)
-        return cls(
-            p,
-            [
-                [zero if e is None else CycInt.omega(p, e) for e in row]
-                for row in grid
-            ],
-        )
+    def _check(self, other: CycMatrix):
+        if self.p != other.p:
+            raise PrimeMismatch("mixed primes")
 
     def __mul__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if self.p != other.p:
-            raise PrimeMismatch("mixed primes")
+        self._check(other)
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        zero = CycInt.zero(self.p)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CycMatrix(self.p, out)
+        return CycMatrix(
+            self.p,
+            [other.columns[c] for c in self.columns],
+            [k + other.powers[c] for c, k in zip(self.columns, self.powers)],
+        )
 
     def __pow__(self, e: int):
         if e < 0:
@@ -258,71 +225,45 @@ class CycMatrix:
 
     def __eq__(self, other):
         if isinstance(other, CycMatrix):
-            return self.p == other.p and self.rows == other.rows
+            return (self.p, self.columns, self.powers) == (
+                other.p,
+                other.columns,
+                other.powers,
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.rows))
+        return hash((self.p, self.columns, self.powers))
 
     def mul_omega(self, k: int) -> CycMatrix:
         """Entrywise multiplication by the scalar w^k."""
-        return CycMatrix(self.p, [[e.mul_omega(k) for e in row] for row in self.rows])
+        return CycMatrix(self.p, self.columns, [e + k for e in self.powers])
 
     def kron(self, other: CycMatrix) -> CycMatrix:
         """Kronecker product."""
-        if self.p != other.p:
-            raise PrimeMismatch("mixed primes")
-        n, m = self.size, other.size
-        zero = CycInt.zero(self.p)
-        out = [[zero] * (n * m) for _ in range(n * m)]
-        for i in range(n):
-            for j in range(n):
-                a = self.rows[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(m):
-                    for l in range(m):
-                        b = other.rows[k][l]
-                        if not b.is_zero():
-                            out[i * m + k][j * m + l] = a * b
-        return CycMatrix(self.p, out)
-
-    def monomial_decomposition(self):
-        """(columns, powers) with rows[r][columns[r]] = w^{powers[r]}, or None."""
-        n = self.size
-        columns = [None] * n
-        powers = [None] * n
-        seen_cols = set()
-        for r in range(n):
-            hits = [(c, e) for c, e in enumerate(self.rows[r]) if not e.is_zero()]
-            if len(hits) != 1:
-                return None
-            c, entry = hits[0]
-            k = entry.omega_exponent()
-            if k is None or c in seen_cols:
-                return None
-            seen_cols.add(c)
-            columns[r] = c
-            powers[r] = k
-        return columns, powers
+        self._check(other)
+        m = other.size
+        return CycMatrix(
+            self.p,
+            [c * m + d for c in self.columns for d in other.columns],
+            [k + e for k in self.powers for e in other.powers],
+        )
 
     def inverse_monomial(self) -> CycMatrix:
-        """Exact inverse, defined only for monomial matrices."""
-        decomp = self.monomial_decomposition()
-        if decomp is None:
-            raise NotMonomial("matrix is not monomial")
-        columns, powers = decomp
-        zero = CycInt.zero(self.p)
-        out = [[zero] * self.size for _ in range(self.size)]
-        for r, (c, k) in enumerate(zip(columns, powers)):
-            out[c][r] = CycInt.omega(self.p, -k % self.p)
-        return CycMatrix(self.p, out)
+        """Exact inverse: row columns[r] of the inverse holds w^{-powers[r]}
+        in column r."""
+        columns = [0] * self.size
+        powers = [0] * self.size
+        for r, (c, k) in enumerate(zip(self.columns, self.powers)):
+            columns[c] = r
+            powers[c] = -k
+        return CycMatrix(self.p, columns, powers)
 
     def scalar_exponent(self):
         """k if self == w^k * I, else None."""
-        k = self.rows[0][0].omega_exponent()
-        if k is None:
+        if self.columns[0] != 0:
             return None
+        k = self.powers[0]
         if self == CycMatrix.identity(self.p, self.size).mul_omega(k):
             return k
         return None
@@ -333,14 +274,9 @@ def gen_matrices(p: int):
     check_modulus(p)
     if p == 2:
         raise ValueError("p must be an odd prime")
-    sigma = CycMatrix.from_omega_powers(
-        p, [[(i + 1) % p if i == j else None for j in range(p)] for i in range(p)]
-    )
-    tau_grid = [[None] * p for _ in range(p)]
-    tau_grid[0][p - 1] = 0
-    for i in range(1, p):
-        tau_grid[i][i - 1] = 0
-    tau = CycMatrix.from_omega_powers(p, tau_grid)
+    sigma = CycMatrix(p, range(p), [i + 1 for i in range(p)])
+    # tau has its ones at (0, p-1) and (i, i-1) for i >= 1
+    tau = CycMatrix(p, [(r - 1) % p for r in range(p)], (0,) * p)
     return sigma, tau
 
 
@@ -350,49 +286,28 @@ def a_matrix(i: int, j: int, p: int) -> CycMatrix:
     check_modulus(p)
     if not (0 <= i < p and 0 <= j < p):
         raise IndexOutOfRange(f"indices ({i}, {j}) not in [0, {p})")
-    grid = [[None] * p for _ in range(p)]
-    for r in range(p):
-        # A_{i,0} has the identity I_i in the top-right block and I_{p-i}
-        # in the lower-left block, i.e. a one at column (r - i) mod p
-        c = (r - i) % p
-        grid[r][c] = ((p - 1 - c) * j) % p
-    return CycMatrix.from_omega_powers(p, grid)
+    # A_{i,0} has the identity I_i in the top-right block and I_{p-i}
+    # in the lower-left block, i.e. a one at column (r - i) mod p
+    columns = [(r - i) % p for r in range(p)]
+    return CycMatrix(p, columns, [(p - 1 - c) * j for c in columns])
 
 
 def conj_act(g: CycMatrix, m: CycMatrix) -> CycMatrix:
-    """g m g^{-1} for a monomial g, computed entrywise without a full product."""
-    if g.p != m.p:
-        raise PrimeMismatch("mixed primes")
-    if g.size != m.size:
-        raise ValueError("size mismatch")
-    decomp = g.monomial_decomposition()
-    if decomp is None:
-        raise NotMonomial("conjugating matrix is not monomial")
-    columns, powers = decomp
-    n = g.size
-    out = [
-        [
-            m.rows[columns[a]][columns[b]].mul_omega((powers[a] - powers[b]) % g.p)
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return CycMatrix(g.p, out)
+    """g m g^{-1}: three monomial operations, each O(size)."""
+    return g * m * g.inverse_monomial()
 
 
-def cyc_determinant(mat: CycMatrix) -> CycInt:
-    """Exact determinant over Z[w].
+def cyc_determinant(p: int, rows) -> CycInt:
+    """Exact determinant over Z[w] of a square matrix given by rows of CycInt.
 
     The support graph is split into connected row/column components first;
     the determinant is the signed product of the component determinants, so
     sparse block structure never triggers a full n! expansion.
     """
-    n = mat.size
-    supports = [
-        [c for c, e in enumerate(row) if not e.is_zero()] for row in mat.rows
-    ]
+    n = len(rows)
+    supports = [[c for c, e in enumerate(row) if e] for row in rows]
     if any(not s for s in supports):
-        return CycInt.zero(mat.p)
+        return CycInt.zero(p)
 
     parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
 
@@ -415,17 +330,17 @@ def cyc_determinant(mat: CycMatrix) -> CycInt:
         groups.setdefault(find(n + c), [[], []])[1].append(c)
 
     components = sorted(groups.values(), key=lambda g: g[0][0] if g[0] else n)
-    one = CycInt.from_int(mat.p, 1)
+    one = CycInt.from_int(p, 1)
     row_order, col_order = [], []
     dets = []
-    for rows, cols in components:
-        if len(rows) != len(cols):
-            return CycInt.zero(mat.p)
-        row_order.extend(rows)
+    for rs, cols in components:
+        if len(rs) != len(cols):
+            return CycInt.zero(p)
+        row_order.extend(rs)
         col_order.extend(cols)
-        dets.append(_laplace_det([[mat.rows[r][c] for c in cols] for r in rows], one))
+        dets.append(_laplace_det([[rows[r][c] for c in cols] for r in rs], one))
     sign = _perm_sign(range(n), row_order) * _perm_sign(range(n), col_order)
-    det = CycInt.from_int(mat.p, sign)
+    det = CycInt.from_int(p, sign)
     for d in dets:
         det = det * d
     return det
@@ -519,14 +434,8 @@ def verify_weight_basis(p: int, l: int) -> WeightTable:
                 )
         weights[idx] = idx
     if l == 1:
-        coord = CycMatrix(
-            p,
-            [
-                [base[(i, j)].rows[r][c] for i in range(p) for j in range(p)]
-                for r in range(p)
-                for c in range(p)
-            ],
-        )
-        if cyc_determinant(coord).is_zero():
+        dense = [base[(i, j)].rows for i in range(p) for j in range(p)]
+        coord = [[m[r][c] for m in dense] for r in range(p) for c in range(p)]
+        if cyc_determinant(p, coord).is_zero():
             raise VerificationFailure("coordinate determinant of the A_{i,j} is zero")
     return WeightTable(p=p, l=l, weights=weights)

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .errors import SizeGuard
+from .errors import ConjChernError, SizeGuard
 
 PASS = "pass"
 FAIL = "fail"
@@ -107,18 +107,20 @@ class VerificationReport:
 def timed_check(name: str, fn) -> Check:
     """Run fn and wrap the outcome.
 
-    fn returns True/False or (ok, detail); raising SizeGuard yields a skipped
-    check.  Other exceptions propagate: they indicate bugs, not failures.
+    fn returns True/False or (ok, detail).  Raising SizeGuard yields a
+    skipped check, and raising any other ConjChernError yields a failed
+    check whose detail is the error message.  Every other exception
+    propagates: it indicates a bug, not a failure.
     """
     start = time.perf_counter()
     try:
         result = fn()
     except SizeGuard as guard:
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return Check(name, SKIPPED, str(guard), elapsed)
-    elapsed = int((time.perf_counter() - start) * 1000)
-    if isinstance(result, tuple):
-        ok, detail = result
+        status, detail = SKIPPED, str(guard)
+    except ConjChernError as error:
+        status, detail = FAIL, str(error)
     else:
-        ok, detail = result, ""
-    return Check(name, PASS if ok else FAIL, detail, elapsed)
+        ok, detail = result if isinstance(result, tuple) else (result, "")
+        status = PASS if ok else FAIL
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return Check(name, status, detail, elapsed)

@@ -394,41 +394,6 @@ def power_op(k: int, x: CohClass) -> CohClass:
     return out
 
 
-class OperationWord:
-    """A composite of Bockstein and reduced-power tokens, e.g. the words that
-    appear when the Milnor recursion is unrolled.
-
-    Tokens read left to right as written ("P^3 beta" means apply the
-    Bockstein first, then the cube power operation); each token is the
-    string "beta" or "P^k" with k >= 0.
-    """
-
-    __slots__ = ("tokens",)
-
-    def __init__(self, tokens):
-        parsed = []
-        for tok in tokens:
-            if tok == "beta":
-                parsed.append(("beta", 0))
-            elif isinstance(tok, str) and tok.startswith("P^"):
-                k = int(tok[2:])
-                if k < 0:
-                    raise ValueError(f"negative power token {tok!r}")
-                parsed.append(("P", k))
-            else:
-                raise ValueError(f"unknown operation token {tok!r}")
-        self.tokens = tuple(parsed)
-
-    def apply(self, x: CohClass) -> CohClass:
-        for kind, k in reversed(self.tokens):
-            x = bockstein(x) if kind == "beta" else power_op(k, x)
-        return x
-
-    def __repr__(self):
-        bits = ["beta" if kind == "beta" else f"P^{k}" for kind, k in self.tokens]
-        return f"OperationWord({' '.join(bits)})"
-
-
 def milnor_q(i: int, x: CohClass) -> CohClass:
     """The i-th Milnor primitive via the recursion
     Q_0 = Bockstein, Q_i = P^{p^{i-1}} Q_{i-1} - Q_{i-1} P^{p^{i-1}}."""
@@ -493,13 +458,6 @@ def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
             raise OddPartPresent(f"term with exterior factors {odd}")
         terms[even] = c
     return Poly(ring, terms)
-
-
-def poly_to_even(f: Poly, algebra: CohAlgebra) -> CohClass:
-    """The evident inverse embedding of even polynomials."""
-    if f.ring.arity != algebra.m or f.ring.p != algebra.p:
-        raise ContextMismatch("polynomial ring does not match the even generators")
-    return CohClass(algebra, {((), m): c for m, c in f.terms.items()})
 
 
 def parse_class(text: str, algebra: CohAlgebra) -> CohClass:

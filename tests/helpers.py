@@ -2,6 +2,7 @@
 
 from functools import reduce
 
+from conjchern.cyclo import CycInt, CycMatrix
 from conjchern.poly import Poly
 
 
@@ -48,3 +49,34 @@ def det2(a, b, c, d):
 def naive_product(factors):
     """Left-to-right product, an oracle for tree or graded accumulation."""
     return reduce(lambda x, y: x * y, factors)
+
+
+def random_monomial(rng, p, size):
+    """A random monomial matrix; the powers are left unreduced on purpose."""
+    columns = list(range(size))
+    rng.shuffle(columns)
+    return CycMatrix(p, columns, [rng.randrange(-2 * p, 2 * p) for _ in range(size)])
+
+
+def dense_mul(p, a, b):
+    """Row-by-column product of two square matrices given as rows of CycInt."""
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), CycInt.zero(p)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def dense_kron(a, b):
+    """Kronecker product of two matrices given as rows of CycInt."""
+    m = len(b)
+    return tuple(
+        tuple(a[i // m][j // m] * b[i % m][j % m] for j in range(len(a) * m))
+        for i in range(len(a) * m)
+    )
+
+
+def dense_scale(p, a, k):
+    """Every entry multiplied by w^k."""
+    w = CycInt.omega(p, k)
+    return tuple(tuple(e * w for e in row) for row in a)

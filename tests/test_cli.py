@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
-from conjchern.report import Check, VerificationReport
+import pytest
+
+from conjchern.errors import VerificationFailure
+from conjchern.report import Check, VerificationReport, timed_check
 
 SCHEMA_KEYS = {"suite", "params", "checks", "overall", "seed", "version"}
 CHECK_KEYS = {"name", "status", "detail", "elapsed_ms"}
@@ -156,14 +159,35 @@ def test_threads_flag_accepted():
     assert proc.returncode == 2
 
 
-def test_signs_suite_exits_zero_under_optimize():
+@pytest.mark.parametrize(
+    "args",
+    [["--suite", "signs"], ["--suite", "rep", "--p", "3", "--l", "2"]],
+    ids=["signs", "rep-p3-l2"],
+)
+def test_suite_exits_zero_under_optimize(args):
     # invariants raise library errors, so they still hold with asserts stripped
     env = dict(os.environ, NO_COLOR="1")
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "conjchern", "--suite", "signs"],
+        [sys.executable, "-O", "-m", "conjchern", *args],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+def test_timed_check_library_error_is_a_failure():
+    def body():
+        raise VerificationFailure("x")
+
+    check = timed_check("broken", body)
+    assert (check.status, check.detail) == ("fail", "x")
+
+
+def test_timed_check_other_exceptions_propagate():
+    def body():
+        raise ValueError("a bug")
+
+    with pytest.raises(ValueError):
+        timed_check("buggy", body)

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from conjchern import cli, cyclo
 from conjchern.cyclo import (
     CycInt,
     CycMatrix,
@@ -14,6 +15,7 @@ from conjchern.cyclo import (
     verify_weight_basis,
 )
 from conjchern.errors import NotMonomial, PrimeMismatch, SizeGuard
+from helpers import dense_kron, dense_mul, dense_scale, random_monomial
 
 
 def w(p, k=1):
@@ -67,13 +69,6 @@ def test_prime_mismatch():
         w(3) + w(5)
     with pytest.raises(PrimeMismatch):
         w(3) * w(5)
-
-
-def test_omega_exponent_detection():
-    for p in (3, 5):
-        for k in range(p):
-            assert w(p, k).omega_exponent() == k
-        assert (w(p) + 1).omega_exponent() is None
 
 
 # -- generator matrices --------------------------------------------------------
@@ -156,27 +151,41 @@ def test_conj_action_axiom():
 
 
 def test_conj_matches_full_product():
+    # (g m g^-1) g = g m, with both sides multiplied as dense rows
     p = 3
     sigma, tau = gen_matrices(p)
     g = sigma * tau
     m = a_matrix(1, 2, p)
-    assert conj_act(g, m) == g * m * g.inverse_monomial()
+    assert dense_mul(p, conj_act(g, m).rows, g.rows) == dense_mul(p, g.rows, m.rows)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_monomial_operations_match_dense_reference(p):
+    rng = random.Random(31 + p)
+    for size in range(1, 10):
+        for _ in range(4):
+            a = random_monomial(rng, p, size)
+            b = random_monomial(rng, p, size)
+            eye = CycMatrix.identity(p, size).rows
+            assert (a * b).rows == dense_mul(p, a.rows, b.rows)
+            assert dense_mul(p, a.rows, a.inverse_monomial().rows) == eye
+            assert dense_mul(p, a.inverse_monomial().rows, a.rows) == eye
+            k = rng.randrange(-p, 2 * p)
+            assert a.mul_omega(k).rows == dense_scale(p, a.rows, k)
+            assert dense_mul(p, conj_act(a, b).rows, a.rows) == dense_mul(
+                p, a.rows, b.rows
+            )
+            if size <= 3:
+                c = random_monomial(rng, p, rng.randrange(1, 4))
+                assert a.kron(c).rows == dense_kron(a.rows, c.rows)
 
 
 def test_not_monomial():
     p = 3
-    bad = CycMatrix(
-        p,
-        [
-            [CycInt.from_int(p, 1), CycInt.from_int(p, 1), CycInt.zero(p)],
-            [CycInt.zero(p), CycInt.from_int(p, 1), CycInt.zero(p)],
-            [CycInt.zero(p), CycInt.zero(p), CycInt.from_int(p, 1)],
-        ],
-    )
     with pytest.raises(NotMonomial):
-        conj_act(bad, a_matrix(0, 0, p))
+        CycMatrix(p, [0, 0, 2], [0, 0, 0])
     with pytest.raises(NotMonomial):
-        bad.inverse_monomial()
+        CycMatrix(p, [0, 1, 2], [0, 0])
 
 
 def test_weight_characters_pairwise_distinct():
@@ -192,16 +201,16 @@ def test_weight_characters_pairwise_distinct():
 # -- determinants over Z[w] ------------------------------------------------------
 
 
-def brute_force_det(mat):
-    total = CycInt.zero(mat.p)
-    n = mat.size
+def brute_force_det(p, rows):
+    total = CycInt.zero(p)
+    n = len(rows)
     for perm in permutations(range(n)):
         invs = sum(
             1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
         )
-        prod = CycInt.from_int(mat.p, 1)
+        prod = CycInt.from_int(p, 1)
         for r, c in enumerate(perm):
-            prod = prod * mat.rows[r][c]
+            prod = prod * rows[r][c]
         total = total + (prod if invs % 2 == 0 else -prod)
     return total
 
@@ -220,15 +229,13 @@ def test_component_determinant_matches_brute_force():
                     ]
                     for _ in range(n)
                 ]
-                mat = CycMatrix(p, rows)
-                assert cyc_determinant(mat) == brute_force_det(mat)
+                assert cyc_determinant(p, rows) == brute_force_det(p, rows)
 
 
 def test_zero_row_determinant():
     p = 3
     z = CycInt.zero(p)
-    mat = CycMatrix(p, [[z, z], [z, CycInt.from_int(p, 1)]])
-    assert cyc_determinant(mat).is_zero()
+    assert cyc_determinant(p, [[z, z], [z, CycInt.from_int(p, 1)]]).is_zero()
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -261,8 +268,45 @@ def test_weight_basis_l2():
     table = verify_weight_basis(3, 2)
     assert len(table) == 81
     assert all(table.weights[idx] == idx for idx in table.weights)
+    assert len(verify_weight_basis(5, 2)) == 625
 
 
 def test_weight_basis_guard():
     with pytest.raises(SizeGuard):
         verify_weight_basis(5, 3)
+
+
+# -- negative controls -------------------------------------------------------------
+
+
+def test_rep_suite_fails_on_broken_weight(monkeypatch, capsys):
+    original = cyclo.a_matrix
+
+    def broken(i, j, p):
+        m = original(i, j, p)
+        if (i, j) != (1, 2):
+            return m
+        return CycMatrix(p, m.columns, [m.powers[0] + 1, *m.powers[1:]])
+
+    monkeypatch.setattr(cyclo, "a_matrix", broken)
+    code = cli.main(["--suite", "rep", "--p", "3", "--l", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    line = [s for s in out.splitlines() if "rep/weight-basis-l2" in s][0]
+    assert "FAIL" in line
+    assert "index (0, 0, 1, 2): generator 3 does not scale by w^2" in line
+
+
+def test_rep_suite_fails_on_broken_tau(monkeypatch):
+    original = cyclo.gen_matrices
+
+    def broken(p):
+        sigma, tau = original(p)
+        return sigma, CycMatrix(p, tau.columns, [tau.powers[0] + 1, *tau.powers[1:]])
+
+    monkeypatch.setattr(cyclo, "gen_matrices", broken)
+    report = verify_extraspecial(3)
+    status = {c.name: c.status for c in report.checks}
+    assert status["tau-order"] == "fail"
+    assert status["sigma-order"] == "pass"
