@@ -23,7 +23,16 @@ from .fp import check_modulus
 from .poly import _laplace_det, _perm_sign
 from .report import VerificationReport, timed_check
 
-MAX_TENSOR_DIM = 27
+# Cost model of verify_weight_basis, fitted on a 2-core x86 box (Python 3.11).
+# Each of the p^(2l) index tuples builds one monomial matrix of size p^l and
+# conjugates it by 2l generators: about 1 microsecond per p^(3l) * (2l + 1).
+# At l = 1 the coordinate determinant adds about 0.05 microseconds per
+# p^4 * 2^p (p components of size p, each expanded over its 2^p column
+# subsets in Z[w] arithmetic).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s,
+# (11, 2) 5.5 s, (5, 3) 7.8-10.8 s, (11, 1) 1.3 s, (13, 1) 10.9 s.  The
+# bound admits p <= 13 at l = 1 and p <= 11 at l = 2; (17, 1) would take
+# about 9 minutes.
+MAX_WEIGHT_BASIS_SECONDS = 12
 
 
 class CycInt:
@@ -400,6 +409,15 @@ class WeightTable:
         return len(self.weights)
 
 
+def _weight_basis_seconds(p: int, l: int) -> float:
+    """Estimated seconds of verify_weight_basis(p, l), from the cost model
+    above MAX_WEIGHT_BASIS_SECONDS."""
+    seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
+    if l == 1:
+        seconds += p**4 * 2**p * 5e-8
+    return seconds
+
+
 def verify_weight_basis(p: int, l: int) -> WeightTable:
     """Check the weight relations for every index tuple; at l = 1 also check
     that the eigen-lines span, via the coordinate determinant in Z[w].
@@ -409,8 +427,14 @@ def verify_weight_basis(p: int, l: int) -> WeightTable:
     check_modulus(p)
     if l < 1:
         raise ValueError("l must be >= 1")
-    if p**l > MAX_TENSOR_DIM:
-        raise SizeGuard(f"tensor dimension {p}^{l} exceeds {MAX_TENSOR_DIM}")
+    seconds = _weight_basis_seconds(p, l)
+    if seconds > MAX_WEIGHT_BASIS_SECONDS:
+        det = f" and a {p * p}x{p * p} coordinate determinant" if l == 1 else ""
+        raise SizeGuard(
+            f"{p ** (2 * l)} index tuples of size-{p**l} matrices{det} "
+            f"would take about {seconds:.3g} s; the guard allows "
+            f"{MAX_WEIGHT_BASIS_SECONDS} s"
+        )
     sigma, tau = gen_matrices(p)
     identity = CycMatrix.identity(p, p)
 

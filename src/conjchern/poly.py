@@ -32,12 +32,24 @@ def grlex_key(monomial):
 
 
 def _add_terms(pairs, p: int, out=None) -> dict:
-    """Sum (key, coefficient) pairs onto a copy of the term dict out, then
-    reduce mod p once, dropping the zero coefficients.
+    """Sum (key, coefficient) pairs onto a copy of the reduced term dict out,
+    dropping the zero coefficients.
 
-    The one sparse accumulate loop: polynomials and cohomology classes add,
-    multiply and substitute through it."""
-    acc = dict(out) if out else {}
+    Without out, the sums are reduced mod p once at the end; with out, only
+    the keys the pairs touch are reduced, so adding a short sum to a long
+    one costs one copy of the long one.  The one sparse accumulate loop:
+    polynomials and cohomology classes add, multiply and substitute through
+    it."""
+    if out:
+        acc = dict(out)
+        get = acc.get
+        for key, c in pairs:
+            if r := (get(key, 0) + c) % p:
+                acc[key] = r
+            else:
+                acc.pop(key, None)
+        return acc
+    acc = {}
     get = acc.get
     for key, c in pairs:
         acc[key] = get(key, 0) + c

@@ -6,8 +6,8 @@ Generators come in pairs: an exterior generator of degree 1 and a polynomial
 generator of degree 2 linked by the Bockstein.  Reduced powers are realized
 through the total operation, the ring endomorphism fixing the exterior
 generators and sending each polynomial generator t to t + t^p; the degree-k
-operation is the appropriate graded component.  No Adem-relation rewriting
-is needed on this algebra.
+operation is the component raising degree by 2k(p-1), which power_op
+enumerates directly.  No Adem-relation rewriting is needed on this algebra.
 """
 
 from __future__ import annotations
@@ -282,24 +282,6 @@ class CohClass:
         degs = self.degrees()
         return degs.pop() if len(degs) == 1 else None
 
-    def graded_part(self, d: int) -> CohClass:
-        return CohClass._raw(
-            self.algebra,
-            {
-                key: c
-                for key, c in self.terms.items()
-                if len(key[0]) + 2 * sum(key[1]) == d
-            },
-        )
-
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for key, c in self.terms.items():
-            parts.setdefault(len(key[0]) + 2 * sum(key[1]), {})[key] = c
-        return {
-            d: CohClass._raw(self.algebra, t) for d, t in sorted(parts.items())
-        }
-
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -380,31 +362,79 @@ def total_power(x: CohClass) -> CohClass:
     return CohClass._raw(x.algebra, _add_terms(terms(), p))
 
 
+def _picks(e: int, p: int) -> list:
+    """The Lucas-nonzero binomials of t^e as (j, C(e,j) mod p), sorted by j."""
+    return sorted(_binom_support(e, p))
+
+
 def power_op(k: int, x: CohClass) -> CohClass:
-    """The k-th reduced power: the component of the total operation raising
-    topological degree by 2k(p-1), taken per homogeneous component."""
+    """The k-th reduced power: the part of the total operation that raises
+    topological degree by 2k(p-1).
+
+    The total operation sends t^e to sum_j C(e,j) t^(e + j(p-1)), so a term
+    t_1^e_1..t_m^e_m contributes the picks (j_1..j_m) with j_1 + .. + j_m = k.
+    Only those are enumerated: position by position over the Lucas-nonzero
+    binomials, keeping each partial pick whose remaining budget the later
+    positions can still spend exactly.  Inhomogeneous classes need no split,
+    since every term is shifted by the same degree."""
     if k < 0:
         raise ValueError("negative power operation index")
     if k == 0:
         return x
     p = x.algebra.p
-    out = x.algebra.zero()
-    for d, part in x.homogeneous_parts().items():
-        out = out + total_power(part).graded_part(d + 2 * k * (p - 1))
-    return out
+    shift = p - 1
+    supports: dict = {}  # exponent -> _picks(exponent, p), for this call
+
+    def terms():
+        for (odd, even), c in x.terms.items():
+            lists = [supports.get(e) or supports.setdefault(e, _picks(e, p)) for e in even]
+            # reach[i]: the largest pick sum that positions i.. can spend
+            reach = [0] * (len(lists) + 1)
+            for i in range(len(lists) - 1, -1, -1):
+                reach[i] = reach[i + 1] + lists[i][-1][0]
+            if reach[0] < k:
+                continue
+            states = [(k, (), c)]
+            for i, (e, support) in enumerate(zip(even, lists)):
+                later = reach[i + 1]
+                states = [
+                    (left - j, exps + (e + j * shift,), coeff * b)
+                    for left, exps, coeff in states
+                    for j, b in support
+                    if j <= left and left - j <= later
+                ]
+            for _, exps, coeff in states:
+                yield (odd, exps), coeff
+
+    return CohClass._raw(x.algebra, _add_terms(terms(), p))
 
 
-def milnor_q(i: int, x: CohClass) -> CohClass:
+def milnor_q(i: int, x: CohClass, memo: dict | None = None) -> CohClass:
     """The i-th Milnor primitive via the recursion
-    Q_0 = Bockstein, Q_i = P^{p^{i-1}} Q_{i-1} - Q_{i-1} P^{p^{i-1}}."""
+    Q_0 = Bockstein, Q_i = P^{p^{i-1}} Q_{i-1} - Q_{i-1} P^{p^{i-1}}.
+
+    memo maps (i, x) to Q_i(x) and is shared by the recursive calls; pass one
+    dict to the calls of a single check so that they share their inner
+    Q_{i-1} values too.  Without one, each call starts a fresh memo.  No memo
+    outlives its caller, so a changed power_op or bockstein is always seen."""
     if i < 0:
         raise ValueError("negative Milnor index")
     if i > MAX_MILNOR_INDEX:
         raise DepthGuard(f"Milnor index {i} exceeds the depth guard {MAX_MILNOR_INDEX}")
-    if i == 0:
-        return bockstein(x)
-    k = x.algebra.p ** (i - 1)
-    return power_op(k, milnor_q(i - 1, x)) - milnor_q(i - 1, power_op(k, x))
+    if memo is None:
+        memo = {}
+    key = (i, x)
+    got = memo.get(key)
+    if got is None:
+        if i == 0:
+            got = bockstein(x)
+        else:
+            k = x.algebra.p ** (i - 1)
+            got = power_op(k, milnor_q(i - 1, x, memo)) - milnor_q(
+                i - 1, power_op(k, x), memo
+            )
+        memo[key] = got
+    return got
 
 
 def x_class(p: int, l: int) -> CohClass:
@@ -542,6 +572,7 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
     alg = CohAlgebra.bv(p, l)
     rng = _random.Random(seed)
     checks = []
+    diff = partial(diff_detail, order=_term_order, name=partial(_monomial_text, alg))
 
     def closed_form(i):
         def run():
@@ -549,9 +580,7 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
             rhs = r_closed(p, i, l)
             if lhs == rhs:
                 return True, ""
-            return False, diff_detail(
-                lhs, rhs, order=_term_order, name=partial(_monomial_text, alg)
-            )
+            return False, diff(lhs, rhs)
 
         return run
 
@@ -568,13 +597,14 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
     checks.append(timed_check("bockstein-squared", bockstein_squared))
 
     def derivations():
+        q = partial(milnor_q, memo={})
         for t in range(trials):
             x = random_homogeneous(rng, alg, max_even_exp=2)
             y = random_homogeneous(rng, alg, max_even_exp=2)
             sign = -1 if x.degree() % 2 else 1
             for i in range(4):
-                lhs = milnor_q(i, x * y)
-                rhs = milnor_q(i, x) * y + x * milnor_q(i, y) * sign
+                lhs = q(i, x * y)
+                rhs = q(i, x) * y + x * q(i, y) * sign
                 if lhs != rhs:
                     return False, f"Q_{i} not a derivation on pair {t}"
         return True, f"{trials} random homogeneous pairs, Q_0..Q_3"
@@ -582,13 +612,14 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
     checks.append(timed_check("milnor-derivation", derivations))
 
     def anticommute():
+        q = partial(milnor_q, memo={})
         for t in range(trials // 4 or 1):
             x = random_homogeneous(rng, alg, max_even_exp=2)
             for i in range(4):
-                if not milnor_q(i, milnor_q(i, x)).is_zero():
+                if not q(i, q(i, x)).is_zero():
                     return False, f"Q_{i}^2 != 0 on class {t}"
                 for j in range(i + 1, 4):
-                    anti = milnor_q(i, milnor_q(j, x)) + milnor_q(j, milnor_q(i, x))
+                    anti = q(i, q(j, x)) + q(j, q(i, x))
                     if not anti.is_zero():
                         return False, f"Q_{i}Q_{j} + Q_{j}Q_{i} != 0 on class {t}"
         return True, "squares and anticommutators vanish, Q_0..Q_3"
@@ -599,8 +630,9 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
         for t in range(trials):
             x = random_homogeneous(rng, alg, max_even_exp=3)
             y = random_homogeneous(rng, alg, max_even_exp=3)
-            if total_power(x * y) != total_power(x) * total_power(y):
-                return False, f"multiplicativity failed on pair {t}"
+            lhs, rhs = total_power(x * y), total_power(x) * total_power(y)
+            if lhs != rhs:
+                return False, f"multiplicativity failed on pair {t}; {diff(lhs, rhs)}"
             if power_op(0, x) != x:
                 return False, "P^0 is not the identity"
         return True, f"{trials} random pairs"

@@ -161,8 +161,12 @@ def test_threads_flag_accepted():
 
 @pytest.mark.parametrize(
     "args",
-    [["--suite", "signs"], ["--suite", "rep", "--p", "3", "--l", "2"]],
-    ids=["signs", "rep-p3-l2"],
+    [
+        ["--suite", "signs"],
+        ["--suite", "rep", "--p", "3", "--l", "2"],
+        ["--suite", "steenrod", "--p", "3", "--l", "1"],
+    ],
+    ids=["signs", "rep-p3-l2", "steenrod-p3-l1"],
 )
 def test_suite_exits_zero_under_optimize(args):
     # invariants raise library errors, so they still hold with asserts stripped

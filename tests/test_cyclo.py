@@ -276,6 +276,27 @@ def test_weight_basis_guard():
         verify_weight_basis(5, 3)
 
 
+def test_weight_basis_l3_within_the_guard():
+    table = verify_weight_basis(3, 3)
+    assert len(table) == 729
+    assert all(table.weights[idx] == idx for idx in table.weights)
+
+
+def test_weight_basis_guard_detail_states_the_cost():
+    with pytest.raises(SizeGuard) as l3:
+        verify_weight_basis(5, 3)
+    assert str(l3.value) == (
+        "15625 index tuples of size-125 matrices would take about 13.7 s; "
+        "the guard allows 12 s"
+    )
+    with pytest.raises(SizeGuard) as l1:
+        verify_weight_basis(17, 1)
+    assert str(l1.value) == (
+        "289 index tuples of size-17 matrices and a 289x289 coordinate "
+        "determinant would take about 547 s; the guard allows 12 s"
+    )
+
+
 # -- negative controls -------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from conjchern.poly import (
     Poly,
     PolyMatrix,
     PolyRing,
+    _add_terms,
     determinant,
     exact_div,
     jacobian_det,
@@ -38,6 +39,21 @@ def test_freshman_dream():
 
 def test_coefficient_wraparound():
     assert tx("2*x1") + tx("2*x1") == tx("x1")
+
+
+def test_sum_to_zero_drops_every_term():
+    f = tx("x1^2 + 2*x1*x2 + x2")
+    assert (f + (-f)).terms == {}
+    assert (f + tx("2*x1^2")).terms == {(1, 1): 2, (0, 1): 1}
+
+
+def test_add_terms_onto_out_reduces_only_the_touched_keys():
+    out = {(1, 0): 1, (0, 1): 2}
+    # a repeated key is summed before it is reduced; a key reaching zero goes
+    pairs = [((2, 0), 2), ((2, 0), 2), ((1, 0), 2), ((0, 1), 1), ((0, 1), 1)]
+    assert _add_terms(pairs, 3, out) == {(0, 1): 1, (2, 0): 1}
+    assert out == {(1, 0): 1, (0, 1): 2}
+    assert _add_terms([((0, 0), 1), ((0, 0), 2)], 3, out) == out
 
 
 def test_product_expansion():

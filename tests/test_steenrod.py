@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conjchern import steenrod
+from conjchern import cli, steenrod
 from conjchern.errors import ContextMismatch, DepthGuard, OddPartPresent, ParseError
 from conjchern.poly import PolyRing, parse
 from conjchern.steenrod import (
@@ -137,6 +137,35 @@ def test_p0_is_identity():
     for _ in range(100):
         x = random_homogeneous(rng, alg)
         assert power_op(0, x) == x
+
+
+def degree_component(x, d):
+    """The degree-d part of a class, read off its terms."""
+    return CohClass(
+        x.algebra,
+        {key: c for key, c in x.terms.items() if len(key[0]) + 2 * sum(key[1]) == d},
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("l", [1, 2])
+def test_power_op_matches_total_power_component(p, l):
+    # P^k x is the degree deg(x) + 2k(p-1) part of the total power of x;
+    # a sum of two degrees takes that part of each summand
+    alg = CohAlgebra.bv(p, l)
+    rng = random.Random(1000 * p + l)
+    shift = 2 * (p - 1)
+    for t in range(12):
+        x = random_homogeneous(rng, alg, max_even_exp=rng.choice([2, 4, p + 1]))
+        y = random_homogeneous(rng, alg, max_even_exp=3)
+        while y.degree() == x.degree():
+            y = random_homogeneous(rng, alg, max_even_exp=3)
+        tx, ty = total_power(x), total_power(y)
+        for k in [*range(7), p, p**2, p**3]:
+            want_x = degree_component(tx, x.degree() + k * shift)
+            want_y = degree_component(ty, y.degree() + k * shift)
+            assert power_op(k, x) == want_x, (t, k)
+            assert power_op(k, x + y) == want_x + want_y, (t, k)
 
 
 def test_total_power_is_ring_endomorphism():
@@ -306,3 +335,72 @@ def test_closed_form_failure_names_the_differing_terms(monkeypatch):
     )
     assert status["milnor-closed-form-q2"].status == "pass"
     assert status["milnor-closed-form-q2"].detail == ""
+
+
+# -- negative controls -------------------------------------------------------------
+
+STEENROD_P3_L1 = ["--suite", "steenrod", "--p", "3", "--l", "1", "--trials", "4"]
+
+
+def failed_lines(out):
+    return [line for line in out.splitlines() if "steenrod/" in line and "FAIL" in line]
+
+
+def test_suite_fails_on_non_multiplicative_total_power(monkeypatch, capsys):
+    original = steenrod.total_power
+    monkeypatch.setattr(steenrod, "total_power", lambda x: original(x) + 1)
+    code = cli.main(STEENROD_P3_L1)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = failed_lines(out)
+    assert "steenrod/total-power-endomorphism" in line
+    assert "multiplicativity failed on pair 0; first differing terms:" in line
+
+
+def drop_top_pick(monkeypatch):
+    """power_op loses the pick j = 1 of t^1, so P^1(t) = 0 instead of t^p."""
+    original = steenrod._picks
+
+    def dropped(e, p):
+        picks = original(e, p)
+        return picks[:-1] if e == 1 else picks
+
+    monkeypatch.setattr(steenrod, "_picks", dropped)
+
+
+def test_suite_fails_on_dropped_power_op_pick(monkeypatch, capsys):
+    drop_top_pick(monkeypatch)
+    code = cli.main(STEENROD_P3_L1)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    line = [s for s in failed_lines(out) if "steenrod/milnor-closed-form-q1" in s][0]
+    assert "first differing terms: xi1^3*eta1: 0 != 1; xi1*eta1^3: 0 != 2" in line
+    # the total power is the independent route and does not use power_op
+    assert not [s for s in failed_lines(out) if "total-power-endomorphism" in s]
+
+
+def test_fault_after_a_clean_run_is_still_seen(monkeypatch, capsys):
+    # no memo of the Milnor recursion outlives a check
+    assert verify_steenrod(3, 1, trials=4, seed=0).passed()
+    assert cli.main(STEENROD_P3_L1) == 0
+    capsys.readouterr()
+    drop_top_pick(monkeypatch)
+    report = verify_steenrod(3, 1, trials=4, seed=0)
+    status = {c.name: c.status for c in report.checks}
+    assert status["milnor-closed-form-q1"] == "fail"
+    assert status["milnor-derivation"] == "fail"
+    assert cli.main(STEENROD_P3_L1) == 1
+    out = capsys.readouterr().out
+    assert "overall: fail" in out.lower()
+    line = [s for s in failed_lines(out) if "steenrod/milnor-closed-form-q1" in s][0]
+    assert "first differing terms: xi1^3*eta1: 0 != 1" in line
+
+
+def test_milnor_memo_is_shared_by_the_calls_given_it():
+    x = x_class(3, 2)
+    memo = {}
+    assert milnor_q(3, x, memo) == r_closed(3, 3, 2)
+    assert {i for i, _ in memo} == {0, 1, 2, 3}
+    assert memo[(3, x)] is milnor_q(3, x, memo)
