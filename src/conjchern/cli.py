@@ -2,9 +2,11 @@
 reports and deterministic exit codes.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a usage
-or configuration error.  With --threads 1 (the default) reports are
-byte-identical across runs: elapsed times are zeroed, since wall-clock noise
-would break the determinism contract.
+or configuration error.  --threads is a timing switch only: every suite runs
+in this one thread whatever its value.  With --threads 1 (the default)
+reports are byte-identical across runs: elapsed times are zeroed, since
+wall-clock noise would break the determinism contract.  With any larger
+value, or 'auto', the real elapsed times are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from ._version import __version__
 from .chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
 from .cyclo import verify_extraspecial, verify_weight_basis
 from .dickson import DicksonContext, verify_dickson
-from .errors import SizeGuard
 from .fp import is_prime
 from .relations import (
     verify_chern_r_relations,
@@ -26,12 +27,22 @@ from .relations import (
     verify_quadratic,
     verify_r_delta,
 )
-from .report import FAIL, PASS, SKIPPED, Check, VerificationReport, timed_check
+from .report import FAIL, PASS, Check, VerificationReport, timed_check
 from .steenrod import verify_jacobian_independence, verify_steenrod
 
 SUITES = ("dickson", "rep", "steenrod", "chern", "vistoli", "signs", "relations")
 ODD_ONLY = {"rep", "steenrod", "chern", "vistoli", "relations"}
 SIGNS_UNIVERSE = range(7)
+
+
+def _threads(text: str) -> int:
+    if text == "auto":
+        return os.cpu_count() or 1
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer or 'auto', got {text!r}"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--threads", default="1", help="positive integer or 'auto'")
+    parser.add_argument(
+        "--threads",
+        type=_threads,
+        default="1",
+        help="timing switch only, checks always run in one thread: 1 (default) "
+        "zeroes elapsed_ms for byte-stable reports, a larger integer or 'auto' "
+        "keeps the real timings",
+    )
     parser.add_argument(
         "--strict", action="store_true", help="treat skipped checks as failures"
     )
@@ -92,13 +110,8 @@ def _checks_steenrod(args) -> list:
 
 def _checks_chern(args) -> list:
     ctx = ChernContext(args.p, args.l)
-    try:
-        checks = _prefixed("chern", verify_conj_chern(ctx))
-    except SizeGuard as guard:
-        checks = [Check("chern/graded-product", SKIPPED, str(guard))]
-    # the minor-power identity inside runs even when the product is guarded
-    checks += _prefixed("chern", verify_top_chern(ctx))
-    return checks
+    checks = _prefixed("chern", verify_conj_chern(ctx))
+    return checks + _prefixed("chern", verify_top_chern(ctx))
 
 
 def _checks_vistoli(args) -> list:
@@ -138,12 +151,9 @@ def _checks_signs(args) -> list:
 
 
 def _checks_relations(args) -> list:
-    checks = _prefixed("relations", verify_quadratic(args.p))
-    for fn in (verify_r_delta, verify_chern_r_relations):
-        try:
-            checks += _prefixed("relations", fn(args.p))
-        except SizeGuard as guard:
-            checks.append(Check(f"relations/{fn.__name__}", SKIPPED, str(guard)))
+    checks = []
+    for fn in (verify_quadratic, verify_r_delta, verify_chern_r_relations):
+        checks += _prefixed("relations", fn(args.p))
     return checks
 
 
@@ -172,7 +182,7 @@ def run_suite(args) -> VerificationReport:
             "p": args.p,
             "l": args.l,
             "n": args.n,
-            "threads": args.threads_resolved,
+            "threads": args.threads,
             "trials": args.trials,
         },
         checks=checks,
@@ -192,20 +202,11 @@ def main(argv=None) -> int:
         parser.error("--trials must be >= 1")
     if not -(2**63) <= args.seed < 2**64:
         parser.error("--seed must fit in 64 bits")
-    if args.threads == "auto":
-        args.threads_resolved = os.cpu_count() or 1
-    else:
-        try:
-            args.threads_resolved = int(args.threads)
-        except ValueError:
-            parser.error("--threads must be a positive integer or 'auto'")
-        if args.threads_resolved < 1:
-            parser.error("--threads must be >= 1")
 
     report = run_suite(args)
     if args.strict:
         report.promote_skips()
-    if args.threads_resolved == 1:
+    if args.threads == 1:
         report.zero_elapsed()
 
     if args.format == "json":

@@ -40,20 +40,15 @@ class DicksonContext:
 
     __slots__ = ("p", "n", "ring", "xring")
 
-    def __init__(self, p: int, n: int, variables=None, aux: str = "X"):
+    def __init__(self, p: int, n: int):
         check_modulus(p)
         if not 1 <= n <= 6:
             raise ValueError(f"n must be in 1..6, got {n}")
-        if variables is None:
-            variables = tuple(f"x{i}" for i in range(1, n + 1))
-        else:
-            variables = tuple(variables)
-            if len(variables) != n:
-                raise ValueError("variable list length differs from n")
+        variables = tuple(f"x{i}" for i in range(1, n + 1))
         self.p = p
         self.n = n
         self.ring = PolyRing(p, variables)
-        self.xring = PolyRing(p, variables + (aux,))
+        self.xring = PolyRing(p, variables + ("X",))
 
     def __eq__(self, other):
         if isinstance(other, DicksonContext):

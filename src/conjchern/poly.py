@@ -167,9 +167,6 @@ class PolyRing:
             return self.zero()
         return Poly._raw(self, {exponents: coeff})
 
-    def from_terms(self, terms) -> Poly:
-        return Poly(self, dict(terms))
-
     def from_text(self, text: str) -> Poly:
         return parse(text, self)
 
@@ -312,18 +309,6 @@ class Poly:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def graded_part(self, d: int) -> Poly:
-        """The sum of terms of total degree exactly d."""
-        return Poly._raw(
-            self.ring, {m: c for m, c in self.terms.items() if sum(m) == d}
-        )
-
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for m, c in self.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        return {d: Poly._raw(self.ring, t) for d, t in sorted(parts.items())}
-
     def leading_term(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
@@ -462,11 +447,6 @@ class PolyMatrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = tuple(tuple(r) for r in rows)
-
-    @classmethod
-    def identity(cls, ring: PolyRing, n: int) -> PolyMatrix:
-        one, zero = ring.one(), ring.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def entry(self, r: int, c: int) -> Poly:
         return self.entries[r][c]

@@ -154,12 +154,6 @@ def r_j_poly(j: int, p: int) -> Poly:
     return out
 
 
-def weighted_degrees(f: Poly, p: int) -> set:
-    """Degrees of f under the grading deg(Y_i) = p^i + 1."""
-    weights = [p**i + 1 for i in range(1, 5)]
-    return {sum(e * w for e, w in zip(m, weights)) for m in f.terms}
-
-
 def verify_quadratic(p: int) -> VerificationReport:
     """Scaling every Y_i by a scalar a of F_p scales each R_j by a^2."""
     ring = y_ring(p)
@@ -237,60 +231,44 @@ def verify_chern_r_relations(p: int) -> VerificationReport:
     ctx = ChernContext(p, 2)
     ring = ctx.ring
     rs = _r_classes(p, ring)
-    r1, r2, r3, r4 = rs
-    chern = total_conj_chern(ctx)
-    r4_sub = r_j_poly(4, p).compose(rs, ring)
     checks = []
 
-    def general(j):
+    def relation_check(j, lhs, base):
+        """lhs(r) == (-1)^j gamma_{p^4 - p^j} * base(r), for r = (r_1..r_4)."""
+
         def run():
-            lhs = r_j_poly(j, p).compose(rs, ring)
-            gamma = chern.part(p**4 - p**j)
-            rhs = gamma * r4_sub
+            gamma = total_conj_chern(ctx).part(p**4 - p**j)
+            left = lhs(*rs)
+            right = gamma * base(*rs)
             if j % 2:
-                rhs = -rhs
-            if lhs == rhs:
-                detail = "tautology gamma_0 = 1" if j == 4 else ""
-                return True, detail
-            return False, diff_detail(lhs, rhs)
+                right = -right
+            if left == right:
+                return True, "tautology gamma_0 = 1" if j == 4 else ""
+            return False, diff_detail(left, right)
 
         return run
+
+    def r_sub(j):
+        return lambda *r: r_j_poly(j, p).compose(r, ring)
 
     for j in range(5):
-        checks.append(timed_check(f"chern-relation-j{j}", general(j)))
+        checks.append(
+            timed_check(f"chern-relation-j{j}", relation_check(j, r_sub(j), r_sub(4)))
+        )
 
-    base = r1 ** (p**2 + 1) - r2 ** (p + 1) + r1**p * r3
-    displays = [
-        (
-            "display-j3",
-            r1**p * r4 + r1 * r2 ** (p**2) - r2 * r3**p,
-            -(chern.part(p**4 - p**3) * base),
-        ),
-        (
-            "display-j2",
-            r1 ** (p**3 + 1) + r2**p * r4 - r3 ** (p + 1),
-            chern.part(p**4 - p**2) * base,
-        ),
-        (
-            "display-j1",
-            r1 ** (p**3) * r2 - r2 ** (p**2) * r3 + r1 ** (p**2) * r4,
-            -(chern.part(p**4 - p) * base),
-        ),
-        (
-            "display-j0",
-            r1 ** (p**3 + p) - r2 ** (p**2 + p) + r1 ** (p**2) * r3**p,
-            chern.part(p**4 - 1) * base,
-        ),
-    ]
+    def base(r1, r2, r3, r4):
+        return r1 ** (p**2 + 1) - r2 ** (p + 1) + r1**p * r3
 
-    def display_check(lhs, rhs):
-        def run():
-            if lhs == rhs:
-                return True, ""
-            return False, diff_detail(lhs, rhs)
-
-        return run
-
-    for name, lhs, rhs in displays:
-        checks.append(timed_check(name, display_check(lhs, rhs)))
+    displays = {
+        3: lambda r1, r2, r3, r4: r1**p * r4 + r1 * r2 ** (p**2) - r2 * r3**p,
+        2: lambda r1, r2, r3, r4: r1 ** (p**3 + 1) + r2**p * r4 - r3 ** (p + 1),
+        1: lambda r1, r2, r3, r4: (
+            r1 ** (p**3) * r2 - r2 ** (p**2) * r3 + r1 ** (p**2) * r4
+        ),
+        0: lambda r1, r2, r3, r4: (
+            r1 ** (p**3 + p) - r2 ** (p**2 + p) + r1 ** (p**2) * r3**p
+        ),
+    }
+    for j, lhs in displays.items():
+        checks.append(timed_check(f"display-j{j}", relation_check(j, lhs, base)))
     return VerificationReport(suite="relations", params={"p": p}, checks=checks)

@@ -51,6 +51,12 @@ def naive_product(factors):
     return reduce(lambda x, y: x * y, factors)
 
 
+def weighted_degrees(f, p):
+    """Degrees of f in F_p[Y_1..Y_4] under the grading deg(Y_i) = p^i + 1."""
+    weights = [p**i + 1 for i in range(1, 5)]
+    return {sum(e * w for e, w in zip(m, weights)) for m in f.terms}
+
+
 def random_monomial(rng, p, size):
     """A random monomial matrix; the powers are left unreduced on purpose."""
     columns = list(range(size))

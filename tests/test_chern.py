@@ -53,7 +53,8 @@ def test_graded_product_matches_naive_oracle():
     for p in (3, 5):
         ctx = ChernContext(p, 1)
         graded = total_conj_chern(ctx)
-        assert graded.total() == naive_product(all_factors(ctx))
+        total = sum(graded.parts.values(), ctx.ring.zero())
+        assert total == naive_product(all_factors(ctx))
 
 
 def test_rank_one_parts_frozen():
@@ -62,7 +63,8 @@ def test_rank_one_parts_frozen():
     # degree 6 = 9 - 3 carries -C_{2,1}(eta, xi)
     assert graded.part(6) == -dickson_on_classes(C31, 1)
     assert graded.part(7).is_zero()
-    assert graded.total().graded_part(7).is_zero()
+    total = sum(graded.parts.values(), C31.ring.zero())
+    assert all(sum(m) != 7 for m in total.terms)
     # degree 8 = 9 - 1 is the square of the rank-one class
     assert graded.part(8) == tx("xi1^3*eta1 - xi1*eta1^3") ** 2
 
@@ -103,7 +105,7 @@ def test_pair_block_relabeling_symmetry():
 def test_two_routes_product_vs_dickson_assembly():
     # the full product equals sum_k (-1)^k C_{4,k}(eta1, xi1, eta2, xi2)
     ctx = ChernContext(3, 2)
-    total = total_conj_chern(ctx).total()
+    total = sum(total_conj_chern(ctx).parts.values(), ctx.ring.zero())
     assembled = ctx.ring.zero()
     for k in range(5):
         term = dickson_on_classes(ctx, k)
@@ -198,3 +200,47 @@ def test_cli_exits_one_on_flipped_part(flipped_gamma, capsys):
     assert code == 1
     assert "overall: fail" in out.lower()
     assert "chern/gamma-degree-6" in out
+
+
+def failed_lines(out):
+    return [line for line in out.splitlines() if "FAIL" in line and "/" in line]
+
+
+def test_collapsed_swapped_order_fails_argument_order_invariance(monkeypatch, capsys):
+    # any invertible substitution passes, since C_{n,i} is GL-invariant
+    original = chern._dickson_images
+
+    def collapsed(ctx, swap_last_pair=False):
+        images = original(ctx, swap_last_pair)
+        if swap_last_pair:
+            images[-1] = images[-2]
+        return images
+
+    monkeypatch.setattr(chern, "_dickson_images", collapsed)
+    code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = failed_lines(out)
+    assert "chern/argument-order-invariance" in line
+    assert "argument orders disagree for C_{2,0}; first differing terms: " in line
+
+
+def test_flipped_r1_fails_the_r2_relation(monkeypatch, capsys):
+    original = chern.r_closed
+
+    def flipped(p, i, l):
+        return -original(p, i, l) if i == 1 else original(p, i, l)
+
+    monkeypatch.setattr(chern, "r_closed", flipped)
+    code = cli.main(["--suite", "vistoli", "--p", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = failed_lines(out)
+    assert "vistoli/r2-relation" in line
+    assert "first differing terms: " in line
+    # gamma_top = r_1^{p-1} is even in r_1, and r_1^p = gamma_top r_1 is odd
+    # on both sides
+    for name in ("gamma-mid-closed-form", "gamma-top-closed-form", "r1-power-relation"):
+        assert [s for s in out.splitlines() if f"vistoli/{name}" in s and "PASS" in s]

@@ -165,8 +165,9 @@ def test_threads_flag_accepted():
         ["--suite", "signs"],
         ["--suite", "rep", "--p", "3", "--l", "2"],
         ["--suite", "steenrod", "--p", "3", "--l", "1"],
+        ["--suite", "relations", "--p", "3"],
     ],
-    ids=["signs", "rep-p3-l2", "steenrod-p3-l1"],
+    ids=["signs", "rep-p3-l2", "steenrod-p3-l1", "relations-p3"],
 )
 def test_suite_exits_zero_under_optimize(args):
     # invariants raise library errors, so they still hold with asserts stripped

@@ -2,7 +2,13 @@ from itertools import combinations
 
 import pytest
 
-from conjchern import relations
+from conjchern import chern, cli, relations
+from conjchern.chern import (
+    ChernContext,
+    verify_conj_chern,
+    verify_top_chern,
+    verify_vistoli,
+)
 from conjchern.errors import (
     IndexOutOfRange,
     SamePartition,
@@ -21,9 +27,9 @@ from conjchern.relations import (
     verify_partition_signs,
     verify_quadratic,
     verify_r_delta,
-    weighted_degrees,
     y_ring,
 )
+from helpers import weighted_degrees
 
 U, V, W = partitions22((0, 1, 2, 3))
 
@@ -162,5 +168,80 @@ def test_chern_relations_p3():
 
 def test_p5_runs_r_delta_and_guards_the_chern_product():
     assert verify_r_delta(5).passed()
-    with pytest.raises(SizeGuard, match=r"5\^4 linear forms"):
-        verify_chern_r_relations(5)
+    report = verify_chern_r_relations(5)
+    assert len(report.checks) == 9
+    for check in report.checks:
+        assert check.status == "skipped"
+        assert "5^4 linear forms" in check.detail
+
+
+# -- a guarded Chern product ------------------------------------------------------
+
+
+def product_dependent_reports():
+    ctx = ChernContext(3, 2)
+    return {
+        "conj": verify_conj_chern(ctx),
+        "top": verify_top_chern(ctx),
+        "vistoli": verify_vistoli(3),
+        "relations": verify_chern_r_relations(3),
+    }
+
+
+def test_guarded_product_skips_only_the_checks_that_need_it(monkeypatch, capsys):
+    names = {
+        key: [c.name for c in report.checks]
+        for key, report in product_dependent_reports().items()
+    }
+
+    def guarded(ctx):
+        raise SizeGuard("planted guard")
+
+    monkeypatch.setattr(chern, "total_conj_chern", guarded)
+    monkeypatch.setattr(relations, "total_conj_chern", guarded)
+    reports = product_dependent_reports()
+    assert {key: [c.name for c in r.checks] for key, r in reports.items()} == names
+    runs = {"argument-order-invariance", "minor-frobenius-power"}
+    for report in reports.values():
+        for check in report.checks:
+            if check.name in runs:
+                assert check.status == "pass"
+            else:
+                assert (check.status, check.detail) == ("skipped", "planted guard")
+    chern_argv = ["--suite", "chern", "--p", "3", "--l", "2"]
+    for argv in (chern_argv, ["--suite", "relations", "--p", "3"]):
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--strict"]) == 1
+    out = capsys.readouterr().out
+    assert "graded-product" not in out
+    assert "verify_chern_r_relations" not in out
+
+
+# -- negative control ----------------------------------------------------------------
+
+
+def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsys):
+    """r_j_poly loses the term of the first (2,2)-partition u."""
+    original = relations.r_j_poly
+
+    def dropped(j, p):
+        u = partitions22([t for t in range(5) if t != j])[0]
+        term = relations.r_block(u.first, p) * relations.r_block(u.second, p)
+        return original(j, p) - term * epsilon(u)
+
+    monkeypatch.setattr(relations, "r_j_poly", dropped)
+    code = cli.main(["--suite", "relations", "--p", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    failed = {}
+    for line in out.splitlines():
+        if "relations/" in line and "FAIL" in line:
+            name = line.split()[0].removeprefix("relations/")
+            failed[name] = line
+    expected = {f"moore-minor-j{j}" for j in range(5)}
+    expected |= {f"chern-relation-j{j}" for j in range(4)}
+    # quadratic scaling, the gamma_0 tautology and the literal displays still pass
+    assert set(failed) == expected
+    for line in failed.values():
+        assert "first differing terms: " in line
