@@ -27,7 +27,7 @@ from .relations import (
     verify_quadratic,
     verify_r_delta,
 )
-from .report import FAIL, PASS, Check, VerificationReport, timed_check
+from .report import FAIL, Check, VerificationReport, timed_check
 from .steenrod import verify_jacobian_independence, verify_steenrod
 
 SUITES = ("dickson", "rep", "steenrod", "chern", "vistoli", "signs", "relations")
@@ -121,15 +121,16 @@ def _checks_vistoli(args) -> list:
 def _checks_signs(args) -> list:
     checks = []
     for iset in combinations(SIGNS_UNIVERSE, 4):
-        report = verify_partition_signs(iset)
-        name = "signs/I=" + ",".join(str(i) for i in iset)
-        if report.passed():
-            checks.append(Check(name, PASS, "all three kappa sums vanish"))
-        else:
-            bad = "; ".join(
+
+        def run(iset=iset):
+            report = verify_partition_signs(iset)
+            if report.passed():
+                return True, "all three kappa sums vanish"
+            return False, "; ".join(
                 f"{c.name}: {c.detail}" for c in report.checks if c.status == FAIL
             )
-            checks.append(Check(name, FAIL, bad))
+
+        checks.append(timed_check("signs/I=" + ",".join(map(str, iset)), run))
 
     def frozen_values():
         from .relations import epsilon, partitions22, slash

@@ -13,12 +13,13 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .errors import IndexOutOfRange, RingMismatch, SizeGuard
-from .fp import check_modulus
+from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, SizeGuard
+from .fp import _binom_support, check_modulus
 from .poly import (
     Poly,
     PolyMatrix,
     PolyRing,
+    _add_terms,
     _laplace_det,
     determinant,
     diff_detail,
@@ -221,20 +222,86 @@ def random_gl(n: int, p: int, seed: int) -> GLMatrix:
             return GLMatrix(rows, p)
 
 
+def _elementary_factors(a: GLMatrix) -> list:
+    """Factor a as E_1 E_2 ... E_m, each (i, j, c) meaning the identity with
+    its (i, j) entry replaced by c if i == j (a scaling) or increased by c
+    otherwise (a transvection).
+
+    Gauss-Jordan reduction by row operations without swaps: a zero pivot is
+    fixed by adding a lower row that is nonzero in its column.  If the row
+    operations are L_1, ..., L_m in order, a = L_1^-1 ... L_m^-1, and each
+    inverse is recorded.
+    """
+    p, n = a.p, a.n
+    rows = [list(r) for r in a.entries]
+    factors = []
+
+    def add_row(t, r, c):  # row t += c * row r
+        rows[t] = [(x + c * y) % p for x, y in zip(rows[t], rows[r])]
+        factors.append((t, r, -c % p))
+
+    for col in range(n):
+        if not rows[col][col]:
+            lower = next((r for r in range(col + 1, n) if rows[r][col]), None)
+            if lower is None:
+                raise SingularMatrix(f"no pivot in column {col} mod {p}")
+            add_row(col, lower, 1)
+        pivot = rows[col][col]
+        if pivot != 1:
+            inverse = pow(pivot, -1, p)
+            rows[col] = [x * inverse % p for x in rows[col]]
+            factors.append((col, col, pivot))
+        for t in range(n):
+            if t != col and rows[t][col]:
+                add_row(t, col, -rows[t][col])
+    return factors
+
+
+def _transvection(f: Poly, j: int, i: int, c: int, binoms: dict) -> Poly:
+    """Substitute x_j -> x_j + c*x_i, expanding each (x_j + c*x_i)^e over the
+    Lucas-nonzero binomials of e; binoms memoizes the expansions by (e, c)."""
+    p = f.ring.p
+
+    def terms():
+        for m, v in f.terms.items():
+            e = m[j]
+            if not e:
+                yield m, v
+                continue
+            picks = binoms.get((e, c))
+            if picks is None:
+                picks = binoms[e, c] = [
+                    (k, e - k, b * pow(c, e - k, p)) for k, b in _binom_support(e, p)
+                ]
+            for k, d, w in picks:
+                image = list(m)
+                image[j] = k
+                image[i] += d
+                yield tuple(image), v * w
+
+    return Poly._raw(f.ring, _add_terms(terms(), p))
+
+
 def gl_action(f: Poly, a: GLMatrix) -> Poly:
     """Substitute x_j -> sum_i a[i][j] x_i (the matrix acts on the column of
-    variables); extends multiplicatively to all polynomials."""
+    variables); extends multiplicatively to all polynomials.
+
+    Computed exactly from the elementary factors a = E_1 ... E_m: since
+    act(f, A*B) = act(act(f, B), A), their one-variable substitutions apply
+    last factor first.
+    """
     ring = f.ring
     if ring.arity != a.n or ring.p != a.p:
         raise RingMismatch("polynomial ring does not match the matrix")
-    images = []
-    for j in range(a.n):
-        form = ring.zero()
-        for i in range(a.n):
-            if a.entries[i][j]:
-                form = form + ring.monomial({i: 1}, a.entries[i][j])
-        images.append(form)
-    return f.compose(images, ring)
+    binoms: dict = {}
+    for i, j, c in reversed(_elementary_factors(a)):
+        if i == j:
+            images = [ring.variable(k) for k in range(a.n)]
+            images[j] = ring.monomial({j: 1}, c)
+            f = f.compose(images, ring)
+        else:
+            f = _transvection(f, j, i, c, binoms)
+    return f
 
 
 def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> VerificationReport:

@@ -1,6 +1,9 @@
-"""Prime moduli: the primality test and the modulus check."""
+"""Prime moduli: the primality test, the modulus check and Lucas binomials."""
 
 from __future__ import annotations
+
+from itertools import product
+from math import comb
 
 MAX_MODULUS = 2**31
 
@@ -30,3 +33,23 @@ def check_modulus(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
+
+
+def _binom_support(e: int, p: int):
+    """All (k, C(e,k) mod p) with a nonzero binomial, via base-p digits."""
+    digits = []
+    rest = e
+    while rest:
+        rest, d = divmod(rest, p)
+        digits.append(d)
+    if not digits:
+        yield 0, 1
+        return
+    choices = [[(c, comb(d, c) % p) for c in range(d + 1)] for d in digits]
+    for picks in product(*choices):
+        k = 0
+        coeff = 1
+        for pos, (c, b) in enumerate(picks):
+            k += c * p**pos
+            coeff = coeff * b % p
+        yield k, coeff

@@ -110,7 +110,8 @@ def timed_check(name: str, fn) -> Check:
     fn returns True/False or (ok, detail).  Raising SizeGuard yields a
     skipped check, and raising any other ConjChernError yields a failed
     check whose detail is the error message.  Every other exception
-    propagates: it indicates a bug, not a failure.
+    propagates: it indicates a bug, not a failure.  The elapsed time is
+    rounded to the nearest millisecond.
     """
     start = time.perf_counter()
     try:
@@ -122,5 +123,5 @@ def timed_check(name: str, fn) -> Check:
     else:
         ok, detail = result if isinstance(result, tuple) else (result, "")
         status = PASS if ok else FAIL
-    elapsed = int((time.perf_counter() - start) * 1000)
+    elapsed = round((time.perf_counter() - start) * 1000)
     return Check(name, status, detail, elapsed)

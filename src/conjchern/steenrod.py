@@ -23,7 +23,7 @@ from .errors import (
     OddPartPresent,
     ParseError,
 )
-from .fp import check_modulus
+from .fp import _binom_support, check_modulus
 from .poly import Poly, PolyRing, _add_terms, _scan_terms, diff_detail, grlex_key
 from .report import VerificationReport, timed_check
 
@@ -317,30 +317,6 @@ def bockstein(x: CohClass) -> CohClass:
                 yield key, -c if pos % 2 else c
 
     return CohClass._raw(x.algebra, _add_terms(terms(), x.algebra.p))
-
-
-def _binom_support(e: int, p: int):
-    """All (k, C(e,k) mod p) with a nonzero binomial, via base-p digits."""
-    digits = []
-    rest = e
-    while rest:
-        rest, d = divmod(rest, p)
-        digits.append(d)
-    if not digits:
-        yield 0, 1
-        return
-    from math import comb
-
-    choices = [
-        [(c, comb(d, c) % p) for c in range(d + 1)] for d in digits
-    ]
-    for picks in product(*choices):
-        k = 0
-        coeff = 1
-        for pos, (c, b) in enumerate(picks):
-            k += c * p**pos
-            coeff = coeff * b % p
-        yield k, coeff
 
 
 def total_power(x: CohClass) -> CohClass:

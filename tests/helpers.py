@@ -86,3 +86,17 @@ def dense_scale(p, a, k):
     """Every entry multiplied by w^k."""
     w = CycInt.omega(p, k)
     return tuple(tuple(e * w for e in row) for row in a)
+
+
+def dense_gl_action(f, a):
+    """x_j -> sum_i a[i][j] x_i as dense linear forms through compose: the
+    oracle for dickson.gl_action."""
+    ring = f.ring
+    images = []
+    for j in range(a.n):
+        form = ring.zero()
+        for i in range(a.n):
+            if a.entries[i][j]:
+                form = form + ring.monomial({i: 1}, a.entries[i][j])
+        images.append(form)
+    return f.compose(images, ring)

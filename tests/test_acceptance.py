@@ -46,7 +46,7 @@ from conjchern.steenrod import (
     x_class,
 )
 
-DICKSON_GRID = [(2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+DICKSON_GRID = [(2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (3, 4), (5, 3)]
 CHERN_GRID = [(3, 1), (5, 1), (3, 2)]
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conjchern import cli
 from conjchern.errors import VerificationFailure
 from conjchern.report import Check, VerificationReport, timed_check
 
@@ -196,3 +197,27 @@ def test_timed_check_other_exceptions_propagate():
 
     with pytest.raises(ValueError):
         timed_check("buggy", body)
+
+
+def ticking_clock(monkeypatch, times):
+    """Make report.timed_check read the given perf_counter values in turn."""
+    it = iter(times)
+    monkeypatch.setattr("conjchern.report.time.perf_counter", lambda: next(it))
+
+
+def test_timed_check_rounds_to_the_nearest_ms(monkeypatch):
+    ticking_clock(monkeypatch, [10.0, 10.0017, 20.0, 20.0012, 30.0, 30.0004])
+    assert [timed_check("t", lambda: True).elapsed_ms for _ in range(3)] == [2, 1, 0]
+
+
+def test_signs_checks_keep_their_timings(monkeypatch):
+    ticks = (k / 1000 for k in range(10**6))
+    monkeypatch.setattr("conjchern.report.time.perf_counter", lambda: next(ticks))
+    args = cli.build_parser().parse_args(["--suite", "signs"])
+    checks = cli._checks_signs(args)
+    signs = [c for c in checks if c.name.startswith("signs/I=")]
+    assert len(signs) == 35
+    assert signs[0].name == "signs/I=0,1,2,3"
+    assert all(c.status == "pass" for c in signs)
+    assert {c.detail for c in signs} == {"all three kappa sums vanish"}
+    assert all(c.elapsed_ms >= 1 for c in signs)

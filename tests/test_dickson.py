@@ -18,9 +18,9 @@ from conjchern.dickson import (
     random_gl,
     verify_dickson,
 )
-from conjchern.errors import IndexOutOfRange, SizeGuard
+from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
 from conjchern.poly import PolyRing
-from helpers import naive_product
+from helpers import dense_gl_action, naive_product, random_nonzero_poly
 
 ACCEPTANCE_GRID = [(2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -213,6 +213,70 @@ def test_gl_action_multiplicative():
     assert gl_action(f * g, a) == gl_action(f, a) * gl_action(g, a)
 
 
+def identity(n, p):
+    return GLMatrix([[int(r == c) for c in range(n)] for r in range(n)], p)
+
+
+def moved_polys(ring, a, rng, count):
+    """Seeded random polynomials that a moves: an invariant input would pass
+    whatever the order of the elementary factors."""
+    found = []
+    while len(found) < count:
+        f = random_nonzero_poly(rng, ring, max_terms=5, max_exp=2 * ring.p + 1)
+        if dense_gl_action(f, a) != f:
+            found.append(f)
+    return found
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 3), (7, 2), (13, 2), (5, 1), (3, 1)])
+def test_gl_action_matches_dense_oracle(p, n):
+    ring = DicksonContext(p, n).ring
+    rng = random.Random(100 * p + n)
+    for _ in range(10):
+        a = random_gl(n, p, rng.randrange(10**6))
+        if a == identity(n, p):
+            continue
+        for f in moved_polys(ring, a, rng, 3):
+            assert gl_action(f, a) == dense_gl_action(f, a), (a, f)
+
+
+@pytest.mark.parametrize(
+    "p,rows",
+    [
+        (3, ((0, 1), (1, 0))),  # zero (0,0) pivot
+        (5, ((0, 2, 0), (0, 0, 3), (4, 0, 0))),  # zero pivots in a scaled 3-cycle
+        (3, ((0, 0, 1), (1, 0, 0), (0, 1, 0))),  # a 3-cycle permutation
+        (7, ((3, 0, 0), (0, 1, 0), (0, 0, 1))),  # 3 is a primitive root mod 7
+        (5, ((2, 0, 0), (3, 1, 0), (4, 2, 3))),  # lower triangular
+    ],
+)
+def test_gl_action_special_matrices_match_dense_oracle(p, rows):
+    a = GLMatrix(rows, p)
+    ring = DicksonContext(p, a.n).ring
+    for f in moved_polys(ring, a, random.Random(p), 10):
+        assert gl_action(f, a) == dense_gl_action(f, a), f
+
+
+def test_elementary_factors_multiply_back_to_the_matrix():
+    for p, n in [(2, 3), (3, 3), (5, 4), (13, 2)]:
+        for seed in range(20):
+            a = random_gl(n, p, seed)
+            product_ = identity(n, p)
+            for i, j, c in dickson._elementary_factors(a):
+                e = [list(row) for row in identity(n, p).entries]
+                e[i][j] = c if i == j else e[i][j] + c
+                product_ = product_ * GLMatrix(e, p)
+            assert product_ == a
+
+
+def test_gl_action_without_a_pivot_is_a_library_error():
+    ctx = DicksonContext(3, 2)
+    singular = object.__new__(GLMatrix)
+    singular.p, singular.n, singular.entries = 3, 2, ((1, 2), (2, 1))
+    with pytest.raises(SingularMatrix, match="no pivot in column 1"):
+        gl_action(ctx.ring.variable("x1"), singular)
+
+
 def test_invariance_under_random_matrices():
     for p, n in [(3, 2), (2, 2), (5, 2)]:
         ctx = DicksonContext(p, n)
@@ -312,3 +376,25 @@ def test_cli_exits_one_on_perturbed_product(perturbed_f, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: fail" in out.lower()
+
+
+def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
+    """C_{2,1} at p = 3 replaced by x2^6, homogeneous of its degree 6; the
+    seed-0 trial-0 matrix x2 -> x1 + x2 moves it."""
+    original = dickson.dickson_c
+
+    def planted(ctx, i):
+        if (ctx.p, ctx.n, i) == (3, 2, 1):
+            return ctx.ring.monomial({1: 6})
+        return original(ctx, i)
+
+    monkeypatch.setattr(dickson, "dickson_c", planted)
+    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: FAIL" in out
+    line = next(row for row in out.splitlines() if "dickson/gl-invariance" in row)
+    assert " FAIL " in line
+    assert line.endswith(
+        "trial 0: C_{2,1} moved; first differing terms: x1^6: 1 != 0; x1^3*x2^3: 2 != 0"
+    )
