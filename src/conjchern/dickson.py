@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import add
 
 from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, SizeGuard
 from .fp import _binom_support, check_modulus
@@ -28,12 +29,14 @@ from .poly import (
 from .report import VerificationReport, timed_check
 
 # Size guard of linear_form_product over F_p^m, in the monomial pairs that the
-# last recursion step multiplies.  The estimate p^(m(m+3)/2) / 40 is a power
-# law fitted to counted pairs for m = 2..6 and p = 2..41 (within a factor 2
-# wherever it exceeds 10^4).  Poly.__mul__ visits about 500,000 pairs a second
-# (2-core x86, Python 3.11), so the limit stands for about 20 s.
+# recursion multiplies.  The estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is
+# a power law fitted to the counted pairs for m = 3..6 and p = 2..23 and to
+# the times for m = 2 and p up to 307, where the steps of _shift_scalars
+# dominate; it is within a factor 2 wherever it exceeds 10^4.  Poly.__mul__
+# visits about 900,000 of these pairs a second (2-core x86, Python 3.11), so
+# the limit stands for about 11 s.
 MAX_TERM_PAIRS = 10**7
-PAIRS_PER_SECOND = 500_000
+PAIRS_PER_SECOND = 900_000
 
 
 class DicksonContext:
@@ -93,16 +96,58 @@ def delta_ni(ctx: DicksonContext, i: int) -> Poly:
     return determinant(_moore_matrix(ctx, rows, with_aux=False))
 
 
-def _balanced_product(factors):
-    """Multiply a list of polynomials pairwise, keeping degrees balanced."""
-    while len(factors) > 1:
-        nxt = []
-        for k in range(0, len(factors) - 1, 2):
-            nxt.append(factors[k] * factors[k + 1])
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
-    return factors[0]
+def _shift_scalars(p: int, exponents) -> dict:
+    """The scalars s_J of prod_{c in F_p} sum_i c^{j_i} y^{j_i} G_i, one for
+    each multiset J of size p over the exponents j_i, keyed by J's vector of
+    counts: the nonzero coefficients of prod_{c in F_p} sum_i c^{j_i} u_i in
+    auxiliary variables u_i, with 0^0 = 1."""
+    d = len(exponents)
+    units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
+    acc = {(0,) * d: 1}
+    for c in range(p):
+        weights = [(u, w) for u, j in zip(units, exponents) if (w := pow(c, j, p))]
+        products = (
+            (tuple(map(add, m, u)), v * w) for m, v in acc.items() for u, w in weights
+        )
+        acc = _add_terms(products, p)
+    return acc
+
+
+def _product_of_shifts(f: Poly, k: int) -> Poly:
+    """prod_{c in F_p} f(T + c y_k) for f free of y_k, T the last variable.
+
+    One shift f(T + y_k) = sum_j y_k^j G_j gives every f(T + c y_k) =
+    sum_j c^j y_k^j G_j, so the product is sum_J s_J y_k^{|J|} prod_{j in J} G_j
+    over the multisets J of p exponents.  Only the J with a nonzero scalar are
+    multiplied, as prod_i G_i^{n_i} over J's counts n_i, through a memo of
+    the products of their prefixes.  The pieces are ordered by descending j,
+    so the large G_0 = f comes last and the shared prefixes are the products
+    of the small pieces.
+    """
+    ring, p = f.ring, f.ring.p
+    split: dict = {}  # j -> the terms of G_j, with the y_k exponent zeroed
+    for mono, v in _transvection(f, ring.arity - 1, k, 1).terms.items():
+        split.setdefault(mono[k], {})[mono[:k] + (0,) + mono[k + 1 :]] = v
+    exponents = sorted(split, reverse=True)
+    pieces = [Poly._raw(ring, split[j]) for j in exponents]
+    memo: dict = {(): ring.one()}
+
+    def product_of(counts: tuple) -> Poly:
+        got = memo.get(counts)
+        if got is None:
+            got = product_of(counts[:-1])
+            if counts[-1]:
+                got = got * pieces[len(counts) - 1] ** counts[-1]
+            memo[counts] = got
+        return got
+
+    def terms():
+        for counts, s in _shift_scalars(p, exponents).items():
+            shift = sum(n * j for n, j in zip(counts, exponents))
+            for mono, v in product_of(counts).terms.items():
+                yield mono[:k] + (shift,) + mono[k + 1 :], v * s
+
+    return Poly._raw(ring, _add_terms(terms(), p))
 
 
 def linear_form_product(ring: PolyRing) -> Poly:
@@ -110,12 +155,12 @@ def linear_form_product(ring: PolyRing) -> Poly:
     last variable of ring and y_1..y_m are the others.
 
     Grouping the vectors by their last coordinate gives the reindexing
-    F_k(T) = prod_{c in F_p} F_{k-1}(T + c y_k), F_0 = T: each step substitutes
-    into the previous product and multiplies the p shifted copies.  Every
+    F_k(T) = prod_{c in F_p} F_{k-1}(T + c y_k), F_0 = T; each step is an
+    exact multiset expansion of that product (_product_of_shifts).  Every
     term is kept; nothing about the shape of the result is assumed.
     """
     p, m = ring.p, ring.arity - 1
-    pairs = p ** (m * (m + 3) // 2) // 40
+    pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
     if pairs > MAX_TERM_PAIRS:
         seconds = pairs // PAIRS_PER_SECOND
         took = f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
@@ -124,15 +169,9 @@ def linear_form_product(ring: PolyRing) -> Poly:
             f"{pairs:.1e} monomial pairs, about {took}; "
             f"the guard allows {MAX_TERM_PAIRS:.0e}"
         )
-    ident = [ring.variable(j) for j in range(ring.arity)]
-    f = ident[m]
+    f = ring.variable(m)
     for k in range(m):
-        pieces = [f]
-        for c in range(1, p):
-            images = list(ident)
-            images[m] = ident[m] + ident[k] * c
-            pieces.append(f.compose(images, ring))
-        f = _balanced_product(pieces)
+        f = _product_of_shifts(f, k)
     return f
 
 
@@ -257,9 +296,9 @@ def _elementary_factors(a: GLMatrix) -> list:
     return factors
 
 
-def _transvection(f: Poly, j: int, i: int, c: int, binoms: dict) -> Poly:
+def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     """Substitute x_j -> x_j + c*x_i, expanding each (x_j + c*x_i)^e over the
-    Lucas-nonzero binomials of e; binoms memoizes the expansions by (e, c)."""
+    Lucas-nonzero binomials of e."""
     p = f.ring.p
 
     def terms():
@@ -268,16 +307,11 @@ def _transvection(f: Poly, j: int, i: int, c: int, binoms: dict) -> Poly:
             if not e:
                 yield m, v
                 continue
-            picks = binoms.get((e, c))
-            if picks is None:
-                picks = binoms[e, c] = [
-                    (k, e - k, b * pow(c, e - k, p)) for k, b in _binom_support(e, p)
-                ]
-            for k, d, w in picks:
+            for k, b in _binom_support(e, p):
                 image = list(m)
                 image[j] = k
-                image[i] += d
-                yield tuple(image), v * w
+                image[i] += e - k
+                yield tuple(image), v * b * pow(c, e - k, p)
 
     return Poly._raw(f.ring, _add_terms(terms(), p))
 
@@ -293,14 +327,13 @@ def gl_action(f: Poly, a: GLMatrix) -> Poly:
     ring = f.ring
     if ring.arity != a.n or ring.p != a.p:
         raise RingMismatch("polynomial ring does not match the matrix")
-    binoms: dict = {}
     for i, j, c in reversed(_elementary_factors(a)):
         if i == j:
             images = [ring.variable(k) for k in range(a.n)]
             images[j] = ring.monomial({j: 1}, c)
             f = f.compose(images, ring)
         else:
-            f = _transvection(f, j, i, c, binoms)
+            f = _transvection(f, j, i, c)
     return f
 
 

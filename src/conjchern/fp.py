@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -35,21 +36,21 @@ def check_modulus(p: int) -> int:
     return p
 
 
-def _binom_support(e: int, p: int):
+@lru_cache(maxsize=None)
+def _binom_support(e: int, p: int) -> tuple:
     """All (k, C(e,k) mod p) with a nonzero binomial, via base-p digits."""
     digits = []
     rest = e
     while rest:
         rest, d = divmod(rest, p)
         digits.append(d)
-    if not digits:
-        yield 0, 1
-        return
     choices = [[(c, comb(d, c) % p) for c in range(d + 1)] for d in digits]
+    out = []
     for picks in product(*choices):
         k = 0
         coeff = 1
         for pos, (c, b) in enumerate(picks):
             k += c * p**pos
             coeff = coeff * b % p
-        yield k, coeff
+        out.append((k, coeff))
+    return tuple(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from operator import add
+from operator import add, neg, sub
 
 from .errors import (
     ArityMismatch,
@@ -504,7 +504,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     ginv = pow(gc, p - 2, p)
     gitems = list(g.terms.items())
     rem = dict(f.terms)
-    heap = [(-sum(m), tuple(-e for e in m), m) for m in rem]
+    get = rem.get
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
     heapq.heapify(heap)
     quot: dict = {}
     # The remainder loop stays separate from _add_terms: every monomial new to
@@ -515,21 +516,23 @@ def exact_div(f: Poly, g: Poly) -> Poly:
             if m in rem:
                 break
         c = rem[m]
-        mq = tuple(a - b for a, b in zip(m, gm))
-        if any(e < 0 for e in mq):
+        mq = tuple(map(sub, m, gm))
+        if min(mq) < 0:
             raise NonExactDivision(
                 f"leading term {m} not divisible by {gm} (remainder nonzero)"
             )
         cq = c * ginv % p
         quot[mq] = cq
         for m2, c2 in gitems:
-            mono = tuple(a + b for a, b in zip(mq, m2))
-            v = (rem.get(mono, 0) - cq * c2) % p
-            if v:
-                if mono not in rem:
-                    heapq.heappush(heap, (-sum(mono), tuple(-e for e in mono), mono))
+            mono = tuple(map(add, mq, m2))
+            old = get(mono)
+            if old is None:
+                # cq and c2 are units mod p, so the new coefficient is nonzero
+                heapq.heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
+                rem[mono] = -cq * c2 % p
+            elif v := (old - cq * c2) % p:
                 rem[mono] = v
-            elif mono in rem:
+            else:
                 del rem[mono]
     return Poly._raw(ring, quot)
 

@@ -12,7 +12,7 @@ enumerates directly.  No Adem-relation rewriting is needed on this algebra.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product, repeat
 from math import prod
 from operator import add
@@ -328,7 +328,7 @@ def total_power(x: CohClass) -> CohClass:
         for (odd, even), c in x.terms.items():
             # t^e -> sum_k C(e,k) t^(e + k(p-1)); both products below walk the
             # same picks in the same order, one for exponents, one for binomials
-            supports = [list(_binom_support(e, p)) for e in even]
+            supports = [_binom_support(e, p) for e in even]
             exps = product(
                 *[[e + k * (p - 1) for k, _ in s] for e, s in zip(even, supports)]
             )
@@ -338,9 +338,10 @@ def total_power(x: CohClass) -> CohClass:
     return CohClass._raw(x.algebra, _add_terms(terms(), p))
 
 
-def _picks(e: int, p: int) -> list:
+@lru_cache(maxsize=None)
+def _picks(e: int, p: int) -> tuple:
     """The Lucas-nonzero binomials of t^e as (j, C(e,j) mod p), sorted by j."""
-    return sorted(_binom_support(e, p))
+    return tuple(sorted(_binom_support(e, p)))
 
 
 def power_op(k: int, x: CohClass) -> CohClass:
@@ -359,11 +360,10 @@ def power_op(k: int, x: CohClass) -> CohClass:
         return x
     p = x.algebra.p
     shift = p - 1
-    supports: dict = {}  # exponent -> _picks(exponent, p), for this call
 
     def terms():
         for (odd, even), c in x.terms.items():
-            lists = [supports.get(e) or supports.setdefault(e, _picks(e, p)) for e in even]
+            lists = [_picks(e, p) for e in even]
             # reach[i]: the largest pick sum that positions i.. can spend
             reach = [0] * (len(lists) + 1)
             for i in range(len(lists) - 1, -1, -1):

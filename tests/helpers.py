@@ -51,6 +51,29 @@ def naive_product(factors):
     return reduce(lambda x, y: x * y, factors)
 
 
+def balanced_linear_form_product(ring):
+    """prod over v in F_p^m of (T + v_1 y_1 + ... + v_m y_m), T the last
+    variable, by the subspace recursion F_k(T) = prod_c F_{k-1}(T + c y_k)
+    with the p shifted copies substituted through compose and multiplied
+    pairwise in a balanced tree: the oracle for dickson.linear_form_product."""
+    p, m = ring.p, ring.arity - 1
+    ident = [ring.variable(j) for j in range(ring.arity)]
+    f = ident[m]
+    for k in range(m):
+        factors = [f]
+        for c in range(1, p):
+            images = list(ident)
+            images[m] = ident[m] + ident[k] * c
+            factors.append(f.compose(images, ring))
+        while len(factors) > 1:
+            nxt = [a * b for a, b in zip(factors[::2], factors[1::2])]
+            if len(factors) % 2:
+                nxt.append(factors[-1])
+            factors = nxt
+        f = factors[0]
+    return f
+
+
 def weighted_degrees(f, p):
     """Degrees of f in F_p[Y_1..Y_4] under the grading deg(Y_i) = p^i + 1."""
     weights = [p**i + 1 for i in range(1, 5)]

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from conjchern import chern, cli
+from conjchern import chern, cli, dickson
 from conjchern.chern import (
     ChernContext,
     GradedChern,
@@ -14,7 +14,8 @@ from conjchern.chern import (
     verify_vistoli,
 )
 from conjchern.errors import ArityMismatch, SizeGuard
-from helpers import naive_product
+from conjchern.poly import PolyRing
+from helpers import balanced_linear_form_product, naive_product
 
 C31 = ChernContext(3, 1)
 
@@ -115,9 +116,22 @@ def test_two_routes_product_vs_dickson_assembly():
     assert total == assembled
 
 
+def test_rank_two_product_matches_balanced_oracle():
+    ctx = ChernContext(3, 2)
+    graded = total_conj_chern(ctx)
+    tring = PolyRing(3, ctx.ring.variables + ("T",))
+    oracle = balanced_linear_form_product(tring)
+    terms = {
+        m + (graded.top + 1 - d,): c
+        for d, part in graded.parts.items()
+        for m, c in part.terms.items()
+    }
+    assert terms == oracle.terms
+
+
 def test_size_guard():
     with pytest.raises(SizeGuard):
-        total_conj_chern(ChernContext(5, 2))
+        total_conj_chern(ChernContext(7, 2))
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -163,8 +177,8 @@ def test_rank_two_product_size_and_degrees():
 
 
 def test_size_guard_detail_states_the_cost():
-    with pytest.raises(SizeGuard, match=r"5\^4 linear forms .* about \d+ s;"):
-        total_conj_chern(ChernContext(5, 2))
+    with pytest.raises(SizeGuard, match=r"7\^4 linear forms .* about \d+ s;"):
+        total_conj_chern(ChernContext(7, 2))
 
 
 # -- negative control ----------------------------------------------------------------
@@ -244,3 +258,33 @@ def test_flipped_r1_fails_the_r2_relation(monkeypatch, capsys):
     # on both sides
     for name in ("gamma-mid-closed-form", "gamma-top-closed-form", "r1-power-relation"):
         assert [s for s in out.splitlines() if f"vistoli/{name}" in s and "PASS" in s]
+
+
+def test_dropped_multiset_scalar_fails_the_gamma_degrees(monkeypatch, capsys):
+    # the last step of the rank-two product at p = 3 has the five shift
+    # exponents 27, 9, 3, 1, 0; every scalar the helper returns is nonzero
+    original = dickson._shift_scalars
+    dropped = []
+
+    def one_fewer(p, exponents):
+        scalars = original(p, exponents)
+        if len(exponents) == 5:
+            dropped.append(max(scalars))
+            del scalars[dropped[-1]]
+        return scalars
+
+    chern.total_conj_chern.cache_clear()
+    monkeypatch.setattr(dickson, "_shift_scalars", one_fewer)
+    try:
+        code = cli.main(["--suite", "chern", "--p", "3", "--l", "2"])
+    finally:
+        chern.total_conj_chern.cache_clear()
+    out = capsys.readouterr().out
+    assert dropped == [(2, 0, 0, 0, 1)]
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    gamma = [line for line in failed_lines(out) if "chern/gamma-degree-" in line]
+    assert gamma
+    assert all("first differing terms: " in line for line in gamma)
+    for name in ("argument-order-invariance", "minor-frobenius-power"):
+        assert [s for s in out.splitlines() if f"chern/{name}" in s and "PASS" in s]

@@ -121,8 +121,8 @@ def test_out_file(tmp_path):
     validate_schema(data)
 
 
-def test_relations_suite_skips_at_p5():
-    proc = run_cli("--suite", "relations", "--p", "5", "--format", "json")
+def test_relations_suite_skips_at_p7():
+    proc = run_cli("--suite", "relations", "--p", "7", "--format", "json")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     statuses = {c["name"]: c["status"] for c in data["checks"]}
@@ -130,7 +130,7 @@ def test_relations_suite_skips_at_p5():
 
 
 def test_strict_promotes_skips_to_failure():
-    proc = run_cli("--suite", "relations", "--p", "5", "--strict")
+    proc = run_cli("--suite", "relations", "--p", "7", "--strict")
     assert proc.returncode == 1
 
 
@@ -167,8 +167,9 @@ def test_threads_flag_accepted():
         ["--suite", "rep", "--p", "3", "--l", "2"],
         ["--suite", "steenrod", "--p", "3", "--l", "1"],
         ["--suite", "relations", "--p", "3"],
+        ["--suite", "chern", "--p", "3", "--l", "2"],
     ],
-    ids=["signs", "rep-p3-l2", "steenrod-p3-l1", "relations-p3"],
+    ids=["signs", "rep-p3-l2", "steenrod-p3-l1", "relations-p3", "chern-p3-l2"],
 )
 def test_suite_exits_zero_under_optimize(args):
     # invariants raise library errors, so they still hold with asserts stripped

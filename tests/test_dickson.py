@@ -20,7 +20,12 @@ from conjchern.dickson import (
 )
 from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
 from conjchern.poly import PolyRing
-from helpers import dense_gl_action, naive_product, random_nonzero_poly
+from helpers import (
+    balanced_linear_form_product,
+    dense_gl_action,
+    naive_product,
+    random_nonzero_poly,
+)
 
 ACCEPTANCE_GRID = [(2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -328,6 +333,12 @@ def test_linear_form_product_matches_naive_oracle(p, n):
     assert f_n_product(ctx) == naive_product(factors)
 
 
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 3), (2, 5)])
+def test_linear_form_product_matches_balanced_oracle(p, n):
+    ring = DicksonContext(p, n).xring
+    assert linear_form_product(ring) == balanced_linear_form_product(ring)
+
+
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
 def test_two_routes_agree_beyond_acceptance_grid(p, n):
     ctx = DicksonContext(p, n)
@@ -338,8 +349,8 @@ def test_two_routes_agree_beyond_acceptance_grid(p, n):
 def test_size_guard_detail_states_the_cost():
     with pytest.raises(SizeGuard, match=r"monomial pairs, about .* h;"):
         f_n_product(DicksonContext(101, 3))
-    with pytest.raises(SizeGuard, match=r"3\^5 linear forms .* about \d+ s;"):
-        linear_form_product(DicksonContext(3, 5).xring)
+    with pytest.raises(SizeGuard, match=r"7\^4 linear forms .* about \d+ s;"):
+        linear_form_product(DicksonContext(7, 4).xring)
 
 
 # -- negative control ----------------------------------------------------------------

@@ -166,13 +166,13 @@ def test_chern_relations_p3():
         assert f"display-j{j}" in names
 
 
-def test_p5_runs_r_delta_and_guards_the_chern_product():
-    assert verify_r_delta(5).passed()
-    report = verify_chern_r_relations(5)
+def test_p7_runs_r_delta_and_guards_the_chern_product():
+    assert verify_r_delta(7).passed()
+    report = verify_chern_r_relations(7)
     assert len(report.checks) == 9
     for check in report.checks:
         assert check.status == "skipped"
-        assert "5^4 linear forms" in check.detail
+        assert "7^4 linear forms" in check.detail
 
 
 # -- a guarded Chern product ------------------------------------------------------
