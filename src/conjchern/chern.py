@@ -17,7 +17,7 @@ from functools import lru_cache
 from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
 from .errors import ArityMismatch
 from .fp import check_modulus
-from .poly import Poly, PolyRing, diff_detail
+from .poly import Poly, PolyRing, agree, diff_detail
 from .report import VerificationReport, timed_check
 from .steenrod import even_to_poly, r_closed
 
@@ -135,9 +135,7 @@ def verify_conj_chern(ctx: ChernContext) -> VerificationReport:
             expected = dickson_on_classes(ctx, k)
             if k % 2:
                 expected = -expected
-            if got == expected:
-                return True, ""
-            return False, diff_detail(got, expected)
+            return agree(got, expected)
 
         return run
 
@@ -183,19 +181,12 @@ def verify_top_chern(ctx: ChernContext) -> VerificationReport:
 
     def top_part():
         got = total_conj_chern(ctx).part(top - 1)
-        expected = delta_on_classes(ctx, 2 * l) ** (p - 1)
-        if got == expected:
-            return True, ""
-        return False, diff_detail(got, expected)
+        return agree(got, delta_on_classes(ctx, 2 * l) ** (p - 1))
 
     checks.append(timed_check("top-gamma-power", top_part))
 
     def zero_minor():
-        lhs = delta_on_classes(ctx, 0)
-        rhs = delta_on_classes(ctx, 2 * l) ** p
-        if lhs == rhs:
-            return True, ""
-        return False, diff_detail(lhs, rhs)
+        return agree(delta_on_classes(ctx, 0), delta_on_classes(ctx, 2 * l) ** p)
 
     checks.append(timed_check("minor-frobenius-power", zero_minor))
     return VerificationReport(
@@ -224,9 +215,7 @@ def verify_vistoli(p: int) -> VerificationReport:
         expected = -(xi ** (p * p - p)) - eta ** (p - 1) * (
             xi ** (p - 1) - eta ** (p - 1)
         ) ** (p - 1)
-        if got == expected:
-            return True, ""
-        return False, diff_detail(got, expected)
+        return agree(got, expected)
 
     checks.append(timed_check("gamma-mid-closed-form", mid_closed_form))
 
@@ -234,27 +223,19 @@ def verify_vistoli(p: int) -> VerificationReport:
         got = gamma(top)
         expected = r1 ** (p - 1)
         direct = (xi**p * eta - xi * eta**p) ** (p - 1)
-        if got == expected and expected == direct:
-            return True, ""
-        return False, diff_detail(got, expected)
+        if got != expected:
+            return agree(got, expected)
+        return agree(expected, direct)
 
     checks.append(timed_check("gamma-top-closed-form", top_closed_form))
 
     def r2_relation():
-        rhs = -(gamma(mid) * r1)
-        lhs = r2
-        if lhs == rhs:
-            return True, ""
-        return False, diff_detail(lhs, rhs)
+        return agree(r2, -(gamma(mid) * r1))
 
     checks.append(timed_check("r2-relation", r2_relation))
 
     def r1_power_relation():
-        rhs = gamma(top) * r1
-        lhs = r1**p
-        if lhs == rhs:
-            return True, ""
-        return False, diff_detail(lhs, rhs)
+        return agree(r1**p, gamma(top) * r1)
 
     checks.append(timed_check("r1-power-relation", r1_power_relation))
     return VerificationReport(suite="vistoli", params={"p": p, "l": 1}, checks=checks)

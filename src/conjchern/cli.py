@@ -20,7 +20,7 @@ from ._version import __version__
 from .chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
 from .cyclo import verify_extraspecial, verify_weight_basis
 from .dickson import DicksonContext, verify_dickson
-from .fp import is_prime
+from .fp import check_modulus
 from .relations import (
     verify_chern_r_relations,
     verify_partition_signs,
@@ -195,8 +195,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if not is_prime(args.p):
-        parser.error(f"--p must be prime, got {args.p}")
+    try:
+        check_modulus(args.p)
+    except ValueError as err:
+        parser.error(f"--p: {err}")
     if args.suite in ODD_ONLY and args.p == 2:
         parser.error(f"suite {args.suite!r} needs an odd prime")
     if args.trials < 1:

@@ -22,6 +22,7 @@ from .poly import (
     PolyRing,
     _add_terms,
     _laplace_det,
+    agree,
     determinant,
     diff_detail,
     exact_div,
@@ -346,11 +347,7 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> Veri
 
     def route_check(i):
         def run():
-            lhs = dickson_c(ctx, i)
-            rhs = dickson_c_from_f(ctx, i)
-            if lhs == rhs:
-                return True, ""
-            return False, diff_detail(lhs, rhs)
+            return agree(dickson_c(ctx, i), dickson_c_from_f(ctx, i))
 
         return run
 
@@ -359,10 +356,7 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> Veri
 
     def factorization():
         lhs = delta_full(ctx)
-        rhs = ctx.to_xring(delta_ni(ctx, ctx.n)) * f_n_product(ctx)
-        if lhs == rhs:
-            return True, ""
-        return False, diff_detail(lhs, rhs)
+        return agree(lhs, ctx.to_xring(delta_ni(ctx, ctx.n)) * f_n_product(ctx))
 
     checks.append(timed_check("delta-factorization", factorization))
 

@@ -4,6 +4,10 @@ Monomials are exponent tuples, one entry per ring variable.  The term order
 used by division and by canonical serialization is graded lexicographic in
 the ring's declared variable order: higher total degree first, ties broken
 by comparing exponent vectors left to right.
+
+Poly shares its sum arithmetic, equality, context check and canonical text
+with steenrod.CohClass through the base class _SparseSum; diff_detail and
+agree, the outcome of a check that two sums are equal, serve both.
 """
 
 from __future__ import annotations
@@ -171,10 +175,118 @@ class PolyRing:
         return parse(text, self)
 
 
-class Poly:
+def _powers(names, exponents) -> list:
+    """The factors v and v^e of a monomial, one for each nonzero exponent."""
+    return [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exponents) if e]
+
+
+class _SparseSum:
+    """A finite sum of keyed terms over F_p, held in canonical form: .terms
+    maps each key to a coefficient in [1, p).
+
+    The sum arithmetic, equality, the context check and the canonical text
+    of Poly and CohClass.  _ctx is the ring or algebra of the sum (with .p
+    and .constant); a subclass gives it its public name, and supplies
+    _mismatch, the error for sums over different contexts; _sort_key, the
+    ascending order of its keys; and _monomial_text(key), the name of a key,
+    "" for the unit.
+    """
+
+    __slots__ = ("_ctx", "terms")
+
+    @classmethod
+    def _raw(cls, ctx, terms: dict):
+        """Internal constructor; terms must already be canonical."""
+        x = object.__new__(cls)
+        x._ctx = ctx
+        x.terms = terms
+        return x
+
+    def _check(self, other):
+        if self._ctx != other._ctx:
+            raise self._mismatch(f"{self._ctx!r} vs {other._ctx!r}")
+
+    def _coerce(self, other):
+        """other as a sum of this type, an int as a constant; None otherwise."""
+        if isinstance(other, int):
+            return self._ctx.constant(other)
+        return other if isinstance(other, type(self)) else None
+
+    def _scaled(self, c: int):
+        """The product with the integer c."""
+        ctx = self._ctx
+        p = ctx.p
+        c %= p
+        if c == 1:
+            return self
+        terms = {k: v * c % p for k, v in self.terms.items()} if c else {}
+        return self._raw(ctx, terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        ctx = self._ctx
+        return self._raw(ctx, _add_terms(other.terms.items(), ctx.p, self.terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        ctx = self._ctx
+        p = ctx.p
+        return self._raw(ctx, {k: p - c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._ctx == other._ctx and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._ctx, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def to_text(self) -> str:
+        """Canonical text form: terms in descending order, coefficients in
+        [1, p), each written before its monomial unless it is 1."""
+        if not self.terms:
+            return "0"
+        bits = []
+        for key in sorted(self.terms, key=self._sort_key, reverse=True):
+            c = self.terms[key]
+            mono = self._monomial_text(key)
+            if not mono:
+                bits.append(str(c))
+            else:
+                bits.append(mono if c == 1 else f"{c}*{mono}")
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.to_text()} (mod {self._ctx.p})>"
+
+
+class Poly(_SparseSum):
     """Immutable sparse polynomial in canonical form (no zero coefficients)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
+    ring = _SparseSum._ctx  # the context slot, read and set as .ring
+    _mismatch = RingMismatch
+    _sort_key = staticmethod(grlex_key)
 
     def __init__(self, ring: PolyRing, terms: dict):
         p = ring.p
@@ -194,58 +306,17 @@ class Poly:
         self.ring = ring
         self.terms = clean
 
-    @staticmethod
-    def _raw(ring: PolyRing, terms: dict) -> Poly:
-        """Internal constructor; terms must already be canonical."""
-        poly = object.__new__(Poly)
-        poly.ring = ring
-        poly.terms = terms
-        return poly
-
-    def _check_ring(self, other: Poly):
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
+    def _monomial_text(self, mono) -> str:
+        return "*".join(_powers(self.ring.variables, mono))
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_ring(other)
-        return Poly._raw(
-            self.ring, _add_terms(other.terms.items(), self.ring.p, self.terms)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        p = self.ring.p
-        return Poly._raw(self.ring, {m: p - c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.ring.p
-            if not c:
-                return self.ring.zero()
-            if c == 1:
-                return self
-            p = self.ring.p
-            return Poly._raw(self.ring, {m: (v * c) % p for m, v in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ring(other)
+        self._check(other)
         # iterate over the smaller operand's terms in the outer loop
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -281,23 +352,7 @@ class Poly:
             j += 1
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- structure -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
@@ -315,9 +370,6 @@ class Poly:
             raise ValueError("the zero polynomial has no leading term")
         mono = max(self.terms, key=grlex_key)
         return mono, self.terms[mono]
-
-    def coefficient(self, monomial) -> int:
-        return self.terms.get(tuple(monomial), 0)
 
     # -- characteristic-p operations --------------------------------------
 
@@ -355,8 +407,6 @@ class Poly:
                 f"{len(images)} images for {self.ring.arity} variables"
             )
         if ring is None:
-            if not images:
-                raise ValueError("empty substitution needs an explicit ring")
             ring = images[0].ring
         for im in images:
             if not isinstance(im, Poly) or im.ring != ring:
@@ -401,30 +451,6 @@ class Poly:
 
         return Poly._raw(ring, _add_terms(terms(), p))
 
-    # -- text ---------------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text form: descending graded-lex, coefficients in [1, p)."""
-        if not self.terms:
-            return "0"
-        names = self.ring.variables
-        bits = []
-        for m in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            if c != 1 or not any(m):
-                factors.append(str(c))
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            bits.append("*".join(factors))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<Poly {self.to_text()} (mod {self.ring.p})>"
-
 
 class PolyMatrix:
     """A rectangular matrix of polynomials over a common ring."""
@@ -448,33 +474,6 @@ class PolyMatrix:
         self.cols = width
         self.entries = tuple(tuple(r) for r in rows)
 
-    def entry(self, r: int, c: int) -> Poly:
-        return self.entries[r][c]
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("matrix shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyMatrix):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
 
 def determinant(mat: PolyMatrix) -> Poly:
     """Exact determinant via signed expansion, memoized over column subsets."""
@@ -493,7 +492,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     is not divisible raises NonExactDivision immediately (divisibility is a
     promise of the callers, so a failure signals a bug, not a state).
     """
-    f._check_ring(g)
+    f._check(g)
     if g.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if f.is_zero():
@@ -652,25 +651,23 @@ def parse(text: str, ring: PolyRing) -> Poly:
     return Poly._raw(ring, _add_terms(terms(), ring.p))
 
 
-def diff_detail(a: Poly, b: Poly, limit: int = 5, order=grlex_key, name=None) -> str:
-    """Describe the first differing terms of two polynomials, canonical order.
-
-    Other sparse classes pass the sort key of their terms and a function
-    naming a monomial ("" for the unit)."""
-    if name is None:
-
-        def name(m):
-            return "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(a.ring.variables, m) if e
-            )
-
+def diff_detail(a: _SparseSum, b: _SparseSum, limit: int = 5) -> str:
+    """Describe the first differing terms of two sums, in canonical order."""
     diffs = []
-    for m in sorted(set(a.terms) | set(b.terms), key=order, reverse=True):
-        ca, cb = a.terms.get(m, 0), b.terms.get(m, 0)
+    for key in sorted(set(a.terms) | set(b.terms), key=a._sort_key, reverse=True):
+        ca, cb = a.terms.get(key, 0), b.terms.get(key, 0)
         if ca != cb:
-            diffs.append(f"{name(m) or '1'}: {ca} != {cb}")
+            diffs.append(f"{a._monomial_text(key) or '1'}: {ca} != {cb}")
             if len(diffs) >= limit:
                 break
     if not diffs:
         return "polynomials agree"
     return "first differing terms: " + "; ".join(diffs)
+
+
+def agree(lhs: _SparseSum, rhs: _SparseSum) -> tuple:
+    """The outcome of a check that two sums are equal: (True, "") or
+    (False, their diff_detail)."""
+    if lhs == rhs:
+        return True, ""
+    return False, diff_detail(lhs, rhs)

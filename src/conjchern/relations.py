@@ -16,7 +16,7 @@ from .chern import ChernContext, total_conj_chern
 from .dickson import DicksonContext, delta_ni
 from .errors import IndexOutOfRange, SamePartition, VerificationFailure
 from .fp import check_modulus
-from .poly import Poly, PolyRing, _perm_sign, diff_detail
+from .poly import Poly, PolyRing, _perm_sign, agree, diff_detail
 from .report import VerificationReport, timed_check
 from .steenrod import even_to_poly, r_closed
 
@@ -213,9 +213,7 @@ def verify_r_delta(p: int) -> VerificationReport:
             rhs_degs = {sum(m) for m in rhs.terms}
             if lhs_degs != rhs_degs:
                 return False, f"degree mismatch: {lhs_degs} vs {rhs_degs}"
-            if lhs == rhs:
-                return True, ""
-            return False, diff_detail(lhs, rhs)
+            return agree(lhs, rhs)
 
         return run
 

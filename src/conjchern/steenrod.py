@@ -8,6 +8,10 @@ through the total operation, the ring endomorphism fixing the exterior
 generators and sending each polynomial generator t to t + t^p; the degree-k
 operation is the component raising degree by 2k(p-1), which power_op
 enumerates directly.  No Adem-relation rewriting is needed on this algebra.
+
+CohClass is a sparse sum like poly.Poly and inherits from their common base
+its addition, scaling, equality, context check and canonical text; it adds
+its graded-commutative product and the order and names of its terms.
 """
 
 from __future__ import annotations
@@ -24,7 +28,17 @@ from .errors import (
     ParseError,
 )
 from .fp import _binom_support, check_modulus
-from .poly import Poly, PolyRing, _add_terms, _scan_terms, diff_detail, grlex_key
+from .poly import (
+    Poly,
+    PolyRing,
+    _add_terms,
+    _powers,
+    _scan_terms,
+    _SparseSum,
+    agree,
+    diff_detail,
+    grlex_key,
+)
 from .report import VerificationReport, timed_check
 
 MAX_MILNOR_INDEX = 6
@@ -141,25 +155,7 @@ def _merge_odd(s1: tuple, s2: tuple):
     return (-1 if crossings % 2 else 1), tuple(merged)
 
 
-def _term_order(key):
-    """Sort key of a term (S, e): topological degree, then graded lex."""
-    odd, even = key
-    return (len(odd) + 2 * sum(even), grlex_key(even), odd)
-
-
-def _monomial_text(algebra: CohAlgebra, key) -> str:
-    """The generators of a term as "a1*x1^2", or "" for the unit."""
-    odd, even = key
-    factors = [algebra.odd_names[k - 1] for k in odd]
-    for name, e in zip(algebra.even_names, even):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
-
-
-class CohClass:
+class CohClass(_SparseSum):
     """An element of the algebra, a finite sum of signed monomial terms.
 
     A term is (S, e): S a sorted tuple of exterior indices, e the exponent
@@ -167,7 +163,9 @@ class CohClass:
     Classes may be inhomogeneous; operations act per homogeneous component.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
+    algebra = _SparseSum._ctx  # the context slot, read and set as .algebra
+    _mismatch = ContextMismatch
 
     def __init__(self, algebra: CohAlgebra, terms: dict):
         p = algebra.p
@@ -189,48 +187,20 @@ class CohClass:
         self.terms = clean
 
     @staticmethod
-    def _raw(algebra: CohAlgebra, terms: dict) -> CohClass:
-        x = object.__new__(CohClass)
-        x.algebra = algebra
-        x.terms = terms
-        return x
+    def _sort_key(key):
+        """Topological degree, then graded lex on the polynomial part."""
+        odd, even = key
+        return (len(odd) + 2 * sum(even), grlex_key(even), odd)
 
-    def _check(self, other: CohClass):
-        if self.algebra != other.algebra:
-            raise ContextMismatch(f"{self.algebra!r} vs {other.algebra!r}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.constant(other)
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        self._check(other)
-        return CohClass._raw(
-            self.algebra, _add_terms(other.terms.items(), self.algebra.p, self.terms)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.algebra.p
-        return CohClass._raw(self.algebra, {k: p - c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.constant(other)
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self + (-other)
+    def _monomial_text(self, key) -> str:
+        odd, even = key
+        alg = self.algebra
+        factors = [alg.odd_names[k - 1] for k in odd]
+        return "*".join(factors + _powers(alg.even_names, even))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.algebra.p
-            if not c:
-                return self.algebra.zero()
-            p = self.algebra.p
-            return CohClass._raw(
-                self.algebra, {k: (v * c) % p for k, v in self.terms.items()}
-            )
+            return self._scaled(other)
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
@@ -256,19 +226,6 @@ class CohClass:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.constant(other)
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- grading ---------------------------------------------------------
 
     def degrees(self) -> set:
@@ -281,24 +238,6 @@ class CohClass:
         """Topological degree if homogeneous and nonzero, else None."""
         degs = self.degrees()
         return degs.pop() if len(degs) == 1 else None
-
-    # -- text --------------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms, key=_term_order, reverse=True):
-            c = self.terms[key]
-            mono = _monomial_text(self.algebra, key)
-            if not mono:
-                bits.append(str(c))
-            else:
-                bits.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<CohClass {self.to_text()} (p={self.algebra.p})>"
 
 
 # -- operations -------------------------------------------------------------
@@ -548,15 +487,10 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
     alg = CohAlgebra.bv(p, l)
     rng = _random.Random(seed)
     checks = []
-    diff = partial(diff_detail, order=_term_order, name=partial(_monomial_text, alg))
 
     def closed_form(i):
         def run():
-            lhs = milnor_q(i, x_class(p, l))
-            rhs = r_closed(p, i, l)
-            if lhs == rhs:
-                return True, ""
-            return False, diff(lhs, rhs)
+            return agree(milnor_q(i, x_class(p, l)), r_closed(p, i, l))
 
         return run
 
@@ -608,7 +542,8 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
             y = random_homogeneous(rng, alg, max_even_exp=3)
             lhs, rhs = total_power(x * y), total_power(x) * total_power(y)
             if lhs != rhs:
-                return False, f"multiplicativity failed on pair {t}; {diff(lhs, rhs)}"
+                detail = diff_detail(lhs, rhs)
+                return False, f"multiplicativity failed on pair {t}; {detail}"
             if power_op(0, x) != x:
                 return False, "P^0 is not the identity"
         return True, f"{trials} random pairs"

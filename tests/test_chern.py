@@ -15,6 +15,7 @@ from conjchern.chern import (
 )
 from conjchern.errors import ArityMismatch, SizeGuard
 from conjchern.poly import PolyRing
+from conjchern.steenrod import even_to_poly
 from helpers import balanced_linear_form_product, naive_product
 
 C31 = ChernContext(3, 1)
@@ -258,6 +259,32 @@ def test_flipped_r1_fails_the_r2_relation(monkeypatch, capsys):
     # on both sides
     for name in ("gamma-mid-closed-form", "gamma-top-closed-form", "r1-power-relation"):
         assert [s for s in out.splitlines() if f"vistoli/{name}" in s and "PASS" in s]
+
+
+def test_gamma_top_failure_diffs_the_pair_that_disagrees(monkeypatch, capsys):
+    # gamma_top = r_1^{p-1} holds by construction, so only the second equality,
+    # r_1^{p-1} = (xi^p eta - xi eta^p)^{p-1}, fails
+    original_r, original_chern = chern.r_closed, chern.total_conj_chern
+
+    def planted(p, i, l):
+        r = original_r(p, i, l)
+        return r + r.algebra.even_gen(1) ** (p + 1) if i == 1 else r
+
+    def top_from_planted(ctx):
+        graded = original_chern(ctx)
+        r1 = even_to_poly(planted(ctx.p, 1, 1), ctx.ring)
+        parts = dict(graded.parts)
+        parts[graded.top] = r1 ** (ctx.p - 1)
+        return GradedChern(ring=graded.ring, top=graded.top, parts=parts)
+
+    monkeypatch.setattr(chern, "r_closed", planted)
+    monkeypatch.setattr(chern, "total_conj_chern", top_from_planted)
+    code = cli.main(["--suite", "vistoli", "--p", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = [s for s in failed_lines(out) if "vistoli/gamma-top-closed-form" in s]
+    assert "first differing terms: " in line
 
 
 def test_dropped_multiset_scalar_fails_the_gamma_degrees(monkeypatch, capsys):

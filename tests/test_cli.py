@@ -222,3 +222,12 @@ def test_signs_checks_keep_their_timings(monkeypatch):
     assert all(c.status == "pass" for c in signs)
     assert {c.detail for c in signs} == {"all three kappa sums vanish"}
     assert all(c.elapsed_ms >= 1 for c in signs)
+
+
+def test_modulus_above_the_bound_is_usage_error():
+    # 2147483659 is the least prime above fp.MAX_MODULUS = 2^31
+    for suite in ("dickson", "vistoli"):
+        proc = run_cli("--suite", suite, "--p", "2147483659")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exceeds the supported bound" in proc.stderr

@@ -404,3 +404,19 @@ def test_milnor_memo_is_shared_by_the_calls_given_it():
     assert milnor_q(3, x, memo) == r_closed(3, 3, 2)
     assert {i for i, _ in memo} == {0, 1, 2, 3}
     assert memo[(3, x)] is milnor_q(3, x, memo)
+
+
+def test_suite_fails_on_dependent_closed_forms(monkeypatch, capsys):
+    # r_2 := r_1^p has the differential p r_1^{p-1} dr_1 = 0, so a Jacobian row vanishes
+    original = steenrod.r_closed
+
+    def dependent(p, i, l):
+        return original(p, 1, l) ** p if i == 2 else original(p, i, l)
+
+    monkeypatch.setattr(steenrod, "r_closed", dependent)
+    code = cli.main(STEENROD_P3_L1)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = [s for s in failed_lines(out) if "steenrod/jacobian-nonzero" in s]
+    assert "Jacobian determinant vanished" in line
