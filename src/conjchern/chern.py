@@ -11,13 +11,12 @@ topological degree 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
 from .errors import ArityMismatch
 from .fp import check_modulus
-from .poly import Poly, PolyRing, agree, diff_detail
+from .poly import Poly, PolyRing, _split_last, agree, diff_detail
 from .report import VerificationReport, timed_check
 from .steenrod import even_to_poly, r_closed
 
@@ -66,13 +65,15 @@ def linear_form(v, ctx: ChernContext) -> Poly:
     return form
 
 
-@dataclass
 class GradedChern:
     """Graded parts of the total restricted Chern class, by half-degree."""
 
-    ring: PolyRing
-    top: int
-    parts: dict
+    __slots__ = ("ring", "top", "parts")
+
+    def __init__(self, ring: PolyRing, top: int, parts: dict):
+        self.ring = ring
+        self.top = top
+        self.parts = parts
 
     def part(self, d: int) -> Poly:
         return self.parts.get(d, self.ring.zero())
@@ -87,11 +88,8 @@ def total_conj_chern(ctx: ChernContext) -> GradedChern:
     contributes the factor 1), split into graded parts."""
     top = ctx.p ** (2 * ctx.l)
     tring = PolyRing(ctx.p, ctx.ring.variables + ("T",))
-    product = linear_form_product(tring)
-    terms: dict = {}
-    for m, c in product.terms.items():
-        terms.setdefault(top - m[-1], {})[m[:-1]] = c
-    parts = {d: Poly(ctx.ring, t) for d, t in terms.items()}
+    coeffs = _split_last(linear_form_product(tring), ctx.ring)
+    parts = {top - e: part for e, part in coeffs.items()}
     return GradedChern(ring=ctx.ring, top=top - 1, parts=parts)
 
 

@@ -72,6 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, at import: constructing the parser (gettext lookups,
+# regex compiles) costs 2-3 ms, more than parsing, and main may run many times.
+_PARSER = build_parser()
+
+
 def _prefixed(prefix: str, report: VerificationReport) -> list:
     return [
         Check(f"{prefix}/{c.name}", c.status, c.detail, c.elapsed_ms)
@@ -192,7 +197,7 @@ def run_suite(args) -> VerificationReport:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
 
     try:

@@ -8,7 +8,6 @@ is coordinate equality and every check below is a decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -397,13 +396,15 @@ def verify_extraspecial(p: int) -> VerificationReport:
     )
 
 
-@dataclass
 class WeightTable:
     """Verified weights of every eigen-line, indexed by F_p^{2l} tuples."""
 
-    p: int
-    l: int
-    weights: dict
+    __slots__ = ("p", "l", "weights")
+
+    def __init__(self, p: int, l: int, weights: dict):
+        self.p = p
+        self.l = l
+        self.weights = weights
 
     def __len__(self):
         return len(self.weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import add
+from math import factorial
 
 from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, SizeGuard
 from .fp import _binom_support, check_modulus
@@ -22,6 +22,7 @@ from .poly import (
     PolyRing,
     _add_terms,
     _laplace_det,
+    _split_last,
     agree,
     determinant,
     diff_detail,
@@ -29,15 +30,24 @@ from .poly import (
 )
 from .report import VerificationReport, timed_check
 
-# Size guard of linear_form_product over F_p^m, in the monomial pairs that the
-# recursion multiplies.  The estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is
-# a power law fitted to the counted pairs for m = 3..6 and p = 2..23 and to
-# the times for m = 2 and p up to 307, where the steps of _shift_scalars
-# dominate; it is within a factor 2 wherever it exceeds 10^4.  Poly.__mul__
-# visits about 900,000 of these pairs a second (2-core x86, Python 3.11), so
-# the limit stands for about 11 s.
+# Size guard of linear_form_product over F_p^m and of the exact division of
+# dickson_c, in the monomial pairs that they visit.  For the product the
+# estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is a power law fitted to the
+# counted pairs for m = 3..6 and p = 2..23 and to the times for m = 2 and p
+# up to 307, where the steps of _shift_scalars dominate; it is within a
+# factor 2 wherever it exceeds 10^4.  On packed keys Poly.__mul__ visits
+# 1.3-2.1 million of these pairs a second in the products at (p, m) = (3, 4),
+# (5, 3), (7, 3), (5, 4) and (3, 5) (2-core x86, Python 3.11; 0.43-0.69
+# million on exponent tuples, same machine), so the limit stands for about
+# 7 s.
 MAX_TERM_PAIRS = 10**7
-PAIRS_PER_SECOND = 900_000
+PAIRS_PER_SECOND = 1_500_000
+
+
+def _cost(pairs: int) -> str:
+    """The time that visiting this many monomial pairs would take, as text."""
+    seconds = pairs // PAIRS_PER_SECOND
+    return f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
 
 
 class DicksonContext:
@@ -102,16 +112,17 @@ def _shift_scalars(p: int, exponents) -> dict:
     each multiset J of size p over the exponents j_i, keyed by J's vector of
     counts: the nonzero coefficients of prod_{c in F_p} sum_i c^{j_i} u_i in
     auxiliary variables u_i, with 0^0 = 1."""
-    d = len(exponents)
-    units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
-    acc = {(0,) * d: 1}
+    # a vector of counts, each at most p, is packed into one int, one field
+    # per exponent, so adding a u_i is adding an int
+    width = p.bit_length()
+    shifts = [width * i for i in range(len(exponents))]
+    acc = {0: 1}
     for c in range(p):
-        weights = [(u, w) for u, j in zip(units, exponents) if (w := pow(c, j, p))]
-        products = (
-            (tuple(map(add, m, u)), v * w) for m, v in acc.items() for u, w in weights
-        )
+        weights = [(1 << s, w) for s, j in zip(shifts, exponents) if (w := pow(c, j, p))]
+        products = ((m + u, v * w) for m, v in acc.items() for u, w in weights)
         acc = _add_terms(products, p)
-    return acc
+    fmask = (1 << width) - 1
+    return {tuple(m >> s & fmask for s in shifts): v for m, v in acc.items()}
 
 
 def _product_of_shifts(f: Poly, k: int) -> Poly:
@@ -126,9 +137,13 @@ def _product_of_shifts(f: Poly, k: int) -> Poly:
     of the small pieces.
     """
     ring, p = f.ring, f.ring.p
+    shift_k, unit, fmask = ring._shifts[k], ring._units[k], ring._fmask
+    # every term of the product has degree at most p deg(f)
+    ring._fit(max(f._terms) * p)
     split: dict = {}  # j -> the terms of G_j, with the y_k exponent zeroed
-    for mono, v in _transvection(f, ring.arity - 1, k, 1).terms.items():
-        split.setdefault(mono[k], {})[mono[:k] + (0,) + mono[k + 1 :]] = v
+    for mono, v in _transvection(f, ring.arity - 1, k, 1)._terms.items():
+        j = mono >> shift_k & fmask
+        split.setdefault(j, {})[mono - j * unit] = v
     exponents = sorted(split, reverse=True)
     pieces = [Poly._raw(ring, split[j]) for j in exponents]
     memo: dict = {(): ring.one()}
@@ -144,9 +159,9 @@ def _product_of_shifts(f: Poly, k: int) -> Poly:
 
     def terms():
         for counts, s in _shift_scalars(p, exponents).items():
-            shift = sum(n * j for n, j in zip(counts, exponents))
-            for mono, v in product_of(counts).terms.items():
-                yield mono[:k] + (shift,) + mono[k + 1 :], v * s
+            lift = sum(n * j for n, j in zip(counts, exponents)) * unit
+            for mono, v in product_of(counts)._terms.items():
+                yield mono + lift, v * s
 
     return Poly._raw(ring, _add_terms(terms(), p))
 
@@ -163,11 +178,9 @@ def linear_form_product(ring: PolyRing) -> Poly:
     p, m = ring.p, ring.arity - 1
     pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
     if pairs > MAX_TERM_PAIRS:
-        seconds = pairs // PAIRS_PER_SECOND
-        took = f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
         raise SizeGuard(
             f"the product of the {p}^{m} linear forms would multiply about "
-            f"{pairs:.1e} monomial pairs, about {took}; "
+            f"{pairs:.1e} monomial pairs, about {_cost(pairs)}; "
             f"the guard allows {MAX_TERM_PAIRS:.0e}"
         )
     f = ring.variable(m)
@@ -185,8 +198,23 @@ def f_n_product(ctx: DicksonContext) -> Poly:
 
 @lru_cache(maxsize=None)
 def dickson_c(ctx: DicksonContext, i: int) -> Poly:
-    """C_{n,i} by the determinant route: the exact quotient of Moore minors."""
-    return exact_div(delta_ni(ctx, i), delta_ni(ctx, ctx.n))
+    """C_{n,i} by the determinant route: the exact quotient of Moore minors.
+
+    The division visits each term of the quotient against each of the n!
+    terms of the divisor.  For i < n the quotient has about p^(n(n-1)/2)
+    terms: counted, p + 1 at n = 2 (p = 3..101), 0.96-1.2 times that at
+    n = 3 (p = 3..7) and 0.39-1.13 times at n = 4 (p = 3, 5, 7).  At 0.7-1
+    million pairs a second, the time the guard states is low by up to a
+    factor 2.5."""
+    p, n = ctx.p, ctx.n
+    pairs = (1 if i == n else p ** (n * (n - 1) // 2)) * factorial(n)
+    if pairs > MAX_TERM_PAIRS:
+        raise SizeGuard(
+            f"the exact division for C_{{{n},{i}}} would visit about "
+            f"{pairs:.1e} monomial pairs, about {_cost(pairs)}; "
+            f"the guard allows {MAX_TERM_PAIRS:.0e}"
+        )
+    return exact_div(delta_ni(ctx, i), delta_ni(ctx, n))
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +222,8 @@ def dickson_c_from_f(ctx: DicksonContext, i: int) -> Poly:
     """C_{n,i} by the product route: signed coefficient of X^{p^i} in f_n."""
     if not 0 <= i <= ctx.n:
         raise IndexOutOfRange(f"index {i} not in 0..{ctx.n}")
-    f = f_n_product(ctx)
-    target = ctx.p**i
-    ax = ctx.xring.arity - 1
-    coeff_terms = {m[:ax]: c for m, c in f.terms.items() if m[ax] == target}
-    poly = Poly(ctx.ring, coeff_terms)
+    coeffs = _split_last(f_n_product(ctx), ctx.ring)
+    poly = coeffs.get(ctx.p**i, ctx.ring.zero())
     if (ctx.n + i) % 2:
         poly = -poly
     return poly
@@ -300,21 +325,27 @@ def _elementary_factors(a: GLMatrix) -> list:
 def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     """Substitute x_j -> x_j + c*x_i, expanding each (x_j + c*x_i)^e over the
     Lucas-nonzero binomials of e."""
-    p = f.ring.p
+    ring = f.ring
+    p, shift_j, fmask = ring.p, ring._shifts[j], ring._fmask
+    # moving one unit of exponent from x_j to x_i keeps the degree
+    move = (1 << ring._shifts[i]) - (1 << shift_j)
+    images: dict = {}  # e -> the (key increment, C(e,k) c^(e-k)) of each pick k
 
     def terms():
-        for m, v in f.terms.items():
-            e = m[j]
+        for m, v in f._terms.items():
+            e = m >> shift_j & fmask
             if not e:
                 yield m, v
                 continue
-            for k, b in _binom_support(e, p):
-                image = list(m)
-                image[j] = k
-                image[i] += e - k
-                yield tuple(image), v * b * pow(c, e - k, p)
+            picks = images.get(e)
+            if picks is None:
+                picks = images[e] = [
+                    ((e - k) * move, b * pow(c, e - k, p)) for k, b in _binom_support(e, p)
+                ]
+            for step, w in picks:
+                yield m + step, v * w
 
-    return Poly._raw(f.ring, _add_terms(terms(), p))
+    return Poly._raw(ring, _add_terms(terms(), p))
 
 
 def gl_action(f: Poly, a: GLMatrix) -> Poly:

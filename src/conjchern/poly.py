@@ -1,23 +1,35 @@
 """Sparse multivariate polynomials over a prime field.
 
-Monomials are exponent tuples, one entry per ring variable.  The term order
-used by division and by canonical serialization is graded lexicographic in
-the ring's declared variable order: higher total degree first, ties broken
-by comparing exponent vectors left to right.
+A monomial is stored as one int, its packed exponent vector (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", 2007): one fixed-width field per variable, the first
+variable most significant, under a top field holding the total degree.  A
+product of monomials is then one integer addition, a dict hashes one int,
+and int order is the term order used by division and by canonical
+serialization: graded lexicographic in the ring's declared variable order,
+higher total degree first, ties broken by comparing exponent vectors left to
+right.  The top bit of each exponent field is a guard bit, and a monomial
+fits when its total degree is below it: then two fitting exponents add
+without carrying into the next field, and a subtraction that would leave a
+negative exponent borrows into a guard bit.  A result that would not fit
+raises SizeGuard.  The field width depends only on p, so equal sums have
+equal keys.
 
 Poly shares its sum arithmetic, equality, context check and canonical text
 with steenrod.CohClass through the base class _SparseSum; diff_detail and
-agree, the outcome of a check that two sums are equal, serve both.
+agree, the outcome of a check that two sums are equal, serve both.  The
+.terms of either is a read-only view keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from itertools import combinations
-from operator import add, neg, sub
 
 from .errors import (
     ArityMismatch,
+    ConjChernError,
     DivisionByZero,
     NonExactDivision,
     NotSquare,
@@ -30,9 +42,12 @@ from .fp import check_modulus
 MAX_DET_SIZE = 8
 
 
-def grlex_key(monomial):
-    """Ascending graded-lex sort key for an exponent tuple."""
-    return (sum(monomial), monomial)
+def _field_width(p: int) -> int:
+    """Bits per packed exponent field over F_p, the guard bit included.
+
+    The checks reach total degrees of about 2p^4 (the relations suite), so
+    8 bits per bit of p leave a wide margin; 32 bits is the floor."""
+    return max(32, 8 * p.bit_length())
 
 
 def _add_terms(pairs, p: int, out=None) -> dict:
@@ -97,13 +112,59 @@ def _perm_sign(base, target) -> int:
     return -1 if inversions % 2 else 1
 
 
-class PolyRing:
+class _ExponentLayout:
+    """The packing of exponent vectors of a given arity over F_p into ints.
+
+    _shifts[i] is the offset of the field of variable i, _units[i] the key
+    of that variable alone, _dshift the offset of the total-degree field,
+    _limit the first degree that does not fit and _cap the first key that
+    does not fit; _guard has the guard bit of every exponent field set."""
+
+    __slots__ = (
+        "p", "_width", "_fmask", "_shifts", "_units", "_dshift", "_limit", "_cap", "_guard"
+    )
+
+    def _lay_out(self, p: int, arity: int) -> None:
+        self.p = p
+        w = self._width = _field_width(p)
+        self._fmask = (1 << w) - 1
+        self._shifts = tuple(w * (arity - 1 - i) for i in range(arity))
+        self._dshift = w * arity
+        self._units = tuple((1 << s) + (1 << self._dshift) for s in self._shifts)
+        self._limit = 1 << (w - 1)
+        self._cap = self._limit << self._dshift
+        self._guard = sum(1 << (s + w - 1) for s in self._shifts)
+
+    def _fit(self, top: int) -> None:
+        """Raise SizeGuard unless the key top, a bound on every key of a
+        result, fits: its total degree lies below the guard bits."""
+        if top >= self._cap:
+            raise SizeGuard(
+                f"total degree {top >> self._dshift} does not fit the "
+                f"{self._width - 1}-bit exponent fields of {self!r}"
+            )
+
+    def _pack(self, exps) -> int:
+        """The key of an exponent vector of non-negative ints."""
+        key = sum(exps) << self._dshift
+        for e, s in zip(exps, self._shifts):
+            key |= e << s
+        self._fit(key)
+        return key
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent vector of a key."""
+        fmask = self._fmask
+        return tuple(key >> s & fmask for s in self._shifts)
+
+
+class PolyRing(_ExponentLayout):
     """F_p[v_1, ..., v_n] with a fixed variable order."""
 
-    __slots__ = ("p", "variables", "_index")
+    __slots__ = ("variables", "_index")
 
     def __init__(self, p: int, variables):
-        self.p = check_modulus(p)
+        check_modulus(p)
         names = tuple(variables)
         if not names:
             raise ValueError("a polynomial ring needs at least one variable")
@@ -111,6 +172,7 @@ class PolyRing:
             raise ValueError(f"duplicate variable names in {names}")
         self.variables = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._lay_out(p, len(names))
 
     @property
     def arity(self) -> int:
@@ -136,6 +198,17 @@ class PolyRing:
             raise ValueError(f"variable index {var} out of range")
         return var
 
+    def _encode(self, mono) -> int:
+        """The key of an exponent tuple, checked."""
+        mono = tuple(mono)
+        if len(mono) != self.arity:
+            raise ArityMismatch(f"monomial {mono} has wrong arity for {self.variables}")
+        if any(e < 0 for e in mono):
+            raise ValueError(f"negative exponent in {mono}")
+        return self._pack(mono)
+
+    _decode = _ExponentLayout._unpack
+
     def zero(self) -> Poly:
         return Poly._raw(self, {})
 
@@ -146,10 +219,10 @@ class PolyRing:
         c %= self.p
         if not c:
             return self.zero()
-        return Poly._raw(self, {(0,) * self.arity: c})
+        return Poly._raw(self, {0: c})
 
     def variable(self, var) -> Poly:
-        return self.monomial({self.var_index(var): 1})
+        return Poly._raw(self, {self._units[self.var_index(var)]: 1})
 
     def monomial(self, exponents, coeff: int = 1) -> Poly:
         """Build c * prod(v_i^e_i); exponents given as a dict or a full tuple."""
@@ -157,19 +230,12 @@ class PolyRing:
             exps = [0] * self.arity
             for var, e in exponents.items():
                 exps[self.var_index(var)] = e
-            exponents = tuple(exps)
-        else:
-            exponents = tuple(exponents)
-        if len(exponents) != self.arity:
-            raise ArityMismatch(
-                f"monomial has {len(exponents)} exponents, ring has {self.arity} variables"
-            )
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
+            exponents = exps
+        key = self._encode(exponents)
         coeff %= self.p
         if not coeff:
             return self.zero()
-        return Poly._raw(self, {exponents: coeff})
+        return Poly._raw(self, {key: coeff})
 
     def from_text(self, text: str) -> Poly:
         return parse(text, self)
@@ -180,27 +246,59 @@ def _powers(names, exponents) -> list:
     return [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exponents) if e]
 
 
+class _TermsView(Mapping):
+    """The terms of a sum keyed by their unpacked monomials, read-only."""
+
+    __slots__ = ("_ctx", "_terms")
+
+    def __init__(self, ctx, terms: dict):
+        self._ctx = ctx
+        self._terms = terms
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        return map(self._ctx._decode, self._terms)
+
+    def __getitem__(self, mono):
+        try:
+            key = self._ctx._encode(mono)
+        except (ConjChernError, ValueError, TypeError):
+            raise KeyError(mono) from None
+        return self._terms[key]
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class _SparseSum:
-    """A finite sum of keyed terms over F_p, held in canonical form: .terms
-    maps each key to a coefficient in [1, p).
+    """A finite sum of keyed terms over F_p, held in canonical form: _terms
+    maps each packed key to a coefficient in [1, p).
 
     The sum arithmetic, equality, the context check and the canonical text
-    of Poly and CohClass.  _ctx is the ring or algebra of the sum (with .p
-    and .constant); a subclass gives it its public name, and supplies
-    _mismatch, the error for sums over different contexts; _sort_key, the
-    ascending order of its keys; and _monomial_text(key), the name of a key,
+    of Poly and CohClass.  _ctx is the ring or algebra of the sum (with .p,
+    .constant, and _encode/_decode between packed keys and monomials); a
+    subclass gives it its public name, and supplies _mismatch, the error for
+    sums over different contexts; _sort_key, the ascending order of its
+    keys (None for int order); and _monomial_text(key), the name of a key,
     "" for the unit.
     """
 
-    __slots__ = ("_ctx", "terms")
+    __slots__ = ("_ctx", "_terms")
 
     @classmethod
     def _raw(cls, ctx, terms: dict):
-        """Internal constructor; terms must already be canonical."""
+        """Internal constructor; terms must already be canonical and packed."""
         x = object.__new__(cls)
         x._ctx = ctx
-        x.terms = terms
+        x._terms = terms
         return x
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms keyed by unpacked monomials: a read-only view."""
+        return _TermsView(self._ctx, self._terms)
 
     def _check(self, other):
         if self._ctx != other._ctx:
@@ -219,7 +317,7 @@ class _SparseSum:
         c %= p
         if c == 1:
             return self
-        terms = {k: v * c % p for k, v in self.terms.items()} if c else {}
+        terms = {k: v * c % p for k, v in self._terms.items()} if c else {}
         return self._raw(ctx, terms)
 
     def __add__(self, other):
@@ -228,7 +326,7 @@ class _SparseSum:
             return NotImplemented
         self._check(other)
         ctx = self._ctx
-        return self._raw(ctx, _add_terms(other.terms.items(), ctx.p, self.terms))
+        return self._raw(ctx, _add_terms(other._terms.items(), ctx.p, self._terms))
 
     __radd__ = __add__
 
@@ -244,31 +342,31 @@ class _SparseSum:
     def __neg__(self):
         ctx = self._ctx
         p = ctx.p
-        return self._raw(ctx, {k: p - c for k, c in self.terms.items()})
+        return self._raw(ctx, {k: p - c for k, c in self._terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._ctx == other._ctx and self.terms == other.terms
+        return self._ctx == other._ctx and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._ctx, frozenset(self.terms.items())))
+        return hash((self._ctx, frozenset(self._terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def to_text(self) -> str:
         """Canonical text form: terms in descending order, coefficients in
         [1, p), each written before its monomial unless it is 1."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
-        for key in sorted(self.terms, key=self._sort_key, reverse=True):
-            c = self.terms[key]
+        for key in sorted(self._terms, key=self._sort_key, reverse=True):
+            c = self._terms[key]
             mono = self._monomial_text(key)
             if not mono:
                 bits.append(str(c))
@@ -286,28 +384,22 @@ class Poly(_SparseSum):
     __slots__ = ()
     ring = _SparseSum._ctx  # the context slot, read and set as .ring
     _mismatch = RingMismatch
-    _sort_key = staticmethod(grlex_key)
+    _sort_key = None  # int order is graded-lex order
 
     def __init__(self, ring: PolyRing, terms: dict):
         p = ring.p
-        arity = ring.arity
         clean = {}
         for mono, c in terms.items():
-            mono = tuple(mono)
-            if len(mono) != arity:
-                raise ArityMismatch(
-                    f"monomial {mono} has wrong arity for {ring.variables}"
-                )
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
+            key = ring._encode(mono)
             c %= p
             if c:
-                clean[mono] = c
+                clean[key] = c
         self.ring = ring
-        self.terms = clean
+        self._terms = clean
 
-    def _monomial_text(self, mono) -> str:
-        return "*".join(_powers(self.ring.variables, mono))
+    def _monomial_text(self, key) -> str:
+        ring = self.ring
+        return "*".join(_powers(ring.variables, ring._unpack(key)))
 
     # -- ring operations -------------------------------------------------
 
@@ -317,17 +409,17 @@ class Poly(_SparseSum):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        ring = self.ring
         # iterate over the smaller operand's terms in the outer loop
-        a, b = self.terms, other.terms
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ring.zero()
         if len(a) > len(b):
             a, b = b, a
+        ring._fit(max(a) + max(b))
         bitems = list(b.items())
-        products = (
-            (tuple(map(add, m1, m2)), c1 * c2)
-            for m1, c1 in a.items()
-            for m2, c2 in bitems
-        )
-        return Poly._raw(self.ring, _add_terms(products, self.ring.p))
+        products = ((m1 + m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in bitems)
+        return Poly._raw(ring, _add_terms(products, ring.p))
 
     __rmul__ = __mul__
 
@@ -356,20 +448,13 @@ class Poly(_SparseSum):
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(sum(m) for m in self.terms)
+        return max(self._terms) >> self.ring._dshift
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def leading_term(self):
-        """(monomial, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=grlex_key)
-        return mono, self.terms[mono]
+        dshift = self.ring._dshift
+        return len({k >> dshift for k in self._terms}) <= 1
 
     # -- characteristic-p operations --------------------------------------
 
@@ -377,24 +462,25 @@ class Poly(_SparseSum):
         """f^(p^e), computed term-wise: exponents scale, coefficients stay."""
         if e < 0:
             raise ValueError("negative Frobenius twist")
-        if e == 0:
+        if e == 0 or not self._terms:
             return self
-        q = self.ring.p**e
-        return Poly._raw(
-            self.ring, {tuple(x * q for x in m): c for m, c in self.terms.items()}
-        )
+        ring = self.ring
+        q = ring.p**e
+        # scaling a key scales every field, the degree field included
+        ring._fit(max(self._terms) * q)
+        return Poly._raw(ring, {k * q: c for k, c in self._terms.items()})
 
     def partial_derivative(self, var) -> Poly:
         """Formal partial derivative; exponents divisible by p kill the term."""
-        i = self.ring.var_index(var)
-        p = self.ring.p
+        ring = self.ring
+        i = ring.var_index(var)
+        p, fmask, shift, unit = ring.p, ring._fmask, ring._shifts[i], ring._units[i]
         out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            v = (c * e) % p
-            if e and v:
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = v
-        return Poly._raw(self.ring, out)
+        for k, c in self._terms.items():
+            e = k >> shift & fmask
+            if e and (v := c * e % p):
+                out[k - unit] = v
+        return Poly._raw(ring, out)
 
     def compose(self, images, ring: PolyRing | None = None) -> Poly:
         """Substitute images[i] for the i-th variable.
@@ -414,23 +500,25 @@ class Poly(_SparseSum):
         if ring.p != self.ring.p:
             raise RingMismatch("substitution must preserve the coefficient prime")
         p = ring.p
-        if all(len(im.terms) == 1 for im in images):
+        fmask, shifts = self.ring._fmask, self.ring._shifts
+        if all(len(im._terms) == 1 for im in images):
             # every image is a single term: map exponent vectors directly
-            parts = [next(iter(im.terms.items())) for im in images]
+            parts = [next(iter(im._terms.items())) for im in images]
+            cap = ring._cap
 
             def terms():
-                for m, c in self.terms.items():
-                    exps = [0] * ring.arity
+                for m, c in self._terms.items():
+                    key = 0
                     coeff = c
-                    for e, (vm, vc) in zip(m, parts):
-                        if not e:
-                            continue
-                        if vc != 1:
-                            coeff = coeff * pow(vc, e, p) % p
-                        for k, ve in enumerate(vm):
-                            if ve:
-                                exps[k] += ve * e
-                    yield tuple(exps), coeff
+                    for s, (vk, vc) in zip(shifts, parts):
+                        e = m >> s & fmask
+                        if e:
+                            key += e * vk
+                            if vc != 1:
+                                coeff = coeff * pow(vc, e, p) % p
+                    if key >= cap:
+                        ring._fit(key)
+                    yield key, coeff
 
         else:
             cache: list = [{} for _ in images]
@@ -442,14 +530,29 @@ class Poly(_SparseSum):
                 return got
 
             def terms():
-                for m, c in self.terms.items():
+                for m, c in self._terms.items():
                     term = ring.constant(c)
-                    for i, e in enumerate(m):
+                    for i, s in enumerate(shifts):
+                        e = m >> s & fmask
                         if e:
                             term = term * power(i, e)
-                    yield from term.terms.items()
+                    yield from term._terms.items()
 
         return Poly._raw(ring, _add_terms(terms(), p))
+
+
+def _split_last(f: Poly, ring: PolyRing) -> dict:
+    """f as a polynomial in its last variable: each exponent of that variable
+    mapped to its coefficient, a Poly over ring, which has f's other
+    variables and the same prime."""
+    src = f.ring
+    fmask, unit, w = src._fmask, src._units[-1], src._width
+    parts: dict = {}
+    for k, c in f._terms.items():
+        e = k & fmask
+        # dropping the last field moves the degree field down into its place
+        parts.setdefault(e, {})[(k - e * unit) >> w] = c
+    return {e: Poly._raw(ring, t) for e, t in parts.items()}
 
 
 class PolyMatrix:
@@ -488,9 +591,10 @@ def determinant(mat: PolyMatrix) -> Poly:
 def exact_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when g divides f exactly.
 
-    Long division against the graded-lex order; any step whose leading term
-    is not divisible raises NonExactDivision immediately (divisibility is a
-    promise of the callers, so a failure signals a bug, not a state).
+    Long division against the graded-lex order, which is the order of the
+    keys; any step whose leading term is not divisible raises
+    NonExactDivision immediately (divisibility is a promise of the callers,
+    so a failure signals a bug, not a state).
     """
     f._check(g)
     if g.is_zero():
@@ -498,36 +602,38 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     if f.is_zero():
         return f.ring.zero()
     ring = f.ring
-    p = ring.p
-    gm, gc = g.leading_term()
-    ginv = pow(gc, p - 2, p)
-    gitems = list(g.terms.items())
-    rem = dict(f.terms)
+    p, guard = ring.p, ring._guard
+    gm = max(g._terms)
+    ginv = pow(g._terms[gm], p - 2, p)
+    gitems = list(g._terms.items())
+    rem = dict(f._terms)
     get = rem.get
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heap = [-m for m in rem]  # a min-heap of negated keys pops the leader
     heapq.heapify(heap)
     quot: dict = {}
     # The remainder loop stays separate from _add_terms: every monomial new to
     # the remainder must also be pushed onto the heap of candidate leaders.
     while rem:
         while True:
-            _, _, m = heapq.heappop(heap)
+            m = -heapq.heappop(heap)
             if m in rem:
                 break
         c = rem[m]
-        mq = tuple(map(sub, m, gm))
-        if min(mq) < 0:
+        mq = m - gm
+        # a negative exponent borrows into a guard bit, or below zero
+        if mq < 0 or mq & guard:
             raise NonExactDivision(
-                f"leading term {m} not divisible by {gm} (remainder nonzero)"
+                f"leading term {ring._unpack(m)} not divisible by "
+                f"{ring._unpack(gm)} (remainder nonzero)"
             )
         cq = c * ginv % p
         quot[mq] = cq
         for m2, c2 in gitems:
-            mono = tuple(map(add, mq, m2))
+            mono = mq + m2
             old = get(mono)
             if old is None:
                 # cq and c2 are units mod p, so the new coefficient is nonzero
-                heapq.heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
+                heapq.heappush(heap, -mono)
                 rem[mono] = -cq * c2 % p
             elif v := (old - cq * c2) % p:
                 rem[mono] = v
@@ -646,7 +752,7 @@ def parse(text: str, ring: PolyRing) -> Poly:
                 if name not in ring._index:
                     raise ParseError(f"unknown variable {name!r}", pos)
                 exps[ring._index[name]] += e
-            yield tuple(exps), coeff
+            yield ring._pack(exps), coeff
 
     return Poly._raw(ring, _add_terms(terms(), ring.p))
 
@@ -654,8 +760,9 @@ def parse(text: str, ring: PolyRing) -> Poly:
 def diff_detail(a: _SparseSum, b: _SparseSum, limit: int = 5) -> str:
     """Describe the first differing terms of two sums, in canonical order."""
     diffs = []
-    for key in sorted(set(a.terms) | set(b.terms), key=a._sort_key, reverse=True):
-        ca, cb = a.terms.get(key, 0), b.terms.get(key, 0)
+    ta, tb = a._terms, b._terms
+    for key in sorted(ta.keys() | tb.keys(), key=a._sort_key, reverse=True):
+        ca, cb = ta.get(key, 0), tb.get(key, 0)
         if ca != cb:
             diffs.append(f"{a._monomial_text(key) or '1'}: {ca} != {cb}")
             if len(diffs) >= limit:

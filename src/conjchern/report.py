@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from ._version import __version__
 from .errors import ConjChernError, SizeGuard
@@ -14,12 +13,16 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    detail: str = ""
-    elapsed_ms: int = 0
+    """The outcome of one named check."""
+
+    __slots__ = ("name", "status", "detail", "elapsed_ms")
+
+    def __init__(self, name: str, status: str, detail: str = "", elapsed_ms: int = 0):
+        self.name = name
+        self.status = status
+        self.detail = detail
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
         return {
@@ -30,13 +33,24 @@ class Check:
         }
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    params: dict
-    checks: list = field(default_factory=list)
-    seed: int = 0
-    version: str = __version__
+    """The checks of one suite run, with its parameters and seed."""
+
+    __slots__ = ("suite", "params", "checks", "seed", "version")
+
+    def __init__(
+        self,
+        suite: str,
+        params: dict,
+        checks: list | None = None,
+        seed: int = 0,
+        version: str = __version__,
+    ):
+        self.suite = suite
+        self.params = params
+        self.checks = [] if checks is None else checks
+        self.seed = seed
+        self.version = version
 
     @property
     def overall(self) -> str:

@@ -11,15 +11,16 @@ enumerates directly.  No Adem-relation rewriting is needed on this algebra.
 
 CohClass is a sparse sum like poly.Poly and inherits from their common base
 its addition, scaling, equality, context check and canonical text; it adds
-its graded-commutative product and the order and names of its terms.
+its graded-commutative product and the order and names of its terms.  A
+term's key packs its polynomial exponents as poly.PolyRing does, shifted
+above a bitmask of its exterior generators (bit k - 1 for a_k).  A product
+of two terms with disjoint masks is then the sum of their keys, times the
+sign of merging the two exterior words, looked up per pair of masks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product, repeat
-from math import prod
-from operator import add
 
 from .errors import (
     ContextMismatch,
@@ -32,26 +33,47 @@ from .poly import (
     Poly,
     PolyRing,
     _add_terms,
+    _ExponentLayout,
     _powers,
     _scan_terms,
     _SparseSum,
     agree,
     diff_detail,
-    grlex_key,
 )
 from .report import VerificationReport, timed_check
 
 MAX_MILNOR_INDEX = 6
 
 
-class CohAlgebra:
+@lru_cache(maxsize=None)
+def _sign_table(m: int) -> tuple:
+    """_sign_table(m)[s][t]: the sign of merging the sorted exterior words
+    with the masks s and t into one sorted word, 0 if they share a
+    generator: (-1)^#{(i in s, j in t) : i > j}."""
+
+    def sign(s: int, t: int) -> int:
+        if s & t:
+            return 0
+        crossings = sum((s >> (j + 1)).bit_count() for j in range(m) if t >> j & 1)
+        return -1 if crossings % 2 else 1
+
+    size = 1 << m
+    return tuple(tuple(sign(s, t) for t in range(size)) for s in range(size))
+
+
+class CohAlgebra(_ExponentLayout):
     """Lambda(a_1..a_m) tensor F_p[x_1..x_m] over an odd prime p.
 
     The exterior generator a_k has degree 1, the polynomial generator x_k
-    degree 2, and the Bockstein sends a_k to x_k.
+    degree 2, and the Bockstein sends a_k to x_k.  The algebra also keeps,
+    per polynomial generator, the picks of the reduced powers on its powers
+    with their key increments (_Steps), filled on first use.
     """
 
-    __slots__ = ("p", "m", "odd_names", "even_names", "_odd_index", "_even_index")
+    __slots__ = (
+        "m", "odd_names", "even_names", "_odd_index", "_even_index",
+        "_signs", "_power_steps", "_last_steps", "_total_steps",
+    )
 
     def __init__(self, p: int, m: int, odd_names=None, even_names=None):
         check_modulus(p)
@@ -59,7 +81,7 @@ class CohAlgebra:
             raise ValueError("the algebra is defined here for odd primes")
         if m < 1:
             raise ValueError("need at least one generator pair")
-        self.p = p
+        self._lay_out(p, m)
         self.m = m
         self.odd_names = tuple(odd_names) if odd_names else tuple(
             f"a{k}" for k in range(1, m + 1)
@@ -73,6 +95,12 @@ class CohAlgebra:
             raise ValueError("odd and even generator names must be disjoint")
         self._odd_index = {n: k for k, n in enumerate(self.odd_names, start=1)}
         self._even_index = {n: k for k, n in enumerate(self.even_names, start=1)}
+        self._signs = _sign_table(m)
+        # the key increment of t^(p-1) at each position
+        units = [(p - 1) * unit << m for unit in self._units]
+        self._power_steps = [_Steps(_sorted_picks, p, u) for u in units]
+        self._last_steps = _Steps(_picks_by_budget, p, units[-1])
+        self._total_steps = [_Steps(_support_steps, p, u) for u in units]
 
     @classmethod
     def bv(cls, p: int, l: int) -> CohAlgebra:
@@ -110,49 +138,42 @@ class CohAlgebra:
         c %= self.p
         if not c:
             return self.zero()
-        return CohClass._raw(self, {((), (0,) * self.m): c})
+        return CohClass._raw(self, {0: c})
 
     def odd_gen(self, k: int) -> CohClass:
         """a_k, 1-based."""
         if not 1 <= k <= self.m:
             raise ValueError(f"odd generator index {k} out of range")
-        return CohClass._raw(self, {((k,), (0,) * self.m): 1})
+        return CohClass._raw(self, {1 << (k - 1): 1})
 
     def even_gen(self, k: int) -> CohClass:
         """x_k, 1-based."""
         if not 1 <= k <= self.m:
             raise ValueError(f"even generator index {k} out of range")
-        exps = [0] * self.m
-        exps[k - 1] = 1
-        return CohClass._raw(self, {((), tuple(exps)): 1})
+        return CohClass._raw(self, {self._units[k - 1] << self.m: 1})
 
     def term(self, odd, even, coeff: int = 1) -> CohClass:
         return CohClass(self, {(tuple(odd), tuple(even)): coeff})
 
+    def _encode(self, key) -> int:
+        """The packed key of an (odd, even) pair, checked."""
+        odd, even = key
+        odd = tuple(odd)
+        even = tuple(even)
+        m = self.m
+        if len(set(odd)) != len(odd) or tuple(sorted(odd)) != odd:
+            raise ValueError(f"exterior part {odd} must be strictly increasing")
+        if odd and not (1 <= odd[0] and odd[-1] <= m):
+            raise ValueError(f"exterior index out of range in {odd}")
+        if len(even) != m or any(e < 0 for e in even):
+            raise ValueError(f"bad polynomial exponents {even}")
+        return self._pack(even) << m | sum(1 << (k - 1) for k in odd)
 
-def _merge_odd(s1: tuple, s2: tuple):
-    """Merge two sorted exterior index tuples: (sign, merged) or None if a
-    generator repeats."""
-    if not s1:
-        return 1, s2
-    if not s2:
-        return 1, s1
-    if set(s1) & set(s2):
-        return None
-    crossings = 0
-    merged = []
-    i = j = 0
-    while i < len(s1) and j < len(s2):
-        if s1[i] < s2[j]:
-            merged.append(s1[i])
-            i += 1
-        else:
-            merged.append(s2[j])
-            crossings += len(s1) - i
-            j += 1
-    merged.extend(s1[i:])
-    merged.extend(s2[j:])
-    return (-1 if crossings % 2 else 1), tuple(merged)
+    def _decode(self, key: int) -> tuple:
+        """The (odd, even) pair of a packed key."""
+        m = self.m
+        odd = tuple(k + 1 for k in range(m) if key >> k & 1)
+        return odd, self._unpack(key >> m)
 
 
 class CohClass(_SparseSum):
@@ -169,32 +190,23 @@ class CohClass(_SparseSum):
 
     def __init__(self, algebra: CohAlgebra, terms: dict):
         p = algebra.p
-        m = algebra.m
         clean = {}
-        for (odd, even), c in terms.items():
-            odd = tuple(odd)
-            even = tuple(even)
-            if len(set(odd)) != len(odd) or tuple(sorted(odd)) != odd:
-                raise ValueError(f"exterior part {odd} must be strictly increasing")
-            if odd and not (1 <= odd[0] and odd[-1] <= m):
-                raise ValueError(f"exterior index out of range in {odd}")
-            if len(even) != m or any(e < 0 for e in even):
-                raise ValueError(f"bad polynomial exponents {even}")
+        for key, c in terms.items():
+            key = algebra._encode(key)
             c %= p
             if c:
-                clean[(odd, even)] = c
+                clean[key] = c
         self.algebra = algebra
-        self.terms = clean
+        self._terms = clean
 
-    @staticmethod
-    def _sort_key(key):
+    def _sort_key(self, key):
         """Topological degree, then graded lex on the polynomial part."""
-        odd, even = key
-        return (len(odd) + 2 * sum(even), grlex_key(even), odd)
+        odd, even = self.algebra._decode(key)
+        return (len(odd) + 2 * sum(even), sum(even), even, odd)
 
     def _monomial_text(self, key) -> str:
-        odd, even = key
         alg = self.algebra
+        odd, even = alg._decode(key)
         factors = [alg.odd_names[k - 1] for k in odd]
         return "*".join(factors + _powers(alg.even_names, even))
 
@@ -204,17 +216,24 @@ class CohClass(_SparseSum):
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
+        alg = self.algebra
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return alg.zero()
+        m = alg.m
+        alg._fit((max(a) >> m) + (max(b) >> m))
+        low = (1 << m) - 1
+        signs = alg._signs
+        bitems = [(k, k & low, c) for k, c in b.items()]
 
         def products():
-            for (s1, e1), c1 in self.terms.items():
-                for (s2, e2), c2 in other.terms.items():
-                    merged = _merge_odd(s1, s2)
-                    if merged is None:
-                        continue
-                    sign, odd = merged
-                    yield (odd, tuple(map(add, e1, e2))), sign * c1 * c2
+            for k1, c1 in a.items():
+                row = signs[k1 & low]
+                for k2, mask, c2 in bitems:
+                    if sign := row[mask]:
+                        yield k1 + k2, sign * c1 * c2
 
-        return CohClass._raw(self.algebra, _add_terms(products(), self.algebra.p))
+        return CohClass._raw(alg, _add_terms(products(), alg.p))
 
     __rmul__ = __mul__
 
@@ -229,7 +248,9 @@ class CohClass(_SparseSum):
     # -- grading ---------------------------------------------------------
 
     def degrees(self) -> set:
-        return {len(odd) + 2 * sum(even) for (odd, even) in self.terms}
+        m = self.algebra.m
+        low, dshift = (1 << m) - 1, self.algebra._dshift + m
+        return {(k & low).bit_count() + 2 * (k >> dshift) for k in self._terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -246,41 +267,87 @@ class CohClass(_SparseSum):
 def bockstein(x: CohClass) -> CohClass:
     """The degree-(+1) differential: a_k -> x_k, x_k -> 0, extended as a
     derivation with the Koszul sign."""
+    alg = x.algebra
+    m = alg.m
+    # the key change of a_k -> x_k: drop mask bit k - 1, add x_k's exponent
+    steps = [((alg._units[k] << m) - (1 << k), 1 << k) for k in range(m)]
 
     def terms():
-        for (odd, even), c in x.terms.items():
-            for pos, k in enumerate(odd):
-                new_even = list(even)
-                new_even[k - 1] += 1
-                key = (odd[:pos] + odd[pos + 1 :], tuple(new_even))
-                yield key, -c if pos % 2 else c
+        for key, c in x._terms.items():
+            pos = 0
+            for step, bit in steps:
+                if key & bit:
+                    yield key + step, -c if pos % 2 else c
+                    pos += 1
 
-    return CohClass._raw(x.algebra, _add_terms(terms(), x.algebra.p))
+    out = _add_terms(terms(), alg.p)
+    if out:
+        # one more x_k reaches at most the guard bit, so nothing carries
+        alg._fit(max(out) >> m)
+    return CohClass._raw(alg, out)
+
+
+class _Steps(dict):
+    """e -> build(e, p, unit): the picks of t^e at one position of a key,
+    whose t^(p-1) has the key increment unit, computed on first use."""
+
+    __slots__ = ("build", "p", "unit")
+
+    def __init__(self, build, p: int, unit: int):
+        self.build = build
+        self.p = p
+        self.unit = unit
+
+    def __missing__(self, e: int):
+        got = self[e] = self.build(e, self.p, self.unit)
+        return got
+
+
+def _support_steps(e: int, p: int, unit: int) -> tuple:
+    """The picks of t^e as (key increment, C(e,j) mod p), in the order of
+    _binom_support."""
+    return tuple((j * unit, b) for j, b in _binom_support(e, p))
 
 
 def total_power(x: CohClass) -> CohClass:
     """The total reduced-power operation: the ring endomorphism fixing the
     exterior generators and sending each even generator t to t + t^p."""
-    p = x.algebra.p
+    alg = x.algebra
+    p, m = alg.p, alg.m
+    if not x._terms:
+        return x
+    # t^e -> t^(pe) is the largest image, and scaling a key scales its degree
+    alg._fit((max(x._terms) >> m) * p)
+    positions = list(zip(alg._total_steps, alg._shifts))
+    fmask = alg._fmask
 
     def terms():
-        for (odd, even), c in x.terms.items():
-            # t^e -> sum_k C(e,k) t^(e + k(p-1)); both products below walk the
-            # same picks in the same order, one for exponents, one for binomials
-            supports = [_binom_support(e, p) for e in even]
-            exps = product(
-                *[[e + k * (p - 1) for k, _ in s] for e, s in zip(even, supports)]
-            )
-            binoms = product(*[[b for _, b in s] for s in supports])
-            yield from zip(zip(repeat(odd), exps), map(partial(prod, start=c), binoms))
+        for key, c in x._terms.items():
+            # t^e -> sum_k C(e,k) t^(e + k(p-1)), expanded position by position
+            even = key >> m
+            images = [(key, c)]
+            for steps, s in positions:
+                if e := even >> s & fmask:
+                    images = [(k + inc, v * b) for k, v in images for inc, b in steps[e]]
+            yield from images
 
-    return CohClass._raw(x.algebra, _add_terms(terms(), p))
+    return CohClass._raw(alg, _add_terms(terms(), p))
 
 
 @lru_cache(maxsize=None)
 def _picks(e: int, p: int) -> tuple:
     """The Lucas-nonzero binomials of t^e as (j, C(e,j) mod p), sorted by j."""
     return tuple(sorted(_binom_support(e, p)))
+
+
+def _sorted_picks(e: int, p: int, unit: int) -> tuple:
+    """The picks of t^e as (j, C(e,j) mod p, key increment), sorted by j."""
+    return tuple((j, b, j * unit) for j, b in _picks(e, p))
+
+
+def _picks_by_budget(e: int, p: int, unit: int) -> dict:
+    """The picks of t^e as j -> (C(e,j) mod p, key increment)."""
+    return {j: (b, j * unit) for j, b in _picks(e, p)}
 
 
 def power_op(k: int, x: CohClass) -> CohClass:
@@ -291,37 +358,44 @@ def power_op(k: int, x: CohClass) -> CohClass:
     t_1^e_1..t_m^e_m contributes the picks (j_1..j_m) with j_1 + .. + j_m = k.
     Only those are enumerated: position by position over the Lucas-nonzero
     binomials, keeping each partial pick whose remaining budget the later
-    positions can still spend exactly.  Inhomogeneous classes need no split,
-    since every term is shifted by the same degree."""
+    positions can still spend exactly; the last position takes the budget
+    that is left.  Inhomogeneous classes need no split, since every term is
+    shifted by the same degree."""
     if k < 0:
         raise ValueError("negative power operation index")
-    if k == 0:
+    if k == 0 or not x._terms:
         return x
-    p = x.algebra.p
-    shift = p - 1
+    alg = x.algebra
+    p, m = alg.p, alg.m
+    alg._fit((max(x._terms) >> m) + (k * (p - 1) << alg._dshift))
+    positions = list(zip(alg._power_steps, alg._shifts))
+    last_steps, fmask = alg._last_steps, alg._fmask
 
     def terms():
-        for (odd, even), c in x.terms.items():
-            lists = [_picks(e, p) for e in even]
+        for key, c in x._terms.items():
+            even = key >> m
+            lists = [steps[even >> s & fmask] for steps, s in positions]
             # reach[i]: the largest pick sum that positions i.. can spend
-            reach = [0] * (len(lists) + 1)
-            for i in range(len(lists) - 1, -1, -1):
+            reach = [0] * (m + 1)
+            for i in range(m - 1, -1, -1):
                 reach[i] = reach[i + 1] + lists[i][-1][0]
             if reach[0] < k:
                 continue
-            states = [(k, (), c)]
-            for i, (e, support) in enumerate(zip(even, lists)):
+            states = [(k, key, c)]
+            for i in range(m - 1):
                 later = reach[i + 1]
                 states = [
-                    (left - j, exps + (e + j * shift,), coeff * b)
-                    for left, exps, coeff in states
-                    for j, b in support
+                    (left - j, kk + inc, coeff * b)
+                    for left, kk, coeff in states
+                    for j, b, inc in lists[i]
                     if j <= left and left - j <= later
                 ]
-            for _, exps, coeff in states:
-                yield (odd, exps), coeff
+            last = last_steps[even & fmask]
+            for left, kk, coeff in states:
+                if got := last.get(left):
+                    yield kk + got[1], coeff * got[0]
 
-    return CohClass._raw(x.algebra, _add_terms(terms(), p))
+    return CohClass._raw(alg, _add_terms(terms(), p))
 
 
 def milnor_q(i: int, x: CohClass, memo: dict | None = None) -> CohClass:
@@ -397,12 +471,15 @@ def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
         ring = PolyRing(alg.p, alg.even_names)
     if ring.arity != alg.m or ring.p != alg.p:
         raise ContextMismatch("target ring does not match the even generators")
+    # the even part of a key is the key of the same monomial in ring
+    m = alg.m
+    low = (1 << m) - 1
     terms: dict = {}
-    for (odd, even), c in x.terms.items():
-        if odd:
-            raise OddPartPresent(f"term with exterior factors {odd}")
-        terms[even] = c
-    return Poly(ring, terms)
+    for key, c in x._terms.items():
+        if key & low:
+            raise OddPartPresent(f"term with exterior factors {alg._decode(key)[0]}")
+        terms[key >> m] = c
+    return Poly._raw(ring, terms)
 
 
 def parse_class(text: str, algebra: CohAlgebra) -> CohClass:

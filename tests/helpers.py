@@ -1,9 +1,13 @@
 """Shared generators and independent oracles for the test suite."""
 
+import heapq
 from functools import reduce
+from operator import add, neg, sub
 
 from conjchern.cyclo import CycInt, CycMatrix
+from conjchern.errors import NonExactDivision
 from conjchern.poly import Poly
+from conjchern.steenrod import CohClass
 
 
 def random_poly(rng, ring, max_terms=4, max_exp=3):
@@ -123,3 +127,73 @@ def dense_gl_action(f, a):
                 form = form + ring.monomial({i: 1}, a.entries[i][j])
         images.append(form)
     return f.compose(images, ring)
+
+
+# -- oracles on exponent tuples for the packed-key kernels ----------------------
+
+
+def tuple_mul(f, g):
+    """f * g with the monomials as exponent tuples added entry by entry: the
+    oracle for the packed Poly.__mul__."""
+    acc = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+    return Poly(f.ring, acc)
+
+
+def tuple_exact_div(f, g):
+    """f / g by long division on exponent tuples, the leading term taken in
+    graded-lex order from a heap of (-degree, negated exponents): the oracle
+    for the packed exact_div.  Raises NonExactDivision on a leading term
+    that g's does not divide."""
+    p = f.ring.p
+    gm = max(g.terms, key=lambda m: (sum(m), m))
+    ginv = pow(g.terms[gm], p - 2, p)
+    rem = dict(f.terms.items())
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while rem:
+        while True:
+            _, _, m = heapq.heappop(heap)
+            if m in rem:
+                break
+        mq = tuple(map(sub, m, gm))
+        if min(mq) < 0:
+            raise NonExactDivision(f"leading term {m} not divisible by {gm}")
+        cq = rem[m] * ginv % p
+        quot[mq] = cq
+        for m2, c2 in g.terms.items():
+            mono = tuple(map(add, mq, m2))
+            if mono not in rem:
+                heapq.heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
+            if v := (rem.get(mono, 0) - cq * c2) % p:
+                rem[mono] = v
+            else:
+                del rem[mono]
+    return Poly(f.ring, quot)
+
+
+def merge_odd(s1, s2):
+    """Merge two sorted exterior index tuples: (sign, merged), or None if a
+    generator repeats."""
+    if set(s1) & set(s2):
+        return None
+    crossings = sum(1 for i in s1 for j in s2 if i > j)
+    return (-1 if crossings % 2 else 1), tuple(sorted(s1 + s2))
+
+
+def tuple_coh_mul(x, y):
+    """x * y over (exterior tuple, exponent tuple) keys, with the Koszul sign
+    of merging the exterior words: the oracle for the packed CohClass.__mul__."""
+    acc = {}
+    for (s1, e1), c1 in x.terms.items():
+        for (s2, e2), c2 in y.terms.items():
+            merged = merge_odd(s1, s2)
+            if merged is not None:
+                sign, odd = merged
+                key = (odd, tuple(map(add, e1, e2)))
+                acc[key] = acc.get(key, 0) + sign * c1 * c2
+    return CohClass(x.algebra, acc)

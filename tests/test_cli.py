@@ -75,6 +75,17 @@ def test_json_is_sorted_and_lf():
     assert text.index('"checks"') < text.index('"overall"') < text.index('"params"')
 
 
+def test_cli_import_needs_no_dataclasses():
+    """dataclasses pulls in inspect, ast, dis and tokenize at every start."""
+    code = (
+        "import sys; before = set(sys.modules); import conjchern.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
 # -- CLI behavior -------------------------------------------------------------------
 
 
@@ -127,6 +138,30 @@ def test_relations_suite_skips_at_p7():
     data = json.loads(proc.stdout)
     statuses = {c["name"]: c["status"] for c in data["checks"]}
     assert any(s == "skipped" for s in statuses.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "chern", "--l", "1"],
+        ["--suite", "dickson", "--n", "2", "--trials", "2"],
+        ["--suite", "relations"],
+    ],
+)
+def test_largest_admitted_prime_ends_in_seconds(argv):
+    """Without the guards of dickson_c and verify_quadratic the dickson and
+    relations runs outlast a 15 s timeout; now the expensive checks are SKIPPED
+    with their estimates."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "conjchern", *argv, "--p", "2147483647", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    skipped = [c for c in data["checks"] if c["status"] == "skipped"]
+    assert skipped and all(" about " in c["detail"] for c in skipped)
 
 
 def test_strict_promotes_skips_to_failure():

@@ -409,3 +409,31 @@ def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
     assert line.endswith(
         "trial 0: C_{2,1} moved; first differing terms: x1^6: 1 != 0; x1^3*x2^3: 2 != 0"
     )
+
+
+# -- the largest admitted prime ------------------------------------------------------
+
+BIG_P = 2147483647
+
+
+def test_rank_one_invariance_passes_at_the_largest_admitted_prime():
+    report = verify_dickson(DicksonContext(BIG_P, 1), trials=2, seed=0)
+    status = {c.name: c.status for c in report.checks}
+    assert status == {
+        "two-route-c0": "skipped",
+        "two-route-c1": "skipped",
+        "delta-factorization": "skipped",
+        "gl-invariance": "pass",
+    }
+
+
+def test_division_guard_refuses_before_dividing(monkeypatch):
+    def never(f, g):
+        raise AssertionError("exact_div ran past the guard")
+
+    monkeypatch.setattr(dickson, "exact_div", never)
+    ctx = DicksonContext(BIG_P, 2)
+    for i in range(2):
+        detail = rf"division for C_\{{2,{i}\}} .* about 4\.3e\+09 monomial pairs, about \d+ s;"
+        with pytest.raises(SizeGuard, match=detail):
+            dickson_c(ctx, i)

@@ -245,3 +245,27 @@ def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsy
     assert set(failed) == expected
     for line in failed.values():
         assert "first differing terms: " in line
+
+
+# -- the largest admitted prime ------------------------------------------------------
+
+BIG_P = 2147483647
+
+
+def test_r_delta_passes_at_the_largest_admitted_prime():
+    """Exponents near 2p^4, about 2^125, in the substituted Moore minors."""
+    report = verify_r_delta(BIG_P)
+    assert [c.status for c in report.checks] == ["pass"] * 6
+
+
+def test_quadratic_guard_refuses_before_substituting(monkeypatch):
+    def never(j, p):
+        raise AssertionError("r_j_poly ran past the guard")
+
+    monkeypatch.setattr(relations, "r_j_poly", never)
+    report = verify_quadratic(BIG_P)
+    assert {c.status for c in report.checks} == {"skipped"}
+    assert report.checks[0].detail.startswith("the 2147483647 scalars would take about 9.66e+04 s;")
+    # every prime the tests and the benchmark run stays admitted
+    monkeypatch.undo()
+    assert verify_quadratic(101).passed()

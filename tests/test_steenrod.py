@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -420,3 +421,18 @@ def test_suite_fails_on_dependent_closed_forms(monkeypatch, capsys):
     assert "overall: fail" in out.lower()
     (line,) = [s for s in failed_lines(out) if "steenrod/jacobian-nonzero" in s]
     assert "Jacobian determinant vanished" in line
+
+
+# -- the largest admitted prime ------------------------------------------------------
+
+
+def test_suite_passes_at_the_largest_admitted_prime(capsys):
+    """r_4 has the exponent p^4, about 2^124, here: the packed fields must
+    hold it, or eight of these checks turn SKIPPED."""
+    code = cli.main(
+        ["--suite", "steenrod", "--p", "2147483647", "--l", "2", "--trials", "2", "--format", "json"]
+    )
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    assert len(checks) == 10
+    assert [c["name"] for c in checks if c["status"] != "pass"] == []
