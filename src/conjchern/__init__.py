@@ -7,7 +7,7 @@ approximation.
 
 from ._version import __version__
 from .chern import ChernContext, GradedChern, linear_form, total_conj_chern
-from .cyclo import CycInt, CycMatrix, WeightTable, a_matrix, conj_act, gen_matrices
+from .cyclo import CycInt, CycMatrix, a_matrix, conj_act, gen_matrices
 from .dickson import (
     DicksonContext,
     GLMatrix,
@@ -60,7 +60,6 @@ __all__ = [
     "PolyMatrix",
     "PolyRing",
     "VerificationReport",
-    "WeightTable",
     "a_matrix",
     "bockstein",
     "conj_act",

@@ -21,7 +21,6 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     _add_terms,
-    _laplace_det,
     _split_last,
     agree,
     determinant,
@@ -230,9 +229,9 @@ def dickson_c_from_f(ctx: DicksonContext, i: int) -> Poly:
 
 
 class GLMatrix:
-    """An invertible n x n matrix over F_p."""
+    """An invertible n x n matrix over F_p, with its elementary factors."""
 
-    __slots__ = ("p", "n", "entries")
+    __slots__ = ("p", "n", "entries", "factors")
 
     def __init__(self, entries, p: int):
         check_modulus(p)
@@ -240,8 +239,10 @@ class GLMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        if int_det_mod(rows, p) == 0:
-            raise ValueError("matrix is singular mod p")
+        try:
+            self.factors = _elementary_factors(rows, p)
+        except SingularMatrix:
+            raise ValueError("matrix is singular mod p") from None
         self.p = p
         self.n = n
         self.entries = rows
@@ -273,32 +274,29 @@ class GLMatrix:
         return f"GLMatrix({self.entries}, p={self.p})"
 
 
-def int_det_mod(rows, p: int) -> int:
-    """Determinant mod p of a small integer matrix, by signed expansion."""
-    return _laplace_det(rows, 1) % p
-
-
 def random_gl(n: int, p: int, seed: int) -> GLMatrix:
     """Deterministic-per-seed invertible matrix: uniform entries, rejection."""
+    check_modulus(p)
     rng = random.Random(seed)
     while True:
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if int_det_mod(rows, p) != 0:
-            return GLMatrix(rows, p)
+        try:
+            return GLMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
+        except ValueError:  # singular mod p: draw again
+            pass
 
 
-def _elementary_factors(a: GLMatrix) -> list:
-    """Factor a as E_1 E_2 ... E_m, each (i, j, c) meaning the identity with
-    its (i, j) entry replaced by c if i == j (a scaling) or increased by c
-    otherwise (a transvection).
+def _elementary_factors(entries, p: int) -> list:
+    """Factor the square matrix entries over F_p as E_1 E_2 ... E_m, each
+    (i, j, c) meaning the identity with its (i, j) entry replaced by c if
+    i == j (a scaling) or increased by c otherwise (a transvection).
 
     Gauss-Jordan reduction by row operations without swaps: a zero pivot is
-    fixed by adding a lower row that is nonzero in its column.  If the row
-    operations are L_1, ..., L_m in order, a = L_1^-1 ... L_m^-1, and each
-    inverse is recorded.
+    fixed by adding a lower row that is nonzero in its column, and a column
+    without one raises SingularMatrix.  If the row operations are L_1, ...,
+    L_m in order, the matrix is L_1^-1 ... L_m^-1; each inverse is recorded.
     """
-    p, n = a.p, a.n
-    rows = [list(r) for r in a.entries]
+    n = len(entries)
+    rows = [list(r) for r in entries]
     factors = []
 
     def add_row(t, r, c):  # row t += c * row r
@@ -348,6 +346,32 @@ def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     return Poly._raw(ring, _add_terms(terms(), p))
 
 
+def _trial_picks(cs) -> int:
+    """The Lucas picks that gl_action expands, and builds, in one random trial
+    on the polynomials cs: a random matrix has about n - 1 transvections into
+    each x_j, each expanding every term x_j^e over the picks of e and building
+    their list once per distinct e.  On the terms of cs this is within 5% of
+    the count in the trials at n = 2, p = 13..101, and up to 1.25 times high
+    at n = 3, 4 (1.55 at p <= 5); at PAIRS_PER_SECOND it states 0.7-1.3 times
+    the time of a trial (2-core x86, Python 3.11)."""
+    ring = cs[0].ring
+    p, fmask = ring.p, ring._fmask
+
+    def picks(e: int) -> int:  # the product of d + 1 over the base-p digits d of e
+        count = 1
+        while e:
+            e, d = divmod(e, p)
+            count *= d + 1
+        return count
+
+    total = 0
+    for c in cs:
+        for s in ring._shifts:
+            exps = [k >> s & fmask for k in c._terms]
+            total += sum(map(picks, exps)) + sum(map(picks, set(exps)))
+    return (ring.arity - 1) * total
+
+
 def gl_action(f: Poly, a: GLMatrix) -> Poly:
     """Substitute x_j -> sum_i a[i][j] x_i (the matrix acts on the column of
     variables); extends multiplicatively to all polynomials.
@@ -359,7 +383,7 @@ def gl_action(f: Poly, a: GLMatrix) -> Poly:
     ring = f.ring
     if ring.arity != a.n or ring.p != a.p:
         raise RingMismatch("polynomial ring does not match the matrix")
-    for i, j, c in reversed(_elementary_factors(a)):
+    for i, j, c in reversed(a.factors):
         if i == j:
             images = [ring.variable(k) for k in range(a.n)]
             images[j] = ring.monomial({j: 1}, c)
@@ -393,6 +417,12 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> Veri
 
     def invariance():
         cs = [dickson_c(ctx, i) for i in range(ctx.n + 1)]
+        picks = trials * _trial_picks(cs)
+        if picks > MAX_TERM_PAIRS:
+            raise SizeGuard(
+                f"{trials} random matrices would expand about {picks:.1e} "
+                f"Lucas picks, about {_cost(picks)}; the guard allows {MAX_TERM_PAIRS:.0e}"
+            )
         for t in range(trials):
             a = random_gl(ctx.n, ctx.p, seed + t)
             for i, c in enumerate(cs):

@@ -113,15 +113,19 @@ def _perm_sign(base, target) -> int:
 
 
 class _ExponentLayout:
-    """The packing of exponent vectors of a given arity over F_p into ints.
+    """The packing of exponent vectors of a given arity over F_p into ints,
+    and the equality and constants of a context of sums built on it.
 
     _shifts[i] is the offset of the field of variable i, _units[i] the key
     of that variable alone, _dshift the offset of the total-degree field,
     _limit the first degree that does not fit and _cap the first key that
-    does not fit; _guard has the guard bit of every exponent field set."""
+    does not fit; _guard has the guard bit of every exponent field set.  A
+    context sets _identity, the tuple equality compares, and _sum, its sum
+    type."""
 
     __slots__ = (
-        "p", "_width", "_fmask", "_shifts", "_units", "_dshift", "_limit", "_cap", "_guard"
+        "p", "_width", "_fmask", "_shifts", "_units", "_dshift", "_limit", "_cap", "_guard",
+        "_identity",
     )
 
     def _lay_out(self, p: int, arity: int) -> None:
@@ -157,6 +161,24 @@ class _ExponentLayout:
         fmask = self._fmask
         return tuple(key >> s & fmask for s in self._shifts)
 
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._identity == other._identity
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._identity)
+
+    def zero(self):
+        return self._sum._raw(self, {})
+
+    def one(self):
+        return self.constant(1)
+
+    def constant(self, c: int):
+        c %= self.p
+        return self._sum._raw(self, {0: c} if c else {})
+
 
 class PolyRing(_ExponentLayout):
     """F_p[v_1, ..., v_n] with a fixed variable order."""
@@ -173,18 +195,11 @@ class PolyRing(_ExponentLayout):
         self.variables = names
         self._index = {name: i for i, name in enumerate(names)}
         self._lay_out(p, len(names))
+        self._identity = (p, names)
 
     @property
     def arity(self) -> int:
         return len(self.variables)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyRing):
-            return self.p == other.p and self.variables == other.variables
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.variables))
 
     def __repr__(self):
         return f"PolyRing(p={self.p}, variables={self.variables})"
@@ -208,18 +223,6 @@ class PolyRing(_ExponentLayout):
         return self._pack(mono)
 
     _decode = _ExponentLayout._unpack
-
-    def zero(self) -> Poly:
-        return Poly._raw(self, {})
-
-    def one(self) -> Poly:
-        return self.constant(1)
-
-    def constant(self, c: int) -> Poly:
-        c %= self.p
-        if not c:
-            return self.zero()
-        return Poly._raw(self, {0: c})
 
     def variable(self, var) -> Poly:
         return Poly._raw(self, {self._units[self.var_index(var)]: 1})
@@ -276,16 +279,23 @@ class _SparseSum:
     """A finite sum of keyed terms over F_p, held in canonical form: _terms
     maps each packed key to a coefficient in [1, p).
 
-    The sum arithmetic, equality, the context check and the canonical text
-    of Poly and CohClass.  _ctx is the ring or algebra of the sum (with .p,
-    .constant, and _encode/_decode between packed keys and monomials); a
-    subclass gives it its public name, and supplies _mismatch, the error for
-    sums over different contexts; _sort_key, the ascending order of its
-    keys (None for int order); and _monomial_text(key), the name of a key,
-    "" for the unit.
+    The constructor, sum arithmetic, equality, the context check, the
+    homogeneity test and the canonical text of Poly and CohClass.  _ctx is
+    the ring or algebra of the sum (with .p, .constant, and _encode/_decode
+    between packed keys and monomials); a subclass gives it its public name,
+    and supplies _mismatch, the error for sums over different contexts;
+    _sort_key, the ascending order of its keys (None for int order);
+    _monomial_text(key), the name of a key, "" for the unit; and degrees(),
+    the set of the degrees of its terms.
     """
 
     __slots__ = ("_ctx", "_terms")
+
+    def __init__(self, ctx, terms: dict):
+        """The sum of terms, a dict of monomials to coefficients: each
+        monomial checked and packed, each coefficient reduced, zeros dropped."""
+        self._ctx = ctx
+        self._terms = _add_terms(((ctx._encode(k), c) for k, c in terms.items()), ctx.p)
 
     @classmethod
     def _raw(cls, ctx, terms: dict):
@@ -359,6 +369,9 @@ class _SparseSum:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def is_homogeneous(self) -> bool:
+        return len(self.degrees()) <= 1
+
     def to_text(self) -> str:
         """Canonical text form: terms in descending order, coefficients in
         [1, p), each written before its monomial unless it is 1."""
@@ -385,17 +398,6 @@ class Poly(_SparseSum):
     ring = _SparseSum._ctx  # the context slot, read and set as .ring
     _mismatch = RingMismatch
     _sort_key = None  # int order is graded-lex order
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        p = ring.p
-        clean = {}
-        for mono, c in terms.items():
-            key = ring._encode(mono)
-            c %= p
-            if c:
-                clean[key] = c
-        self.ring = ring
-        self._terms = clean
 
     def _monomial_text(self, key) -> str:
         ring = self.ring
@@ -448,13 +450,11 @@ class Poly(_SparseSum):
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(self._terms) >> self.ring._dshift
+        return max(self.degrees(), default=None)
 
-    def is_homogeneous(self) -> bool:
+    def degrees(self) -> set:
         dshift = self.ring._dshift
-        return len({k >> dshift for k in self._terms}) <= 1
+        return {k >> dshift for k in self._terms}
 
     # -- characteristic-p operations --------------------------------------
 
@@ -539,6 +539,9 @@ class Poly(_SparseSum):
                     yield from term._terms.items()
 
         return Poly._raw(ring, _add_terms(terms(), p))
+
+
+PolyRing._sum = Poly
 
 
 def _split_last(f: Poly, ring: PolyRing) -> dict:

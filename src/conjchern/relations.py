@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chern import ChernContext, total_conj_chern
-from .dickson import MAX_TERM_PAIRS, PAIRS_PER_SECOND, DicksonContext, delta_ni
+from .chern import ChernContext, delta_on_classes, total_conj_chern
+from .dickson import MAX_TERM_PAIRS, PAIRS_PER_SECOND
 from .errors import IndexOutOfRange, SamePartition, SizeGuard, VerificationFailure
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _perm_sign, agree, diff_detail
@@ -198,19 +198,11 @@ def verify_r_delta(p: int) -> VerificationReport:
     ctx = ChernContext(p, 2)
     ring = ctx.ring
     rs = _r_classes(p, ring)
-    dctx = DicksonContext(p, 4)
-    eta_xi = [
-        ring.variable("eta1"),
-        ring.variable("xi1"),
-        ring.variable("eta2"),
-        ring.variable("xi2"),
-    ]
     checks = []
 
     def grading():
         for i, r in enumerate(rs, start=1):
-            degs = {sum(m) for m in r.terms}
-            if degs != {p**i + 1}:
+            if r.degrees() != {p**i + 1}:
                 return False, f"r_{i} is not homogeneous of degree p^{i}+1"
         return True, "deg r_i = p^i + 1 matches the Y_i weights"
 
@@ -219,9 +211,9 @@ def verify_r_delta(p: int) -> VerificationReport:
     def delta_match(j):
         def run():
             lhs = r_j_poly(j, p).compose(rs, ring)
-            rhs = delta_ni(dctx, j).compose(eta_xi, ring)
-            lhs_degs = {sum(m) for m in lhs.terms}
-            rhs_degs = {sum(m) for m in rhs.terms}
+            rhs = delta_on_classes(ctx, j)
+            lhs_degs = lhs.degrees()
+            rhs_degs = rhs.degrees()
             if lhs_degs != rhs_degs:
                 return False, f"degree mismatch: {lhs_degs} vs {rhs_degs}"
             return agree(lhs, rhs)

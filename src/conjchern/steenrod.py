@@ -34,6 +34,7 @@ from .poly import (
     PolyRing,
     _add_terms,
     _ExponentLayout,
+    _perm_sign,
     _powers,
     _scan_terms,
     _SparseSum,
@@ -49,13 +50,13 @@ MAX_MILNOR_INDEX = 6
 def _sign_table(m: int) -> tuple:
     """_sign_table(m)[s][t]: the sign of merging the sorted exterior words
     with the masks s and t into one sorted word, 0 if they share a
-    generator: (-1)^#{(i in s, j in t) : i > j}."""
+    generator."""
 
     def sign(s: int, t: int) -> int:
         if s & t:
             return 0
-        crossings = sum((s >> (j + 1)).bit_count() for j in range(m) if t >> j & 1)
-        return -1 if crossings % 2 else 1
+        word = [k for k in range(m) if s >> k & 1] + [k for k in range(m) if t >> k & 1]
+        return _perm_sign(sorted(word), word)
 
     size = 1 << m
     return tuple(tuple(sign(s, t) for t in range(size)) for s in range(size))
@@ -93,6 +94,7 @@ class CohAlgebra(_ExponentLayout):
             raise ValueError("generator name lists must have length m")
         if set(self.odd_names) & set(self.even_names):
             raise ValueError("odd and even generator names must be disjoint")
+        self._identity = (p, m, self.odd_names, self.even_names)
         self._odd_index = {n: k for k, n in enumerate(self.odd_names, start=1)}
         self._even_index = {n: k for k, n in enumerate(self.even_names, start=1)}
         self._signs = _sign_table(m)
@@ -112,33 +114,8 @@ class CohAlgebra(_ExponentLayout):
             even += [f"xi{k}", f"eta{k}"]
         return cls(p, 2 * l, odd_names=odd, even_names=even)
 
-    def __eq__(self, other):
-        if isinstance(other, CohAlgebra):
-            return (
-                self.p == other.p
-                and self.m == other.m
-                and self.odd_names == other.odd_names
-                and self.even_names == other.even_names
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.odd_names, self.even_names))
-
     def __repr__(self):
         return f"CohAlgebra(p={self.p}, m={self.m})"
-
-    def zero(self) -> CohClass:
-        return CohClass._raw(self, {})
-
-    def one(self) -> CohClass:
-        return self.constant(1)
-
-    def constant(self, c: int) -> CohClass:
-        c %= self.p
-        if not c:
-            return self.zero()
-        return CohClass._raw(self, {0: c})
 
     def odd_gen(self, k: int) -> CohClass:
         """a_k, 1-based."""
@@ -187,17 +164,6 @@ class CohClass(_SparseSum):
     __slots__ = ()
     algebra = _SparseSum._ctx  # the context slot, read and set as .algebra
     _mismatch = ContextMismatch
-
-    def __init__(self, algebra: CohAlgebra, terms: dict):
-        p = algebra.p
-        clean = {}
-        for key, c in terms.items():
-            key = algebra._encode(key)
-            c %= p
-            if c:
-                clean[key] = c
-        self.algebra = algebra
-        self._terms = clean
 
     def _sort_key(self, key):
         """Topological degree, then graded lex on the polynomial part."""
@@ -252,13 +218,13 @@ class CohClass(_SparseSum):
         low, dshift = (1 << m) - 1, self.algebra._dshift + m
         return {(k & low).bit_count() + 2 * (k >> dshift) for k in self._terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self):
         """Topological degree if homogeneous and nonzero, else None."""
         degs = self.degrees()
         return degs.pop() if len(degs) == 1 else None
+
+
+CohAlgebra._sum = CohClass
 
 
 # -- operations -------------------------------------------------------------

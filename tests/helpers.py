@@ -176,6 +176,17 @@ def tuple_exact_div(f, g):
     return Poly(f.ring, quot)
 
 
+def crossing_sign(s, t, m):
+    """The sign of merging the sorted exterior words with the masks s and t
+    (bits 0..m-1) into one sorted word, 0 if they share a generator, by
+    counting the crossings (-1)^#{(i in s, j in t) : i > j}: the oracle for
+    steenrod._sign_table."""
+    if s & t:
+        return 0
+    crossings = sum((s >> (j + 1)).bit_count() for j in range(m) if t >> j & 1)
+    return -1 if crossings % 2 else 1
+
+
 def merge_odd(s1, s2):
     """Merge two sorted exterior index tuples: (sign, merged), or None if a
     generator repeats."""

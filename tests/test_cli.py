@@ -266,3 +266,22 @@ def test_modulus_above_the_bound_is_usage_error():
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "exceeds the supported bound" in proc.stderr
+
+
+def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
+    """A GL trial costs about p^3 at n = 2: unguarded, --p 401 ran past 60 s.
+    Now gl-invariance is SKIPPED with its estimate, like the product checks."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "conjchern", "--suite", "dickson", "--p", "401", "--n", "2",
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["dickson/gl-invariance"]["status"] == "skipped"
+    assert checks["dickson/gl-invariance"]["detail"] == (
+        "50 random matrices would expand about 4.3e+09 Lucas picks, about 2887 s; "
+        "the guard allows 1e+07"
+    )

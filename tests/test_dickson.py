@@ -13,12 +13,12 @@ from conjchern.dickson import (
     dickson_c_from_f,
     f_n_product,
     gl_action,
-    int_det_mod,
     linear_form_product,
     random_gl,
     verify_dickson,
 )
 from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
+from conjchern.fp import _binom_support
 from conjchern.poly import PolyRing
 from helpers import (
     balanced_linear_form_product,
@@ -156,14 +156,9 @@ def test_factorization_identity():
         assert lhs == rhs
 
 
-def test_int_det_mod():
-    assert int_det_mod(((1, 0), (0, 1)), 3) == 1
-    assert int_det_mod(((1, 2), (2, 4)), 5) == 0
-    assert int_det_mod(((0, 1), (2, 0)), 3) == 1  # -2 mod 3
-
-
 def permutation_det_mod(rows, p):
-    """Leibniz expansion over all permutations: the oracle for int_det_mod."""
+    """Leibniz expansion over all permutations: the oracle for the
+    invertibility decision of GLMatrix."""
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):
@@ -175,22 +170,74 @@ def permutation_det_mod(rows, p):
     return total % p
 
 
+def accepts(rows, p) -> bool:
+    """Whether GLMatrix takes rows as an invertible matrix mod p."""
+    try:
+        GLMatrix(rows, p)
+    except ValueError as exc:
+        assert str(exc) == "matrix is singular mod p"
+        return False
+    return True
+
+
 @pytest.mark.parametrize("n,p", [(3, 3), (3, 7), (4, 2), (4, 5)])
 def test_int_det_mod_matches_permutation_expansion(n, p):
+    """GLMatrix accepts a matrix exactly when its Leibniz determinant is
+    nonzero mod p."""
     rng = random.Random(97 * n + p)
     for _ in range(60):
-        # zeros are common so that the expansion's skipped entries are exercised
+        # zeros are common so that singular matrices and zero pivots occur
         entries = [0, 0] + list(range(p))
         rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-        assert int_det_mod(rows, p) == permutation_det_mod(rows, p)
+        assert accepts(rows, p) == (permutation_det_mod(rows, p) != 0)
+
+
+def test_glmatrix_refuses_singular_matrices():
+    assert accepts(((1, 0), (0, 1)), 3)
+    assert not accepts(((1, 2), (2, 4)), 5)
+    assert accepts(((0, 1), (2, 0)), 3)  # determinant -2 mod 3
+    assert not accepts(((3, 6), (1, 2)), 3)  # reduces to a zero row
 
 
 def test_random_gl_deterministic_and_invertible():
     for seed in range(1000):
         m = random_gl(2, 3, seed)
-        assert int_det_mod(m.entries, 3) != 0
+        assert permutation_det_mod(m.entries, 3) != 0
     assert random_gl(3, 5, 123) == random_gl(3, 5, 123)
     assert random_gl(1, 3, 7).entries[0][0] != 0
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        random_gl(2, 4, 0)  # refused, not redrawn forever
+
+
+# The entries of random_gl(2, p, seed) for seeds 0..99, row by row, one base-p
+# digit each (a = 10, b = 11, c = 12), as drawn when the invertibility test was
+# a determinant.  They cover the 50 trials of --suite dickson --n 2 at every
+# seed up to 50, at p = 3 (--suite all --p 3) and p = 13.
+DRAWN = {
+    3: (
+        "11010111022102201002101220111012011012112011121121010210022210011112211110012011"
+        "22010121221010022120100112201211021120122120221220012022212021021001220211020110"
+        "12202002200201201222011020221012210201101112022010222012012110122012012220020220"
+        "11201112112112011022111201101121212202110121122002201021220112111110011012020112"
+        "11122110012110022101022002120112202202212221201112222022200110021121011012011102"
+    ),
+    13: (
+        "6c6029cc01153982341b94b5c917526a35627954906778c774a8c2a319bc308b577486c421a7a0c8"
+        "bacc26b62309c410b6926c03b3a3a7b41b2881598c49071c132492a3859085c2500ca919a66c3460"
+        "79806532a10b04bc688b14501609516885281561745a388240b893782784132b807a0599933b31a7"
+        "4492728392137a1671a96448146311c6b7bba01c14b7589c1c9b4187981579675763c453b4b62759"
+        "468b87582c787712b4c03b91cc082b3863521c9b3b17192a689879b58214c88b55a636c559056639"
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(DRAWN))
+def test_random_gl_draws_the_recorded_matrices(p):
+    digits = "".join(
+        "0123456789abc"[v] for seed in range(100) for row in random_gl(2, p, seed).entries
+        for v in row
+    )
+    assert digits == DRAWN[p]
 
 
 def test_identity_matrix_fixes_everything():
@@ -267,7 +314,7 @@ def test_elementary_factors_multiply_back_to_the_matrix():
         for seed in range(20):
             a = random_gl(n, p, seed)
             product_ = identity(n, p)
-            for i, j, c in dickson._elementary_factors(a):
+            for i, j, c in a.factors:
                 e = [list(row) for row in identity(n, p).entries]
                 e[i][j] = c if i == j else e[i][j] + c
                 product_ = product_ * GLMatrix(e, p)
@@ -275,11 +322,11 @@ def test_elementary_factors_multiply_back_to_the_matrix():
 
 
 def test_gl_action_without_a_pivot_is_a_library_error():
-    ctx = DicksonContext(3, 2)
-    singular = object.__new__(GLMatrix)
-    singular.p, singular.n, singular.entries = 3, 2, ((1, 2), (2, 1))
+    """A matrix without elementary factors never reaches gl_action: the
+    factorization raises a library error, and GLMatrix refuses the matrix."""
     with pytest.raises(SingularMatrix, match="no pivot in column 1"):
-        gl_action(ctx.ring.variable("x1"), singular)
+        dickson._elementary_factors(((1, 2), (2, 1)), 3)
+    assert not accepts(((1, 2), (2, 1)), 3)
 
 
 def test_invariance_under_random_matrices():
@@ -437,3 +484,49 @@ def test_division_guard_refuses_before_dividing(monkeypatch):
         detail = rf"division for C_\{{2,{i}\}} .* about 4\.3e\+09 monomial pairs, about \d+ s;"
         with pytest.raises(SizeGuard, match=detail):
             dickson_c(ctx, i)
+
+
+def test_invariance_guard_refuses_before_the_first_trial(monkeypatch):
+    """A trial costs about p^3 at n = 2, so the default 50 trials are refused
+    at p = 101 (an estimated 47 s) and admitted at p = 31."""
+
+    def never(f, a):
+        raise AssertionError("gl_action ran past the guard")
+
+    monkeypatch.setattr(dickson, "gl_action", never)
+    report = verify_dickson(DicksonContext(101, 2), trials=50, seed=0)
+    check = {c.name: c for c in report.checks}["gl-invariance"]
+    assert check.status == "skipped"
+    assert check.detail == (
+        "50 random matrices would expand about 7.1e+07 Lucas picks, about 47 s; "
+        "the guard allows 1e+07"
+    )
+    monkeypatch.undo()
+    report = verify_dickson(DicksonContext(31, 2), trials=50, seed=0)
+    assert {c.name: c.status for c in report.checks}["gl-invariance"] == "pass"
+
+
+@pytest.mark.parametrize("p,n", [(13, 2), (31, 2), (3, 3), (5, 3)])
+def test_trial_picks_bound_the_expanded_picks(p, n, monkeypatch):
+    """The estimate of the guard against the picks that _transvection expands
+    and builds over ten random trials: within 5% at n = 2, and at most 1.25
+    times high at n = 3."""
+    ctx = DicksonContext(p, n)
+    cs = [dickson_c(ctx, i) for i in range(n + 1)]
+    expanded = [0]
+    transvection = dickson._transvection
+
+    def counted(f, j, i, c):
+        shift, fmask = f.ring._shifts[j], f.ring._fmask
+        exps = [k >> shift & fmask for k in f._terms]
+        expanded[0] += sum(len(_binom_support(e, p)) for e in exps)
+        expanded[0] += sum(len(_binom_support(e, p)) for e in set(exps))
+        return transvection(f, j, i, c)
+
+    monkeypatch.setattr(dickson, "_transvection", counted)
+    for t in range(10):
+        a = random_gl(n, p, t)
+        for c in cs:
+            gl_action(c, a)
+    ratio = 10 * dickson._trial_picks(cs) / expanded[0]
+    assert (0.95 <= ratio <= 1.05) if n == 2 else (1 <= ratio <= 1.25), ratio

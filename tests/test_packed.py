@@ -7,9 +7,15 @@ import random
 import pytest
 
 from conjchern import chern, cli, dickson, poly, steenrod
-from conjchern.errors import NonExactDivision, SizeGuard
-from conjchern.poly import PolyRing, exact_div, parse
-from conjchern.steenrod import CohAlgebra, power_op, random_homogeneous, total_power
+from conjchern.errors import ConjChernError, NonExactDivision, SizeGuard
+from conjchern.poly import Poly, PolyRing, exact_div, parse
+from conjchern.steenrod import (
+    CohAlgebra,
+    CohClass,
+    power_op,
+    random_homogeneous,
+    total_power,
+)
 from helpers import (
     random_nonzero_poly,
     random_poly,
@@ -28,6 +34,52 @@ def test_field_limit_follows_the_prime():
     assert PolyRing(17, ("x",))._limit == 2**39
     # r_4 at the largest admitted prime has the exponent p^4, about 2^124
     assert PolyRing(2147483647, ("x",))._limit == 2**247
+
+
+def ring5():
+    return PolyRing(5, ("x1", "x2"))
+
+
+def algebra5():
+    return CohAlgebra(5, 2)
+
+
+# Each sum type with a maker of its context, two distinct monomials (the
+# second the unit), malformed monomials, and a maker of the other context.
+SUM_TYPES = {
+    "poly": (Poly, ring5, (1, 2), (0, 0), [(1,), (1, 2, 0), (1, -1)], algebra5),
+    "class": (
+        CohClass,
+        algebra5,
+        ((1,), (1, 2)),
+        ((), (0, 0)),
+        [((2, 1), (0, 0)), ((1, 1), (0, 0)), ((3,), (0, 0)), ((), (1,)), ((), (0, -1))],
+        ring5,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUM_TYPES))
+def test_shared_constructor_behaves_alike_for_both_sum_types(kind):
+    cls, make, mono, unit, bad, make_other = SUM_TYPES[kind]
+    ctx, other = make(), make_other()
+    # coefficients are reduced mod p, and the zeros dropped
+    x = cls(ctx, {mono: 7, unit: 5})
+    assert type(x) is cls and dict(x.terms) == {mono: 2}
+    assert cls(ctx, {mono: -3}).terms[mono] == 2
+    assert cls(ctx, {mono: 10, unit: -5}).is_zero()
+    assert cls(ctx, {}) == ctx.zero() and cls(ctx, {unit: 6}) == ctx.one()
+    assert ctx.constant(11) == cls(ctx, {unit: 1}) and ctx.constant(-5) == ctx.zero()
+    assert x.is_homogeneous() and not (x + ctx.one()).is_homogeneous()
+    for key in bad:
+        with pytest.raises((ConjChernError, ValueError)):
+            cls(ctx, {key: 1})
+    # a context built again is equal, with the same hash; the other type never is
+    assert make() == ctx and hash(make()) == hash(ctx)
+    assert ctx != other and other != ctx
+    assert ctx.one() != other.one()
+    other._identity = ctx._identity  # the type alone must tell them apart
+    assert ctx != other and other != ctx
 
 
 def test_terms_view_is_read_only_and_keyed_by_tuples():

@@ -21,8 +21,18 @@ from conjchern.steenrod import (
     verify_steenrod,
     x_class,
 )
+from helpers import crossing_sign
 
 A31 = CohAlgebra.bv(3, 1)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_sign_table_matches_the_crossing_count(m):
+    table = steenrod._sign_table(m)
+    size = 1 << m
+    assert len(table) == size
+    for s in range(size):
+        assert table[s] == tuple(crossing_sign(s, t, m) for t in range(size))
 
 
 # -- graded-commutative multiplication ----------------------------------------
