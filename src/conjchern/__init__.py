@@ -6,7 +6,7 @@ approximation.
 """
 
 from ._version import __version__
-from .chern import ChernContext, GradedChern, linear_form, total_conj_chern
+from .chern import ChernContext, GradedChern, total_conj_chern
 from .cyclo import CycInt, CycMatrix, a_matrix, conj_act, gen_matrices
 from .dickson import (
     DicksonContext,
@@ -20,7 +20,6 @@ from .dickson import (
     random_gl,
 )
 from .errors import ConjChernError
-from .fp import is_prime
 from .poly import (
     Poly,
     PolyMatrix,
@@ -28,8 +27,6 @@ from .poly import (
     determinant,
     exact_div,
     jacobian_det,
-    parse,
-    serialize,
 )
 from .report import Check, VerificationReport
 from .steenrod import (
@@ -73,15 +70,11 @@ __all__ = [
     "f_n_product",
     "gen_matrices",
     "gl_action",
-    "is_prime",
     "jacobian_det",
-    "linear_form",
     "milnor_q",
-    "parse",
     "power_op",
     "r_closed",
     "random_gl",
-    "serialize",
     "total_conj_chern",
     "total_power",
     "x_class",

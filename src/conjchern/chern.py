@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
-from .errors import ArityMismatch
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _split_last, agree, diff_detail
 from .report import VerificationReport, timed_check
@@ -51,20 +50,6 @@ class ChernContext:
         return f"ChernContext(p={self.p}, l={self.l})"
 
 
-def linear_form(v, ctx: ChernContext) -> Poly:
-    """sum_k (i_k xi_k + j_k eta_k) for v = (i_1, j_1, ..., i_l, j_l)."""
-    v = tuple(v)
-    if len(v) != 2 * ctx.l:
-        raise ArityMismatch(f"tuple length {len(v)}, expected {2 * ctx.l}")
-    if any(not 0 <= c < ctx.p for c in v):
-        raise ValueError("tuple entries must lie in [0, p)")
-    form = ctx.ring.zero()
-    for t, c in enumerate(v):
-        if c:
-            form = form + ctx.ring.monomial({t: 1}, c)
-    return form
-
-
 class GradedChern:
     """Graded parts of the total restricted Chern class, by half-degree."""
 
@@ -77,9 +62,6 @@ class GradedChern:
 
     def part(self, d: int) -> Poly:
         return self.parts.get(d, self.ring.zero())
-
-    def nonzero_degrees(self) -> list:
-        return sorted(self.parts)
 
 
 @lru_cache(maxsize=None)

@@ -43,10 +43,18 @@ MAX_TERM_PAIRS = 10**7
 PAIRS_PER_SECOND = 1_500_000
 
 
-def _cost(pairs: int) -> str:
-    """The time that visiting this many monomial pairs would take, as text."""
-    seconds = pairs // PAIRS_PER_SECOND
-    return f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
+def _refuse_above_limit(work: str, pairs: int, units: str = "monomial pairs") -> None:
+    """Raise SizeGuard if pairs exceeds MAX_TERM_PAIRS, saying that work
+    would visit about that many units and how long that would take, the
+    seconds rounded to the nearest one."""
+    if pairs <= MAX_TERM_PAIRS:
+        return
+    seconds = round(pairs / PAIRS_PER_SECOND)
+    cost = f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
+    raise SizeGuard(
+        f"{work} about {pairs:.1e} {units}, about {cost}; "
+        f"the guard allows {MAX_TERM_PAIRS:.0e}"
+    )
 
 
 class DicksonContext:
@@ -176,12 +184,7 @@ def linear_form_product(ring: PolyRing) -> Poly:
     """
     p, m = ring.p, ring.arity - 1
     pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
-    if pairs > MAX_TERM_PAIRS:
-        raise SizeGuard(
-            f"the product of the {p}^{m} linear forms would multiply about "
-            f"{pairs:.1e} monomial pairs, about {_cost(pairs)}; "
-            f"the guard allows {MAX_TERM_PAIRS:.0e}"
-        )
+    _refuse_above_limit(f"the product of the {p}^{m} linear forms would multiply", pairs)
     f = ring.variable(m)
     for k in range(m):
         f = _product_of_shifts(f, k)
@@ -207,12 +210,7 @@ def dickson_c(ctx: DicksonContext, i: int) -> Poly:
     factor 2.5."""
     p, n = ctx.p, ctx.n
     pairs = (1 if i == n else p ** (n * (n - 1) // 2)) * factorial(n)
-    if pairs > MAX_TERM_PAIRS:
-        raise SizeGuard(
-            f"the exact division for C_{{{n},{i}}} would visit about "
-            f"{pairs:.1e} monomial pairs, about {_cost(pairs)}; "
-            f"the guard allows {MAX_TERM_PAIRS:.0e}"
-        )
+    _refuse_above_limit(f"the exact division for C_{{{n},{i}}} would visit", pairs)
     return exact_div(delta_ni(ctx, i), delta_ni(ctx, n))
 
 
@@ -246,21 +244,6 @@ class GLMatrix:
         self.p = p
         self.n = n
         self.entries = rows
-
-    def __mul__(self, other):
-        if not isinstance(other, GLMatrix):
-            return NotImplemented
-        if self.p != other.p or self.n != other.n:
-            raise RingMismatch("GL matrix shape or prime mismatch")
-        n, p = self.n, self.p
-        rows = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(n)) % p
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return GLMatrix(rows, p)
 
     def __eq__(self, other):
         if isinstance(other, GLMatrix):
@@ -417,12 +400,9 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> Veri
 
     def invariance():
         cs = [dickson_c(ctx, i) for i in range(ctx.n + 1)]
-        picks = trials * _trial_picks(cs)
-        if picks > MAX_TERM_PAIRS:
-            raise SizeGuard(
-                f"{trials} random matrices would expand about {picks:.1e} "
-                f"Lucas picks, about {_cost(picks)}; the guard allows {MAX_TERM_PAIRS:.0e}"
-            )
+        _refuse_above_limit(
+            f"{trials} random matrices would expand", trials * _trial_picks(cs), "Lucas picks"
+        )
         for t in range(trials):
             a = random_gl(ctx.n, ctx.p, seed + t)
             for i, c in enumerate(cs):

@@ -65,10 +65,3 @@ class SamePartition(ConjChernError):
 class VerificationFailure(ConjChernError):
     """An identity that a verifier promises unconditionally did not hold."""
 
-
-class ParseError(ConjChernError):
-    """Malformed polynomial or class text; carries the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position

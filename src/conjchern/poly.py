@@ -5,8 +5,8 @@ Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", 2007): one fixed-width field per variable, the first
 variable most significant, under a top field holding the total degree.  A
 product of monomials is then one integer addition, a dict hashes one int,
-and int order is the term order used by division and by canonical
-serialization: graded lexicographic in the ring's declared variable order,
+and int order is the term order used by division and by the canonical
+text: graded lexicographic in the ring's declared variable order,
 higher total degree first, ties broken by comparing exponent vectors left to
 right.  The top bit of each exponent field is a guard bit, and a monomial
 fits when its total degree is below it: then two fitting exponents add
@@ -33,7 +33,6 @@ from .errors import (
     DivisionByZero,
     NonExactDivision,
     NotSquare,
-    ParseError,
     RingMismatch,
     SizeGuard,
 )
@@ -240,9 +239,6 @@ class PolyRing(_ExponentLayout):
             return self.zero()
         return Poly._raw(self, {key: coeff})
 
-    def from_text(self, text: str) -> Poly:
-        return parse(text, self)
-
 
 def _powers(names, exponents) -> list:
     """The factors v and v^e of a monomial, one for each nonzero exponent."""
@@ -279,14 +275,13 @@ class _SparseSum:
     """A finite sum of keyed terms over F_p, held in canonical form: _terms
     maps each packed key to a coefficient in [1, p).
 
-    The constructor, sum arithmetic, equality, the context check, the
-    homogeneity test and the canonical text of Poly and CohClass.  _ctx is
-    the ring or algebra of the sum (with .p, .constant, and _encode/_decode
-    between packed keys and monomials); a subclass gives it its public name,
-    and supplies _mismatch, the error for sums over different contexts;
-    _sort_key, the ascending order of its keys (None for int order);
-    _monomial_text(key), the name of a key, "" for the unit; and degrees(),
-    the set of the degrees of its terms.
+    The constructor, sum arithmetic, equality, the context check and the
+    canonical text of Poly and CohClass.  _ctx is the ring or algebra of the
+    sum (with .p, .constant, and _encode/_decode between packed keys and
+    monomials); a subclass gives it its public name, and supplies _mismatch,
+    the error for sums over different contexts; _sort_key, the ascending
+    order of its keys (None for int order); and _monomial_text(key), the
+    name of a key, "" for the unit.
     """
 
     __slots__ = ("_ctx", "_terms")
@@ -368,9 +363,6 @@ class _SparseSum:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def to_text(self) -> str:
         """Canonical text form: terms in descending order, coefficients in
@@ -655,109 +647,6 @@ def jacobian_det(fs, variables) -> Poly:
         raise NotSquare(f"{len(fs)} functions vs {len(variables)} variables")
     rows = [[f.partial_derivative(v) for v in variables] for f in fs]
     return determinant(PolyMatrix(rows))
-
-
-def serialize(f: Poly) -> str:
-    return f.to_text()
-
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
-
-
-def _scan_terms(text: str):
-    """Scan the polynomial grammar: terms joined by " + " / " - ", each term
-    an optional decimal coefficient followed by "*"-separated powers name^e,
-    names matching [A-Za-z_][A-Za-z0-9_]*.
-
-    Yields each term as (signed coefficient, [(name, exponent, position)]);
-    the caller resolves the names.  Syntax errors raise ParseError at their
-    position.
-    """
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos] in " \t":
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", start)
-        return int(s[start:pos])
-
-    def read_name() -> str:
-        nonlocal pos
-        start = pos
-        if pos >= n or s[pos] not in _IDENT_START:
-            raise ParseError("expected a variable name", pos)
-        pos += 1
-        while pos < n and s[pos] in _IDENT_CHARS:
-            pos += 1
-        return s[start:pos]
-
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty input", pos)
-    sign = 1
-    if s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    while True:
-        coeff = 1
-        factors = []
-        first = True
-        while True:
-            skip_ws()
-            if pos < n and s[pos].isdigit():
-                if not first:
-                    raise ParseError("coefficient must come first in a term", pos)
-                coeff = read_int()
-            else:
-                start = pos
-                name = read_name()
-                e = 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    e = read_int()
-                factors.append((name, e, start))
-            first = False
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-                continue
-            break
-        yield sign * coeff, factors
-        if pos == n:
-            return
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
-        pos += 1
-
-
-def parse(text: str, ring: PolyRing) -> Poly:
-    """Parse the polynomial grammar of _scan_terms over the ring's variables."""
-
-    def terms():
-        for coeff, factors in _scan_terms(text):
-            exps = [0] * ring.arity
-            for name, e, pos in factors:
-                if name not in ring._index:
-                    raise ParseError(f"unknown variable {name!r}", pos)
-                exps[ring._index[name]] += e
-            yield ring._pack(exps), coeff
-
-    return Poly._raw(ring, _add_terms(terms(), ring.p))
 
 
 def diff_detail(a: _SparseSum, b: _SparseSum, limit: int = 5) -> str:

@@ -82,21 +82,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> VerificationReport:
-        data = json.loads(text)
-        report = cls(
-            suite=data["suite"],
-            params=data["params"],
-            checks=[
-                Check(c["name"], c["status"], c.get("detail", ""), c.get("elapsed_ms", 0))
-                for c in data["checks"]
-            ],
-            seed=data["seed"],
-            version=data["version"],
-        )
-        return report
-
     def to_text(self, color: bool = False) -> str:
         def paint(s: str, code: str) -> str:
             return f"\x1b[{code}m{s}\x1b[0m" if color else s

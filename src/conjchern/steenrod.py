@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .errors import (
-    ContextMismatch,
-    DepthGuard,
-    OddPartPresent,
-    ParseError,
-)
+from .errors import ContextMismatch, DepthGuard, OddPartPresent
 from .fp import _binom_support, check_modulus
 from .poly import (
     Poly,
@@ -36,7 +31,6 @@ from .poly import (
     _ExponentLayout,
     _perm_sign,
     _powers,
-    _scan_terms,
     _SparseSum,
     agree,
     diff_detail,
@@ -72,7 +66,7 @@ class CohAlgebra(_ExponentLayout):
     """
 
     __slots__ = (
-        "m", "odd_names", "even_names", "_odd_index", "_even_index",
+        "m", "odd_names", "even_names",
         "_signs", "_power_steps", "_last_steps", "_total_steps",
     )
 
@@ -95,8 +89,6 @@ class CohAlgebra(_ExponentLayout):
         if set(self.odd_names) & set(self.even_names):
             raise ValueError("odd and even generator names must be disjoint")
         self._identity = (p, m, self.odd_names, self.even_names)
-        self._odd_index = {n: k for k, n in enumerate(self.odd_names, start=1)}
-        self._even_index = {n: k for k, n in enumerate(self.even_names, start=1)}
         self._signs = _sign_table(m)
         # the key increment of t^(p-1) at each position
         units = [(p - 1) * unit << m for unit in self._units]
@@ -446,24 +438,6 @@ def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
             raise OddPartPresent(f"term with exterior factors {alg._decode(key)[0]}")
         terms[key >> m] = c
     return Poly._raw(ring, terms)
-
-
-def parse_class(text: str, algebra: CohAlgebra) -> CohClass:
-    """Parse the polynomial grammar extended with the exterior generators;
-    squares of exterior generators parse to zero."""
-    total = algebra.zero()
-    for coeff, factors in _scan_terms(text):
-        term = algebra.constant(coeff)
-        for name, e, pos in factors:
-            if name in algebra._odd_index:
-                gen = algebra.odd_gen(algebra._odd_index[name])
-            elif name in algebra._even_index:
-                gen = algebra.even_gen(algebra._even_index[name])
-            else:
-                raise ParseError(f"unknown generator {name!r}", pos)
-            term = term * gen**e
-        total = total + term
-    return total
 
 
 # -- verification -------------------------------------------------------------

@@ -1,13 +1,34 @@
 """Shared generators and independent oracles for the test suite."""
 
 import heapq
+import re
 from functools import reduce
 from operator import add, neg, sub
 
 from conjchern.cyclo import CycInt, CycMatrix
+from conjchern.dickson import GLMatrix
 from conjchern.errors import NonExactDivision
 from conjchern.poly import Poly
 from conjchern.steenrod import CohClass
+
+
+def poly_of(ring, text):
+    """The polynomial written in text over ring: terms joined by "+" and "-",
+    each an optional integer coefficient and powers v^e joined by "*".  Each
+    term is one PolyRing.monomial and the terms are summed, so expected
+    values never go through Poly.__mul__ or Poly.__pow__."""
+    total = ring.zero()
+    for sign, term in re.findall(r"([+-]?)\s*([^+-]+)", text):
+        coeff = -1 if sign == "-" else 1
+        exponents = {}
+        for factor in term.split("*"):
+            name, _, e = factor.strip().partition("^")
+            if name.isdigit():
+                coeff *= int(name)
+            else:
+                exponents[name] = exponents.get(name, 0) + int(e or 1)
+        total = total + ring.monomial(exponents, coeff)
+    return total
 
 
 def random_poly(rng, ring, max_terms=4, max_exp=3):
@@ -78,6 +99,16 @@ def balanced_linear_form_product(ring):
     return f
 
 
+def linear_form(v, ring):
+    """sum_t v[t] y_t over the variables y_t of ring: the factors of the
+    naive Chern product oracle."""
+    form = ring.zero()
+    for t, c in enumerate(v):
+        if c:
+            form = form + ring.monomial({t: 1}, c)
+    return form
+
+
 def weighted_degrees(f, p):
     """Degrees of f in F_p[Y_1..Y_4] under the grading deg(Y_i) = p^i + 1."""
     weights = [p**i + 1 for i in range(1, 5)]
@@ -113,6 +144,16 @@ def dense_scale(p, a, k):
     """Every entry multiplied by w^k."""
     w = CycInt.omega(p, k)
     return tuple(tuple(e * w for e in row) for row in a)
+
+
+def gl_product(a, b):
+    """The matrix product a b of two GLMatrix over one F_p, row by column."""
+    n, p = a.n, a.p
+    rows = [
+        [sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) % p for j in range(n)]
+        for i in range(n)
+    ]
+    return GLMatrix(rows, p)
 
 
 def dense_gl_action(f, a):

@@ -7,22 +7,21 @@ from conjchern.chern import (
     ChernContext,
     GradedChern,
     dickson_on_classes,
-    linear_form,
     total_conj_chern,
     verify_conj_chern,
     verify_top_chern,
     verify_vistoli,
 )
-from conjchern.errors import ArityMismatch, SizeGuard
+from conjchern.errors import SizeGuard
 from conjchern.poly import PolyRing
 from conjchern.steenrod import even_to_poly
-from helpers import balanced_linear_form_product, naive_product
+from helpers import balanced_linear_form_product, linear_form, naive_product, poly_of
 
 C31 = ChernContext(3, 1)
 
 
 def tx(text, ctx=C31):
-    return ctx.ring.from_text(text)
+    return poly_of(ctx.ring, text)
 
 
 def all_factors(ctx):
@@ -30,22 +29,8 @@ def all_factors(ctx):
     out = []
     for t in product(range(ctx.p), repeat=2 * ctx.l):
         if any(t):
-            out.append(ctx.ring.one() + linear_form(t, ctx))
+            out.append(ctx.ring.one() + linear_form(t, ctx.ring))
     return out
-
-
-# -- linear forms -------------------------------------------------------------
-
-
-def test_linear_form_examples():
-    assert linear_form((0, 0), C31).is_zero()
-    assert linear_form((1, 0), C31) == tx("xi1")
-    assert linear_form((1, 2), C31) == tx("xi1 + 2*eta1")
-
-
-def test_linear_form_arity():
-    with pytest.raises(ArityMismatch):
-        linear_form((1, 0, 0), C31)
 
 
 # -- the graded product ---------------------------------------------------------
@@ -77,14 +62,14 @@ def test_nonzero_degrees_follow_p_power_pattern():
         top = p ** (2 * l)
         graded = total_conj_chern(ctx)
         expected = {top - p**k for k in range(2 * l + 1)}
-        assert set(graded.nonzero_degrees()) == expected
-        assert max(graded.nonzero_degrees()) == top - 1
+        assert set(graded.parts) == expected
+        assert max(graded.parts) == top - 1
 
 
 def test_parts_are_homogeneous():
     graded = total_conj_chern(ChernContext(3, 2))
     for d, part in graded.parts.items():
-        assert part.is_homogeneous()
+        assert len(part.degrees()) <= 1
         if not part.is_zero():
             assert part.degree() == d
 
@@ -99,7 +84,7 @@ def test_pair_block_relabeling_symmetry():
         ring.variable("xi1"),
         ring.variable("eta1"),
     ]
-    for d in graded.nonzero_degrees():
+    for d in sorted(graded.parts):
         part = graded.part(d)
         assert part.compose(swap, ring) == part
 
@@ -173,7 +158,7 @@ def test_graded_chern_part_outside_range():
 def test_rank_two_product_size_and_degrees():
     graded = total_conj_chern(ChernContext(3, 2))
     assert sum(len(part.terms) for part in graded.parts.values()) == 1316
-    assert graded.nonzero_degrees() == [0, 54, 72, 78, 80]
+    assert sorted(graded.parts) == [0, 54, 72, 78, 80]
     assert graded.top == 80
 
 

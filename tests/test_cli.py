@@ -48,9 +48,8 @@ def test_report_roundtrip():
         checks=[Check("a", "pass", "fine", 0), Check("b", "skipped", "guard", 0)],
         seed=9,
     )
-    again = VerificationReport.from_json(report.to_json())
-    assert again.to_json() == report.to_json()
-    assert again.overall == "pass"
+    assert json.loads(report.to_json()) == report.to_dict()
+    assert report.overall == "pass"
 
 
 def test_report_overall_fail():
@@ -268,11 +267,11 @@ def test_modulus_above_the_bound_is_usage_error():
         assert "exceeds the supported bound" in proc.stderr
 
 
-def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
-    """A GL trial costs about p^3 at n = 2: unguarded, --p 401 ran past 60 s.
-    Now gl-invariance is SKIPPED with its estimate, like the product checks."""
+def gl_invariance_at(p):
+    """The gl-invariance check of verify --suite dickson --p p --n 2, which
+    must end within 30 s and exit 0."""
     proc = subprocess.run(
-        [sys.executable, "-m", "conjchern", "--suite", "dickson", "--p", "401", "--n", "2",
+        [sys.executable, "-m", "conjchern", "--suite", "dickson", "--p", str(p), "--n", "2",
          "--format", "json"],
         capture_output=True,
         text=True,
@@ -280,8 +279,27 @@ def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
     )
     assert proc.returncode == 0
     checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
-    assert checks["dickson/gl-invariance"]["status"] == "skipped"
-    assert checks["dickson/gl-invariance"]["detail"] == (
+    return checks["dickson/gl-invariance"]
+
+
+def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
+    """A GL trial costs about p^3 at n = 2: unguarded, --p 401 ran past 60 s.
+    Now gl-invariance is SKIPPED with its estimate, like the product checks."""
+    check = gl_invariance_at(401)
+    assert check["status"] == "skipped"
+    assert check["detail"] == (
         "50 random matrices would expand about 4.3e+09 Lucas picks, about 2887 s; "
+        "the guard allows 1e+07"
+    )
+
+
+def test_gl_invariance_refusal_rounds_its_seconds():
+    """At --p 53 the 50 trials come to 10,494,400 picks, 6.996 s: just over
+    the guard's 10^7 picks (6.7 s), so the stated time must read 7 s, not a
+    floored 6 s that would sit below what the guard allows."""
+    check = gl_invariance_at(53)
+    assert check["status"] == "skipped"
+    assert check["detail"] == (
+        "50 random matrices would expand about 1.0e+07 Lucas picks, about 7 s; "
         "the guard allows 1e+07"
     )

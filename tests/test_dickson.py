@@ -23,7 +23,9 @@ from conjchern.poly import PolyRing
 from helpers import (
     balanced_linear_form_product,
     dense_gl_action,
+    gl_product,
     naive_product,
+    poly_of,
     random_nonzero_poly,
 )
 
@@ -33,7 +35,7 @@ ACCEPTANCE_GRID = [(2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 def test_delta_full_rank_one():
     ctx = DicksonContext(3, 1)
     # det [[x1, X], [x1^3, X^3]] by the cofactor oracle
-    assert delta_full(ctx) == ctx.xring.from_text("x1*X^3 - x1^3*X")
+    assert delta_full(ctx) == poly_of(ctx.xring, "x1*X^3 - x1^3*X")
 
 
 def test_delta_full_vanishes_on_repeated_column():
@@ -45,9 +47,9 @@ def test_delta_full_vanishes_on_repeated_column():
 
 def test_delta_ni_examples():
     ctx = DicksonContext(3, 2)
-    assert delta_ni(ctx, 2) == ctx.ring.from_text("x1*x2^3 - x1^3*x2")
+    assert delta_ni(ctx, 2) == poly_of(ctx.ring, "x1*x2^3 - x1^3*x2")
     ctx1 = DicksonContext(5, 1)
-    assert delta_ni(ctx1, 1) == ctx1.ring.from_text("x1")
+    assert delta_ni(ctx1, 1) == poly_of(ctx1.ring, "x1")
 
 
 def test_delta_ni_antisymmetric_in_variables():
@@ -69,11 +71,11 @@ def test_f_product_small_cases_against_naive_expansion():
     x1, x_aux = ring.variable("x1"), ring.variable("X")
     oracle = naive_product([x_aux, x_aux - x1, x_aux - 2 * x1])
     assert f_n_product(ctx) == oracle
-    assert f_n_product(ctx) == ring.from_text("X^3 - x1^2*X")
+    assert f_n_product(ctx) == poly_of(ring, "X^3 - x1^2*X")
 
     ctx2 = DicksonContext(2, 1)
     ring2 = ctx2.xring
-    assert f_n_product(ctx2) == ring2.from_text("X^2 + x1*X")
+    assert f_n_product(ctx2) == poly_of(ring2, "X^2 + x1*X")
 
 
 def test_f_product_supported_on_p_power_exponents():
@@ -112,11 +114,11 @@ def test_size_guard():
 
 
 def test_dickson_c_examples():
-    assert dickson_c(DicksonContext(3, 1), 0) == PolyRing(3, ("x1",)).from_text("x1^2")
-    assert dickson_c(DicksonContext(5, 1), 0) == PolyRing(5, ("x1",)).from_text("x1^4")
+    assert dickson_c(DicksonContext(3, 1), 0) == poly_of(PolyRing(3, ("x1",)), "x1^2")
+    assert dickson_c(DicksonContext(5, 1), 0) == poly_of(PolyRing(5, ("x1",)), "x1^4")
     ctx22 = DicksonContext(2, 2)
-    assert dickson_c(ctx22, 1) == ctx22.ring.from_text("x1^2 + x1*x2 + x2^2")
-    assert dickson_c(ctx22, 0) == ctx22.ring.from_text("x1^2*x2 + x1*x2^2")
+    assert dickson_c(ctx22, 1) == poly_of(ctx22.ring, "x1^2 + x1*x2 + x2^2")
+    assert dickson_c(ctx22, 0) == poly_of(ctx22.ring, "x1^2*x2 + x1*x2^2")
 
 
 def test_c_nn_is_one():
@@ -138,7 +140,7 @@ def test_homogeneity_degrees():
         ctx = DicksonContext(p, n)
         for i in range(n):
             c = dickson_c(ctx, i)
-            assert c.is_homogeneous()
+            assert len(c.degrees()) <= 1
             assert c.degree() == p**n - p**i
 
 
@@ -243,25 +245,25 @@ def test_random_gl_draws_the_recorded_matrices(p):
 def test_identity_matrix_fixes_everything():
     ctx = DicksonContext(3, 2)
     eye = GLMatrix(((1, 0), (0, 1)), 3)
-    f = ctx.ring.from_text("x1^2 + 2*x1*x2")
+    f = poly_of(ctx.ring, "x1^2 + 2*x1*x2")
     assert gl_action(f, eye) == f
 
 
 def test_gl_action_composition_axiom():
     ctx = DicksonContext(3, 2)
     rng = random.Random(2024)
-    f = ctx.ring.from_text("x1^3 + x1*x2 + 2*x2^2")
+    f = poly_of(ctx.ring, "x1^3 + x1*x2 + 2*x2^2")
     for _ in range(25):
         a = random_gl(2, 3, rng.randrange(10**6))
         b = random_gl(2, 3, rng.randrange(10**6))
-        assert gl_action(f, a * b) == gl_action(gl_action(f, b), a)
+        assert gl_action(f, gl_product(a, b)) == gl_action(gl_action(f, b), a)
 
 
 def test_gl_action_multiplicative():
     ctx = DicksonContext(3, 2)
     a = random_gl(2, 3, 5)
-    f = ctx.ring.from_text("x1 + x2")
-    g = ctx.ring.from_text("x1^2 + 2*x2")
+    f = poly_of(ctx.ring, "x1 + x2")
+    g = poly_of(ctx.ring, "x1^2 + 2*x2")
     assert gl_action(f * g, a) == gl_action(f, a) * gl_action(g, a)
 
 
@@ -317,7 +319,7 @@ def test_elementary_factors_multiply_back_to_the_matrix():
             for i, j, c in a.factors:
                 e = [list(row) for row in identity(n, p).entries]
                 e[i][j] = c if i == j else e[i][j] + c
-                product_ = product_ * GLMatrix(e, p)
+                product_ = gl_product(product_, GLMatrix(e, p))
             assert product_ == a
 
 

@@ -29,7 +29,7 @@ from conjchern.relations import (
     verify_r_delta,
     y_ring,
 )
-from helpers import weighted_degrees
+from helpers import poly_of, weighted_degrees
 
 U, V, W = partitions22((0, 1, 2, 3))
 
@@ -100,8 +100,8 @@ def test_sign_sum_vanishes_on_all_subsets():
 
 
 def test_r_monomial_values():
-    assert r_monomial(2, 3, 3) == y_ring(3).from_text("Y1^9")
-    assert r_monomial(0, 2, 5) == y_ring(5).from_text("Y2")
+    assert r_monomial(2, 3, 3) == poly_of(y_ring(3), "Y1^9")
+    assert r_monomial(0, 2, 5) == poly_of(y_ring(5), "Y2")
     with pytest.raises(IndexOutOfRange):
         r_monomial(3, 3, 3)
 
@@ -117,9 +117,9 @@ def test_r4_formula():
     for p in (3, 5):
         ring = y_ring(p)
         expected = (
-            ring.from_text(f"Y1^{p * p + 1}")
-            - ring.from_text(f"Y2^{p + 1}")
-            + ring.from_text(f"Y1^{p}*Y3")
+            poly_of(ring, f"Y1^{p * p + 1}")
+            - poly_of(ring, f"Y2^{p + 1}")
+            + poly_of(ring, f"Y1^{p}*Y3")
         )
         assert r_j_poly(4, p) == expected
 

@@ -4,15 +4,14 @@ import random
 import pytest
 
 from conjchern import cli, steenrod
-from conjchern.errors import ContextMismatch, DepthGuard, OddPartPresent, ParseError
-from conjchern.poly import PolyRing, parse
+from conjchern.errors import ContextMismatch, DepthGuard, OddPartPresent
+from conjchern.poly import PolyRing
 from conjchern.steenrod import (
     CohAlgebra,
     CohClass,
     bockstein,
     even_to_poly,
     milnor_q,
-    parse_class,
     power_op,
     r_closed,
     random_homogeneous,
@@ -21,7 +20,7 @@ from conjchern.steenrod import (
     verify_steenrod,
     x_class,
 )
-from helpers import crossing_sign
+from helpers import crossing_sign, poly_of
 
 A31 = CohAlgebra.bv(3, 1)
 
@@ -261,7 +260,7 @@ def test_r_closed_values():
 def test_even_to_poly_and_back():
     ring = PolyRing(3, ("xi1", "eta1"))
     f = even_to_poly(r_closed(3, 1, 1), ring)
-    assert f == ring.from_text("xi1^3*eta1 - xi1*eta1^3")
+    assert f == poly_of(ring, "xi1^3*eta1 - xi1*eta1^3")
     assert even_to_poly(CohAlgebra.bv(3, 1).zero(), ring).is_zero()
 
 
@@ -270,48 +269,13 @@ def test_even_to_poly_rejects_odd_part():
         even_to_poly(x_class(3, 1))
 
 
-# -- text --------------------------------------------------------------------------
+# -- exterior generators ------------------------------------------------------------
 
 
-def test_parse_class_roundtrip():
-    x = x_class(3, 2)
-    assert parse_class(x.to_text(), CohAlgebra.bv(3, 2)) == x
-
-
-def test_parse_class_exterior_square():
-    assert parse_class("a1*a1", A31).is_zero()
-    assert parse_class("a1^2", A31).is_zero()
-    assert parse_class("b1*a1", A31) == -(A31.odd_gen(1) * A31.odd_gen(2))
-
-
-def test_parse_class_errors():
-    with pytest.raises(ParseError):
-        parse_class("a9", A31)
-    with pytest.raises(ParseError):
-        parse_class("", A31)
-
-
-@pytest.mark.parametrize(
-    "text,position",
-    [("xi1 & eta1", 4), ("", 0), ("xi1 +", 5), ("xi1^", 4), ("xi1*3", 4)],
-)
-def test_parse_and_parse_class_share_error_positions(text, position):
-    alg = CohAlgebra.bv(3, 1)
-    ring = PolyRing(3, alg.even_names)
-    with pytest.raises(ParseError) as poly_err:
-        parse(text, ring)
-    with pytest.raises(ParseError) as class_err:
-        parse_class(text, alg)
-    assert poly_err.value.position == class_err.value.position == position
-
-
-@pytest.mark.parametrize("p,l", [(3, 2), (5, 1)])
-def test_parse_class_roundtrip_random(p, l):
-    alg = CohAlgebra.bv(p, l)
-    rng = random.Random(100 * p + l)
-    for _ in range(100):
-        x = random_homogeneous(rng, alg)
-        assert parse_class(x.to_text(), alg) == x
+def test_exterior_generators_square_to_zero_and_anticommute():
+    a1, b1 = A31.odd_gen(1), A31.odd_gen(2)
+    assert a1 * a1 == 0
+    assert b1 * a1 == -(a1 * b1)
 
 
 # -- verifiers ------------------------------------------------------------------------
