@@ -16,7 +16,7 @@ from functools import lru_cache
 from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _split_last, agree, diff_detail
-from .report import VerificationReport, timed_check
+from .report import timed_check
 from .steenrod import even_to_poly, r_closed
 
 
@@ -101,7 +101,7 @@ def delta_on_classes(ctx: ChernContext, i: int) -> Poly:
     return delta_ni(dctx, i).compose(_dickson_images(ctx), ctx.ring)
 
 
-def verify_conj_chern(ctx: ChernContext) -> VerificationReport:
+def verify_conj_chern(ctx: ChernContext) -> list:
     """Every graded part of the product equals the matching signed Dickson
     invariant in the class variables, and all other parts vanish."""
     p, l = ctx.p, ctx.l
@@ -147,34 +147,29 @@ def verify_conj_chern(ctx: ChernContext) -> VerificationReport:
         return True, "both documented argument orders agree"
 
     checks.append(timed_check("argument-order-invariance", order_invariance))
-    return VerificationReport(
-        suite="chern", params={"p": p, "l": l}, checks=checks
-    )
+    return checks
 
 
-def verify_top_chern(ctx: ChernContext) -> VerificationReport:
+def verify_top_chern(ctx: ChernContext) -> list:
     """The top graded part is the (p-1)-st power of the Moore determinant in
     the class variables, and the row-0 minor is its p-th power."""
     p, l = ctx.p, ctx.l
     top = p ** (2 * l)
-    checks = []
 
     def top_part():
         got = total_conj_chern(ctx).part(top - 1)
         return agree(got, delta_on_classes(ctx, 2 * l) ** (p - 1))
 
-    checks.append(timed_check("top-gamma-power", top_part))
-
     def zero_minor():
         return agree(delta_on_classes(ctx, 0), delta_on_classes(ctx, 2 * l) ** p)
 
-    checks.append(timed_check("minor-frobenius-power", zero_minor))
-    return VerificationReport(
-        suite="chern", params={"p": p, "l": l}, checks=checks
-    )
+    return [
+        timed_check("top-gamma-power", top_part),
+        timed_check("minor-frobenius-power", zero_minor),
+    ]
 
 
-def verify_vistoli(p: int) -> VerificationReport:
+def verify_vistoli(p: int) -> list:
     """The rank-one closed forms of the two surviving Chern classes and the
     two product relations they impose on r_1 and r_2."""
     ctx = ChernContext(p, 1)
@@ -218,4 +213,4 @@ def verify_vistoli(p: int) -> VerificationReport:
         return agree(r1**p, gamma(top) * r1)
 
     checks.append(timed_check("r1-power-relation", r1_power_relation))
-    return VerificationReport(suite="vistoli", params={"p": p, "l": 1}, checks=checks)
+    return checks

@@ -1,6 +1,11 @@
 """Command-line front door: named verification suites with machine-readable
 reports and deterministic exit codes.
 
+This module parses the arguments, maps each suite name to the verifiers
+that make its checks, and builds the run's one report.  Each verifier
+returns its checks named without the suite prefix; run_suite adds the
+`<suite>/` prefix.
+
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a usage
 or configuration error.  --threads is a timing switch only: every suite runs
 in this one thread whatever its value.  With --threads 1 (the default)
@@ -14,25 +19,33 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import combinations
 
-from ._version import __version__
 from .chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
-from .cyclo import verify_extraspecial, verify_weight_basis
+from .cyclo import verify_extraspecial, verify_weight_bases
 from .dickson import DicksonContext, verify_dickson
 from .fp import check_modulus
-from .relations import (
-    verify_chern_r_relations,
-    verify_partition_signs,
-    verify_quadratic,
-    verify_r_delta,
-)
-from .report import FAIL, Check, VerificationReport, timed_check
+from .relations import verify_chern_r_relations, verify_quadratic, verify_r_delta, verify_signs
+from .report import VerificationReport
 from .steenrod import verify_jacobian_independence, verify_steenrod
 
-SUITES = ("dickson", "rep", "steenrod", "chern", "vistoli", "signs", "relations")
+# Each suite's checks, from the parsed arguments, in report order.  The
+# entries are lambdas, not the verifiers themselves, so that they look each
+# verifier up when called and a rebound (traced) verifier is the one that runs.
+_RUNNERS = {
+    "dickson": lambda a: verify_dickson(DicksonContext(a.p, a.n), a.trials, a.seed),
+    "rep": lambda a: verify_extraspecial(a.p) + verify_weight_bases(a.p, a.l),
+    "steenrod": lambda a: verify_steenrod(a.p, a.l, a.trials, a.seed)
+    + verify_jacobian_independence(a.p, a.l),
+    "chern": lambda a: verify_conj_chern(ChernContext(a.p, a.l))
+    + verify_top_chern(ChernContext(a.p, a.l)),
+    "vistoli": lambda a: verify_vistoli(a.p),
+    "signs": lambda a: verify_signs(),
+    "relations": lambda a: verify_quadratic(a.p)
+    + verify_r_delta(a.p)
+    + verify_chern_r_relations(a.p),
+}
+SUITES = tuple(_RUNNERS)
 ODD_ONLY = {"rep", "steenrod", "chern", "vistoli", "relations"}
-SIGNS_UNIVERSE = range(7)
 
 
 def _threads(text: str) -> int:
@@ -77,110 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _prefixed(prefix: str, report: VerificationReport) -> list:
-    return [
-        Check(f"{prefix}/{c.name}", c.status, c.detail, c.elapsed_ms)
-        for c in report.checks
-    ]
-
-
-def _checks_dickson(args) -> list:
-    ctx = DicksonContext(args.p, args.n)
-    return _prefixed("dickson", verify_dickson(ctx, args.trials, args.seed))
-
-
-def _checks_rep(args) -> list:
-    checks = _prefixed("rep", verify_extraspecial(args.p))
-    for l in sorted({1, args.l}):
-        name = f"rep/weight-basis-l{l}"
-
-        def run(l=l):
-            detail = f"{verify_weight_basis(args.p, l)} weight lines verified"
-            if l == 1:
-                detail += "; coordinate determinant nonzero"
-            return True, detail
-
-        checks.append(timed_check(name, run))
-    return checks
-
-
-def _checks_steenrod(args) -> list:
-    checks = _prefixed(
-        "steenrod", verify_steenrod(args.p, args.l, args.trials, args.seed)
-    )
-    checks += _prefixed("steenrod", verify_jacobian_independence(args.p, args.l))
-    return checks
-
-
-def _checks_chern(args) -> list:
-    ctx = ChernContext(args.p, args.l)
-    checks = _prefixed("chern", verify_conj_chern(ctx))
-    return checks + _prefixed("chern", verify_top_chern(ctx))
-
-
-def _checks_vistoli(args) -> list:
-    return _prefixed("vistoli", verify_vistoli(args.p))
-
-
-def _checks_signs(args) -> list:
-    checks = []
-    for iset in combinations(SIGNS_UNIVERSE, 4):
-
-        def run(iset=iset):
-            report = verify_partition_signs(iset)
-            if report.passed():
-                return True, "all three kappa sums vanish"
-            return False, "; ".join(
-                f"{c.name}: {c.detail}" for c in report.checks if c.status == FAIL
-            )
-
-        checks.append(timed_check("signs/I=" + ",".join(map(str, iset)), run))
-
-    def frozen_values():
-        from .relations import epsilon, partitions22, slash
-
-        u, v, w = partitions22((0, 1, 2, 3))
-        expected_eps = (epsilon(u), epsilon(v), epsilon(w)) == (1, -1, 1)
-        expected_slash = (
-            slash(u, v),
-            slash(v, u),
-            slash(w, u),
-            slash(u, w),
-            slash(v, w),
-            slash(w, v),
-        ) == (1, 1, 1, -1, -1, -1)
-        return expected_eps and expected_slash, "sign table matches"
-
-    checks.append(timed_check("signs/canonical-values", frozen_values))
-    return checks
-
-
-def _checks_relations(args) -> list:
-    checks = []
-    for fn in (verify_quadratic, verify_r_delta, verify_chern_r_relations):
-        checks += _prefixed("relations", fn(args.p))
-    return checks
-
-
-_RUNNERS = {
-    "dickson": _checks_dickson,
-    "rep": _checks_rep,
-    "steenrod": _checks_steenrod,
-    "chern": _checks_chern,
-    "vistoli": _checks_vistoli,
-    "signs": _checks_signs,
-    "relations": _checks_relations,
-}
-
-
 def run_suite(args) -> VerificationReport:
+    """Run the named suite, or each suite that --p admits for 'all', into the
+    run's one report: each check name gains its suite's prefix here."""
     if args.suite == "all":
         names = [s for s in SUITES if args.p != 2 or s not in ODD_ONLY]
     else:
         names = [args.suite]
     checks = []
     for name in names:
-        checks += _RUNNERS[name](args)
+        for check in _RUNNERS[name](args):
+            check.name = f"{name}/{check.name}"
+            checks.append(check)
     return VerificationReport(
         suite=args.suite,
         params={

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fp import check_modulus
 from .poly import _laplace_det, _perm_sign
-from .report import VerificationReport, timed_check
+from .report import timed_check
 
 # Cost model of verify_weight_basis, fitted on a 2-core x86 box (Python 3.11).
 # Each of the p^(2l) index tuples builds one monomial matrix of size p^l and
@@ -354,7 +354,7 @@ def cyc_determinant(p: int, rows) -> CycInt:
     return det
 
 
-def verify_extraspecial(p: int) -> VerificationReport:
+def verify_extraspecial(p: int) -> list:
     """Generator orders, the central commutator (both bracket conventions),
     and centrality of the scalar w."""
     sigma, tau = gen_matrices(p)
@@ -391,9 +391,7 @@ def verify_extraspecial(p: int) -> VerificationReport:
             and omega_central * tau == tau * omega_central,
         )
     )
-    return VerificationReport(
-        suite="rep", params={"p": p}, checks=checks
-    )
+    return checks
 
 
 def _weight_basis_seconds(p: int, l: int) -> float:
@@ -451,3 +449,17 @@ def verify_weight_basis(p: int, l: int) -> int:
         if cyc_determinant(p, coord).is_zero():
             raise VerificationFailure("coordinate determinant of the A_{i,j} is zero")
     return verified
+
+
+def verify_weight_bases(p: int, l: int) -> list:
+    """verify_weight_basis at rank 1 and at rank l, one check each."""
+
+    def run(rank):
+        detail = f"{verify_weight_basis(p, rank)} weight lines verified"
+        if rank == 1:
+            detail += "; coordinate determinant nonzero"
+        return True, detail
+
+    return [
+        timed_check(f"weight-basis-l{k}", lambda k=k: run(k)) for k in sorted({1, l})
+    ]

@@ -27,7 +27,7 @@ from .poly import (
     diff_detail,
     exact_div,
 )
-from .report import VerificationReport, timed_check
+from .report import timed_check
 
 # Size guard of linear_form_product over F_p^m and of the exact division of
 # dickson_c, in the monomial pairs that they visit.  For the product the
@@ -52,8 +52,8 @@ def _refuse_above_limit(work: str, pairs: int, units: str = "monomial pairs") ->
     seconds = round(pairs / PAIRS_PER_SECOND)
     cost = f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
     raise SizeGuard(
-        f"{work} about {pairs:.1e} {units}, about {cost}; "
-        f"the guard allows {MAX_TERM_PAIRS:.0e}"
+        f"{work} about {pairs:.2e} {units}, about {cost}; "
+        f"the guard allows {MAX_TERM_PAIRS:.2e}"
     )
 
 
@@ -376,7 +376,7 @@ def gl_action(f: Poly, a: GLMatrix) -> Poly:
     return f
 
 
-def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> VerificationReport:
+def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list:
     """Check the two invariant routes, the Moore factorization, and
     GL-invariance under seeded random matrices."""
     if trials < 1:
@@ -414,9 +414,4 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> Veri
         return True, f"{trials} random matrices fixed every C"
 
     checks.append(timed_check("gl-invariance", invariance))
-    return VerificationReport(
-        suite="dickson",
-        params={"p": ctx.p, "n": ctx.n, "trials": trials},
-        checks=checks,
-        seed=seed,
-    )
+    return checks

@@ -10,6 +10,7 @@ restricted Chern classes and the r_i.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .chern import ChernContext, delta_on_classes, total_conj_chern
@@ -17,7 +18,7 @@ from .dickson import MAX_TERM_PAIRS, PAIRS_PER_SECOND
 from .errors import IndexOutOfRange, SamePartition, SizeGuard, VerificationFailure
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _perm_sign, agree, diff_detail
-from .report import VerificationReport, timed_check
+from .report import FAIL, timed_check
 from .steenrod import even_to_poly, r_closed
 
 
@@ -100,13 +101,10 @@ def slash(rho: Partition22, kappa: Partition22) -> int:
     return value
 
 
-def verify_partition_signs(iset) -> VerificationReport:
+def verify_partition_signs(iset) -> list:
     """sum over partitions rho != kappa of epsilon(rho) * (rho/kappa) is zero
     for each of the three choices of kappa."""
-    vals = index_set4(iset)
-    parts = partitions22(vals)
-    names = ["u", "v", "w"]
-    checks = []
+    parts = partitions22(iset)
 
     def total_for(kappa):
         def run():
@@ -117,11 +115,39 @@ def verify_partition_signs(iset) -> VerificationReport:
 
         return run
 
-    for name, kappa in zip(names, parts):
-        checks.append(timed_check(f"kappa-{name}", total_for(kappa)))
-    return VerificationReport(
-        suite="signs", params={"indices": list(vals)}, checks=checks
-    )
+    return [timed_check(f"kappa-{n}", total_for(kappa)) for n, kappa in zip("uvw", parts)]
+
+
+def verify_signs() -> list:
+    """verify_partition_signs on each 4-subset I of {0..6}, one check per I,
+    and the frozen sign table of the partitions of {0, 1, 2, 3}."""
+
+    def signs_of(iset):
+        def run():
+            failed = [
+                f"{c.name}: {c.detail}"
+                for c in verify_partition_signs(iset)
+                if c.status == FAIL
+            ]
+            return not failed, "; ".join(failed) or "all three kappa sums vanish"
+
+        return run
+
+    checks = [
+        timed_check("I=" + ",".join(map(str, iset)), signs_of(iset))
+        for iset in combinations(range(7), 4)
+    ]
+
+    def canonical_values():
+        u, v, w = partitions22((0, 1, 2, 3))
+        eps = (epsilon(u), epsilon(v), epsilon(w))
+        slashes = (slash(u, v), slash(v, u), slash(w, u), slash(u, w), slash(v, w), slash(w, v))
+        if (eps, slashes) == ((1, -1, 1), (1, 1, 1, -1, -1, -1)):
+            return True, "sign table matches"
+        return False, f"epsilon of u, v, w: {eps}; u/v, v/u, w/u, u/w, v/w, w/v: {slashes}"
+
+    checks.append(timed_check("canonical-values", canonical_values))
+    return checks
 
 
 def y_ring(p: int) -> PolyRing:
@@ -154,7 +180,7 @@ def r_j_poly(j: int, p: int) -> Poly:
     return out
 
 
-def verify_quadratic(p: int) -> VerificationReport:
+def verify_quadratic(p: int) -> list:
     """Scaling every Y_i by a scalar a of F_p scales each R_j by a^2.
 
     Each check substitutes all p scalars, at about 45 us each (2-core x86,
@@ -184,7 +210,7 @@ def verify_quadratic(p: int) -> VerificationReport:
 
     for j in range(5):
         checks.append(timed_check(f"quadratic-scaling-j{j}", scaling(j)))
-    return VerificationReport(suite="relations", params={"p": p}, checks=checks)
+    return checks
 
 
 def _r_classes(p: int, ring: PolyRing) -> list:
@@ -192,7 +218,7 @@ def _r_classes(p: int, ring: PolyRing) -> list:
     return [even_to_poly(r_closed(p, i, 2), ring) for i in range(1, 5)]
 
 
-def verify_r_delta(p: int) -> VerificationReport:
+def verify_r_delta(p: int) -> list:
     """Substituting r_i for Y_i turns R_j into the Moore minor with the rows
     (eta_1, xi_1, eta_2, xi_2); gradings are checked before equality."""
     ctx = ChernContext(p, 2)
@@ -222,10 +248,10 @@ def verify_r_delta(p: int) -> VerificationReport:
 
     for j in range(5):
         checks.append(timed_check(f"moore-minor-j{j}", delta_match(j)))
-    return VerificationReport(suite="relations", params={"p": p}, checks=checks)
+    return checks
 
 
-def verify_chern_r_relations(p: int) -> VerificationReport:
+def verify_chern_r_relations(p: int) -> list:
     """R_j(r) = (-1)^j gamma_{p^4 - p^j} R_4(r) for j = 0..4 (the j = 4
     instance is the tautology gamma_0 = 1), plus the four explicit displays
     written out with literal exponents."""
@@ -272,4 +298,4 @@ def verify_chern_r_relations(p: int) -> VerificationReport:
     }
     for j, lhs in displays.items():
         checks.append(timed_check(f"display-j{j}", relation_check(j, lhs, base)))
-    return VerificationReport(suite="relations", params={"p": p}, checks=checks)
+    return checks

@@ -34,23 +34,16 @@ class Check:
 
 
 class VerificationReport:
-    """The checks of one suite run, with its parameters and seed."""
+    """The one report of a verify run: its checks, each named <suite>/<check>,
+    with the run's parameters and seed."""
 
-    __slots__ = ("suite", "params", "checks", "seed", "version")
+    __slots__ = ("suite", "params", "checks", "seed")
 
-    def __init__(
-        self,
-        suite: str,
-        params: dict,
-        checks: list | None = None,
-        seed: int = 0,
-        version: str = __version__,
-    ):
+    def __init__(self, suite: str, params: dict, checks: list, seed: int = 0):
         self.suite = suite
         self.params = params
-        self.checks = [] if checks is None else checks
+        self.checks = checks
         self.seed = seed
-        self.version = version
 
     @property
     def overall(self) -> str:
@@ -76,7 +69,7 @@ class VerificationReport:
             "checks": [c.to_dict() for c in self.checks],
             "overall": self.overall,
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
         }
 
     def to_json(self) -> str:

@@ -35,7 +35,7 @@ from .poly import (
     agree,
     diff_detail,
 )
-from .report import VerificationReport, timed_check
+from .report import timed_check
 
 MAX_MILNOR_INDEX = 6
 
@@ -86,8 +86,9 @@ class CohAlgebra(_ExponentLayout):
         )
         if len(self.odd_names) != m or len(self.even_names) != m:
             raise ValueError("generator name lists must have length m")
-        if set(self.odd_names) & set(self.even_names):
-            raise ValueError("odd and even generator names must be disjoint")
+        names = self.odd_names + self.even_names
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate generator names in {names}")
         self._identity = (p, m, self.odd_names, self.even_names)
         self._signs = _sign_table(m)
         # the key increment of t^(p-1) at each position
@@ -443,12 +444,10 @@ def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
 # -- verification -------------------------------------------------------------
 
 
-def verify_jacobian_independence(p: int, l: int) -> VerificationReport:
+def verify_jacobian_independence(p: int, l: int) -> list:
     """The closed forms r_1..r_{2l} have a nonzero Jacobian determinant with
     respect to (xi_1, eta_1, ..., xi_l, eta_l)."""
     from .poly import jacobian_det
-
-    checks = []
 
     def run():
         ring = PolyRing(p, CohAlgebra.bv(p, l).even_names)
@@ -458,10 +457,7 @@ def verify_jacobian_independence(p: int, l: int) -> VerificationReport:
             return False, "Jacobian determinant vanished"
         return True, f"nonzero, degree {det.degree()}"
 
-    checks.append(timed_check("jacobian-nonzero", run))
-    return VerificationReport(
-        suite="steenrod", params={"p": p, "l": l}, checks=checks
-    )
+    return [timed_check("jacobian-nonzero", run)]
 
 
 def random_homogeneous(rng, algebra: CohAlgebra, max_even_exp: int = 4) -> CohClass:
@@ -495,7 +491,7 @@ def random_homogeneous(rng, algebra: CohAlgebra, max_even_exp: int = 4) -> CohCl
     return CohClass(algebra, terms)
 
 
-def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> VerificationReport:
+def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     """Closed forms of the Milnor primitives plus the structural laws:
     the Bockstein squares to zero, Q_i are anticommuting derivations, the
     total power is a ring endomorphism, and P^0 is the identity."""
@@ -566,9 +562,4 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> Verific
         return True, f"{trials} random pairs"
 
     checks.append(timed_check("total-power-endomorphism", total_hom))
-    return VerificationReport(
-        suite="steenrod",
-        params={"p": p, "l": l, "trials": trials},
-        checks=checks,
-        seed=seed,
-    )
+    return checks

@@ -12,6 +12,12 @@ from conjchern.poly import Poly
 from conjchern.steenrod import CohClass
 
 
+def passed(checks):
+    """True when no check of a verifier's list failed, as the run's report
+    decides: a SKIPPED check does not fail it."""
+    return all(c.status != "fail" for c in checks)
+
+
 def poly_of(ring, text):
     """The polynomial written in text over ring: terms joined by "+" and "-",
     each an optional integer coefficient and powers v^e joined by "*".  Each

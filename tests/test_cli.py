@@ -249,7 +249,7 @@ def test_signs_checks_keep_their_timings(monkeypatch):
     ticks = (k / 1000 for k in range(10**6))
     monkeypatch.setattr("conjchern.report.time.perf_counter", lambda: next(ticks))
     args = cli.build_parser().parse_args(["--suite", "signs"])
-    checks = cli._checks_signs(args)
+    checks = cli.run_suite(args).checks
     signs = [c for c in checks if c.name.startswith("signs/I=")]
     assert len(signs) == 35
     assert signs[0].name == "signs/I=0,1,2,3"
@@ -288,18 +288,19 @@ def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
     check = gl_invariance_at(401)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices would expand about 4.3e+09 Lucas picks, about 2887 s; "
-        "the guard allows 1e+07"
+        "50 random matrices would expand about 4.33e+09 Lucas picks, about 2887 s; "
+        "the guard allows 1.00e+07"
     )
 
 
 def test_gl_invariance_refusal_rounds_its_seconds():
     """At --p 53 the 50 trials come to 10,494,400 picks, 6.996 s: just over
     the guard's 10^7 picks (6.7 s), so the stated time must read 7 s, not a
-    floored 6 s that would sit below what the guard allows."""
+    floored 6 s that would sit below what the guard allows, and the picks
+    1.05e+07 against 1.00e+07, both with three significant digits."""
     check = gl_invariance_at(53)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices would expand about 1.0e+07 Lucas picks, about 7 s; "
-        "the guard allows 1e+07"
+        "50 random matrices would expand about 1.05e+07 Lucas picks, about 7 s; "
+        "the guard allows 1.00e+07"
     )

@@ -1,5 +1,6 @@
-"""The public surface: README's quick tour runs as written, and every name that
-conjchern exports is used by the library itself, not only by its tests."""
+"""The public surface: README's quick tour runs as written, every name that
+conjchern exports is used by the library itself, not only by its tests, and
+no module imports a name it never reads."""
 
 import ast
 import re
@@ -44,3 +45,27 @@ def test_every_export_has_a_library_use():
         if path.name != "__init__.py":
             used |= _used_names(ast.parse(path.read_text(), str(path)))
     assert sorted(set(conjchern.__all__) - used) == []
+
+
+def test_every_import_is_read():
+    """Each name a module imports is read in that module.  `from __future__`
+    imports are exempt, and __init__.py reads its re-exports through __all__."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= set(conjchern.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}: {name}")
+    assert unread == []

@@ -29,7 +29,7 @@ from conjchern.relations import (
     verify_r_delta,
     y_ring,
 )
-from helpers import poly_of, weighted_degrees
+from helpers import passed, poly_of, weighted_degrees
 
 U, V, W = partitions22((0, 1, 2, 3))
 
@@ -93,7 +93,7 @@ def test_sign_sum_vanishes_on_all_subsets():
                 epsilon(rho) * slash(rho, kappa) for rho in parts if rho != kappa
             )
             assert total == 0
-        assert verify_partition_signs(iset).passed()
+        assert passed(verify_partition_signs(iset))
 
 
 # -- the graded polynomials -----------------------------------------------------
@@ -135,7 +135,7 @@ def test_r_j_weighted_homogeneity():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_quadratic_scaling(p):
-    assert verify_quadratic(p).passed()
+    assert passed(verify_quadratic(p))
 
 
 def test_quadratic_scaling_specific_value():
@@ -150,27 +150,27 @@ def test_quadratic_scaling_specific_value():
 
 
 def test_r_delta_identity_p3():
-    report = verify_r_delta(3)
-    assert report.passed()
-    assert {c.name for c in report.checks} >= {f"moore-minor-j{j}" for j in range(5)}
+    checks = verify_r_delta(3)
+    assert passed(checks)
+    assert {c.name for c in checks} >= {f"moore-minor-j{j}" for j in range(5)}
 
 
 def test_chern_relations_p3():
-    report = verify_chern_r_relations(3)
-    assert report.passed()
-    names = [c.name for c in report.checks]
+    checks = verify_chern_r_relations(3)
+    assert passed(checks)
+    names = [c.name for c in checks]
     assert "chern-relation-j4" in names
-    tautology = [c for c in report.checks if c.name == "chern-relation-j4"][0]
+    tautology = [c for c in checks if c.name == "chern-relation-j4"][0]
     assert "tautology" in tautology.detail
     for j in range(4):
         assert f"display-j{j}" in names
 
 
 def test_p7_runs_r_delta_and_guards_the_chern_product():
-    assert verify_r_delta(7).passed()
-    report = verify_chern_r_relations(7)
-    assert len(report.checks) == 9
-    for check in report.checks:
+    assert passed(verify_r_delta(7))
+    checks = verify_chern_r_relations(7)
+    assert len(checks) == 9
+    for check in checks:
         assert check.status == "skipped"
         assert "7^4 linear forms" in check.detail
 
@@ -190,8 +190,8 @@ def product_dependent_reports():
 
 def test_guarded_product_skips_only_the_checks_that_need_it(monkeypatch, capsys):
     names = {
-        key: [c.name for c in report.checks]
-        for key, report in product_dependent_reports().items()
+        key: [c.name for c in checks]
+        for key, checks in product_dependent_reports().items()
     }
 
     def guarded(ctx):
@@ -200,10 +200,10 @@ def test_guarded_product_skips_only_the_checks_that_need_it(monkeypatch, capsys)
     monkeypatch.setattr(chern, "total_conj_chern", guarded)
     monkeypatch.setattr(relations, "total_conj_chern", guarded)
     reports = product_dependent_reports()
-    assert {key: [c.name for c in r.checks] for key, r in reports.items()} == names
+    assert {key: [c.name for c in r] for key, r in reports.items()} == names
     runs = {"argument-order-invariance", "minor-frobenius-power"}
-    for report in reports.values():
-        for check in report.checks:
+    for checks in reports.values():
+        for check in checks:
             if check.name in runs:
                 assert check.status == "pass"
             else:
@@ -220,6 +220,13 @@ def test_guarded_product_skips_only_the_checks_that_need_it(monkeypatch, capsys)
 # -- negative control ----------------------------------------------------------------
 
 
+def failed_lines(out):
+    """For each FAILed check of a text report, by name, the rest of its line
+    after the status: the elapsed time and the detail."""
+    rows = (line.split(maxsplit=2) for line in out.splitlines() if line.startswith("  "))
+    return {row[0]: row[2] for row in rows if row[1] == "FAIL"}
+
+
 def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsys):
     """r_j_poly loses the term of the first (2,2)-partition u."""
     original = relations.r_j_poly
@@ -234,17 +241,50 @@ def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsy
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: fail" in out.lower()
-    failed = {}
-    for line in out.splitlines():
-        if "relations/" in line and "FAIL" in line:
-            name = line.split()[0].removeprefix("relations/")
-            failed[name] = line
+    failed = {n.removeprefix("relations/"): d for n, d in failed_lines(out).items()}
     expected = {f"moore-minor-j{j}" for j in range(5)}
     expected |= {f"chern-relation-j{j}" for j in range(4)}
     # quadratic scaling, the gamma_0 tautology and the literal displays still pass
     assert set(failed) == expected
-    for line in failed.values():
-        assert "first differing terms: " in line
+    for detail in failed.values():
+        assert "first differing terms: " in detail
+
+
+def test_inhomogeneous_r_j_fails_quadratic_scaling(monkeypatch, capsys):
+    """r_j_poly gains the linear term Y_1, so scaling by a no longer scales R_j
+    by a^2: at p = 3 the scalar a = 2 gives 2*Y_1 on one side, Y_1 on the other."""
+    original = relations.r_j_poly
+
+    def inhomogeneous(j, p):
+        return original(j, p) + y_ring(p).variable(0)
+
+    monkeypatch.setattr(relations, "r_j_poly", inhomogeneous)
+    code = cli.main(["--suite", "relations", "--p", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    failed = failed_lines(out)
+    for j in range(5):
+        assert "a = 2 violates quadratic scaling" in failed[f"relations/quadratic-scaling-j{j}"]
+
+
+def test_flipped_slash_fails_the_signs_suite(monkeypatch, capsys):
+    """slash(u, v) on {0, 1, 2, 3} returns -1 instead of +1, so the kappa = v
+    sum there becomes epsilon(u) * -1 + epsilon(w) * -1 = -2."""
+    original = relations.slash
+
+    def flipped(rho, kappa):
+        value = original(rho, kappa)
+        return -value if (rho, kappa) == (U, V) else value
+
+    monkeypatch.setattr(relations, "slash", flipped)
+    code = cli.main(["--suite", "signs"])
+    out = capsys.readouterr().out
+    assert code == 1
+    failed = failed_lines(out)
+    assert set(failed) == {"signs/I=0,1,2,3", "signs/canonical-values"}
+    assert failed["signs/I=0,1,2,3"].endswith("kappa-v: sum = -2")
+    assert failed["signs/canonical-values"].endswith("w/v: (-1, 1, 1, -1, -1, -1)")
+
 
 
 # -- the largest admitted prime ------------------------------------------------------
@@ -254,8 +294,8 @@ BIG_P = 2147483647
 
 def test_r_delta_passes_at_the_largest_admitted_prime():
     """Exponents near 2p^4, about 2^125, in the substituted Moore minors."""
-    report = verify_r_delta(BIG_P)
-    assert [c.status for c in report.checks] == ["pass"] * 6
+    checks = verify_r_delta(BIG_P)
+    assert [c.status for c in checks] == ["pass"] * 6
 
 
 def test_quadratic_guard_refuses_before_substituting(monkeypatch):
@@ -263,9 +303,9 @@ def test_quadratic_guard_refuses_before_substituting(monkeypatch):
         raise AssertionError("r_j_poly ran past the guard")
 
     monkeypatch.setattr(relations, "r_j_poly", never)
-    report = verify_quadratic(BIG_P)
-    assert {c.status for c in report.checks} == {"skipped"}
-    assert report.checks[0].detail.startswith("the 2147483647 scalars would take about 9.66e+04 s;")
+    checks = verify_quadratic(BIG_P)
+    assert {c.status for c in checks} == {"skipped"}
+    assert checks[0].detail.startswith("the 2147483647 scalars would take about 9.66e+04 s;")
     # every prime the tests and the benchmark run stays admitted
     monkeypatch.undo()
-    assert verify_quadratic(101).passed()
+    assert passed(verify_quadratic(101))

@@ -20,7 +20,7 @@ from conjchern.steenrod import (
     verify_steenrod,
     x_class,
 )
-from helpers import crossing_sign, poly_of
+from helpers import crossing_sign, passed, poly_of
 
 A31 = CohAlgebra.bv(3, 1)
 
@@ -32,6 +32,21 @@ def test_sign_table_matches_the_crossing_count(m):
     assert len(table) == size
     for s in range(size):
         assert table[s] == tuple(crossing_sign(s, t, m) for t in range(size))
+
+
+@pytest.mark.parametrize(
+    "odd,even",
+    [
+        (("a", "a"), ("x", "x")),
+        (("a", "a"), ("x", "y")),
+        (("a", "b"), ("x", "x")),
+        (("a", "b"), ("b", "y")),
+    ],
+)
+def test_generator_names_must_be_distinct(odd, even):
+    """Two generators of one name would print alike in to_text and diff_detail."""
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        CohAlgebra(3, 2, odd_names=odd, even_names=even)
 
 
 # -- graded-commutative multiplication ----------------------------------------
@@ -283,13 +298,13 @@ def test_exterior_generators_square_to_zero_and_anticommute():
 
 @pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (3, 2)])
 def test_jacobian_independence(p, l):
-    assert verify_jacobian_independence(p, l).passed()
+    assert passed(verify_jacobian_independence(p, l))
 
 
 def test_steenrod_suite_report():
-    report = verify_steenrod(3, 1, trials=40, seed=5)
-    assert report.passed()
-    names = [c.name for c in report.checks]
+    checks = verify_steenrod(3, 1, trials=40, seed=5)
+    assert passed(checks)
+    names = [c.name for c in checks]
     assert "milnor-closed-form-q4" in names
     assert "total-power-endomorphism" in names
 
@@ -302,8 +317,8 @@ def test_closed_form_failure_names_the_differing_terms(monkeypatch):
         return r + r if i == 1 else r
 
     monkeypatch.setattr(steenrod, "r_closed", doubled_r1)
-    report = verify_steenrod(3, 1, trials=4, seed=5)
-    status = {c.name: c for c in report.checks}
+    checks = verify_steenrod(3, 1, trials=4, seed=5)
+    status = {c.name: c for c in checks}
     assert status["milnor-closed-form-q1"].status == "fail"
     assert status["milnor-closed-form-q1"].detail == (
         "first differing terms: xi1^3*eta1: 1 != 2; xi1*eta1^3: 2 != 1"
@@ -358,12 +373,12 @@ def test_suite_fails_on_dropped_power_op_pick(monkeypatch, capsys):
 
 def test_fault_after_a_clean_run_is_still_seen(monkeypatch, capsys):
     # no memo of the Milnor recursion outlives a check
-    assert verify_steenrod(3, 1, trials=4, seed=0).passed()
+    assert passed(verify_steenrod(3, 1, trials=4, seed=0))
     assert cli.main(STEENROD_P3_L1) == 0
     capsys.readouterr()
     drop_top_pick(monkeypatch)
-    report = verify_steenrod(3, 1, trials=4, seed=0)
-    status = {c.name: c.status for c in report.checks}
+    checks = verify_steenrod(3, 1, trials=4, seed=0)
+    status = {c.name: c.status for c in checks}
     assert status["milnor-closed-form-q1"] == "fail"
     assert status["milnor-derivation"] == "fail"
     assert cli.main(STEENROD_P3_L1) == 1
