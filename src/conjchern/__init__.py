@@ -1,13 +1,13 @@
 """Exact verification of Dickson-invariant and conjugation Chern class identities.
 
 Everything here is exact arithmetic: prime fields, sparse polynomials,
-cyclotomic integers.  Each identity check is a decision, never an
-approximation.
+monomial matrices over the cyclotomic integers.  Each identity check is a
+decision, never an approximation.
 """
 
 from ._version import __version__
 from .chern import ChernContext, GradedChern, total_conj_chern
-from .cyclo import CycInt, CycMatrix, a_matrix, conj_act, gen_matrices
+from .cyclo import CycMatrix, a_matrix, conj_act, gen_matrices
 from .dickson import (
     DicksonContext,
     GLMatrix,
@@ -48,7 +48,6 @@ __all__ = [
     "CohAlgebra",
     "CohClass",
     "ConjChernError",
-    "CycInt",
     "CycMatrix",
     "DicksonContext",
     "GLMatrix",

@@ -131,22 +131,31 @@ def main(argv=None) -> int:
     if not -(2**63) <= args.seed < 2**64:
         parser.error("--seed must fit in 64 bits")
 
-    report = run_suite(args)
-    if args.strict:
-        report.promote_skips()
-    if args.threads == 1:
-        report.zero_elapsed()
-
-    if args.format == "json":
-        rendered = report.to_json()
-    else:
-        color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-        rendered = report.to_text(color=color and args.out is None)
+    # Opened before the run, so that an unwritable --out fails at once, and
+    # as a usage error: exit code 1 means a failed check.
+    out = sys.stdout
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="\n")
+        except OSError as err:
+            parser.exit(2, f"{parser.prog}: error: --out {args.out}: {err.strerror}\n")
+
+    try:
+        report = run_suite(args)
+        if args.strict:
+            report.promote_skips()
+        if args.threads == 1:
+            report.zero_elapsed()
+
+        if args.format == "json":
+            rendered = report.to_json()
+        else:
+            color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+            rendered = report.to_text(color=color and args.out is None)
+        out.write(rendered)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0 if report.passed() else 1
 
 

@@ -1,15 +1,20 @@
-"""Exact arithmetic in Z[w], w a primitive p-th root of unity, and the
-monomial matrices of the conjugation representation.
+"""The monomial matrices of the conjugation representation over Z[w], w a
+primitive p-th root of unity, and the decision that the weight lines span.
 
-Elements are stored on the power basis 1, w, ..., w^{p-2}; the relation
-w^{p-1} = -(1 + w + ... + w^{p-2}) keeps coordinates canonical, so equality
-is coordinate equality and every check below is a decision.
+Every matrix here has one entry w^k in each row and column and zeros
+elsewhere, stored as a permutation plus exponents mod p, so products,
+inverses, Kronecker products and equality are exact exponent arithmetic and
+every check below is a decision.  The one question that needs a
+determinant, whether the p^2 lines A_{i,j} span, is decided exactly from
+images of Z[w] in prime fields F_q with q = 1 (mod p), under Hadamard's
+bound on the norm of the determinant (see is_nonsingular).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product
+from math import prod
 
 from .errors import (
     IndexOutOfRange,
@@ -18,143 +23,27 @@ from .errors import (
     SizeGuard,
     VerificationFailure,
 )
-from .fp import check_modulus
-from .poly import _laplace_det, _perm_sign
+from .fp import check_modulus, is_prime
 from .report import timed_check
 
 # Cost model of verify_weight_basis, fitted on a 2-core x86 box (Python 3.11).
 # Each of the p^(2l) index tuples builds one monomial matrix of size p^l and
 # conjugates it by 2l generators: about 1 microsecond per p^(3l) * (2l + 1).
-# At l = 1 the coordinate determinant adds about 0.05 microseconds per
-# p^4 * 2^p (p components of size p, each expanded over its 2^p column
-# subsets in Z[w] arithmetic).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s,
-# (11, 2) 5.5 s, (5, 3) 7.8-10.8 s, (11, 1) 1.3 s, (13, 1) 10.9 s.  The
-# bound admits p <= 13 at l = 1 and p <= 11 at l = 2; (17, 1) would take
-# about 9 minutes.
+# At l = 1 the matrices are small enough that each tuple's fixed cost, about
+# 40 microseconds, shows, and the span decision adds about 0.06
+# microseconds per p^4 (p components of size p, each eliminated mod one
+# prime).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s, (11, 2) 5.5 s, (5, 3)
+# 7.8-10.8 s; at l = 1, p = 11: 10-15 ms, 23: 72-100 ms, 107: 11.1 s.  The
+# bound admits p <= 107 at l = 1 and p <= 11 at l = 2.  A singular
+# coordinate matrix, which fails the check, costs more: its singular
+# component is eliminated mod up to about p^2 log2(p) / 28 primes before the
+# norm bound decides it.
 MAX_WEIGHT_BASIS_SECONDS = 12
 
-
-class CycInt:
-    """An element of Z[w] with arbitrary-precision integer coordinates."""
-
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords):
-        check_modulus(p)
-        if p == 2:
-            raise ValueError("cyclotomic arithmetic here needs an odd prime")
-        coords = tuple(coords)
-        if len(coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates, got {len(coords)}")
-        self.p = p
-        self.coords = coords
-
-    @classmethod
-    def zero(cls, p: int) -> CycInt:
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def from_int(cls, p: int, value: int) -> CycInt:
-        return cls(p, (value,) + (0,) * (p - 2))
-
-    @classmethod
-    def omega(cls, p: int, k: int = 1) -> CycInt:
-        """w^k, reduced onto the power basis."""
-        k %= p
-        if k < p - 1:
-            coords = [0] * (p - 1)
-            coords[k] = 1
-            return cls(p, coords)
-        return cls(p, (-1,) * (p - 1))
-
-    def _check(self, other: CycInt):
-        if self.p != other.p:
-            raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        self._check(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.p, tuple(a * other for a in self.coords))
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        self._check(other)
-        p = self.p
-        buf = [0] * (2 * p - 3)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    buf[i + j] += a * b
-        return CycInt(p, _reduce_power_buf(p, buf))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "CycInt(0)"
-        bits = []
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            unit = "1" if i == 0 else ("w" if i == 1 else f"w^{i}")
-            bits.append(f"{a}*{unit}" if i == 0 or a != 1 else unit)
-        return "CycInt(" + " + ".join(bits) + f", p={self.p})"
-
-
-def _reduce_power_buf(p: int, buf) -> tuple:
-    """Fold a raw w-power accumulation buffer onto the basis 1..w^{p-2}."""
-    out = [0] * (p - 1)
-    fold = 0
-    for e, v in enumerate(buf):
-        if not v:
-            continue
-        e %= p
-        if e == p - 1:
-            fold += v
-        else:
-            out[e] += v
-    if fold:
-        out = [c - fold for c in out]
-    return tuple(out)
+# The first modulus tried by is_nonsingular: small enough that the trial
+# division finding each prime q = 1 (mod p) is cheap, large enough that a
+# nonzero determinant rarely vanishes mod q.
+_FIRST_MODULUS = 2**14
 
 
 class CycMatrix:
@@ -187,17 +76,6 @@ class CycMatrix:
     @property
     def size(self) -> int:
         return len(self.columns)
-
-    @property
-    def rows(self) -> tuple:
-        """The dense rows as CycInt entries (a read-only view)."""
-        zero = CycInt.zero(self.p)
-        out = []
-        for c, k in zip(self.columns, self.powers):
-            row = [zero] * self.size
-            row[c] = CycInt.omega(self.p, k)
-            out.append(tuple(row))
-        return tuple(out)
 
     @classmethod
     def identity(cls, p: int, size: int) -> CycMatrix:
@@ -305,19 +183,11 @@ def conj_act(g: CycMatrix, m: CycMatrix) -> CycMatrix:
     return g * m * g.inverse_monomial()
 
 
-def cyc_determinant(p: int, rows) -> CycInt:
-    """Exact determinant over Z[w] of a square matrix given by rows of CycInt.
-
-    The support graph is split into connected row/column components first;
-    the determinant is the signed product of the component determinants, so
-    sparse block structure never triggers a full n! expansion.
-    """
-    n = len(rows)
-    supports = [[c for c, e in enumerate(row) if e] for row in rows]
-    if any(not s for s in supports):
-        return CycInt.zero(p)
-
-    parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
+def _components(rows, n: int) -> list:
+    """The connected components of the support graph of a matrix given by
+    sparse rows over the columns range(n), as (row indices, columns) pairs."""
+    m = len(rows)
+    parent = list(range(m + n))  # rows 0..m-1, columns m..m+n-1
 
     def find(x):
         while parent[x] != x:
@@ -325,33 +195,87 @@ def cyc_determinant(p: int, rows) -> CycInt:
             x = parent[x]
         return x
 
-    for r, cols in enumerate(supports):
-        for c in cols:
-            a, b = find(r), find(n + c)
+    for r, row in enumerate(rows):
+        for c in row:
+            a, b = find(r), find(m + c)
             if a != b:
                 parent[a] = b
 
     groups: dict = {}
-    for r in range(n):
-        groups.setdefault(find(r), [[], []])[0].append(r)
+    for r in range(m):
+        groups.setdefault(find(r), ([], []))[0].append(r)
     for c in range(n):
-        groups.setdefault(find(n + c), [[], []])[1].append(c)
+        groups.setdefault(find(m + c), ([], []))[1].append(c)
+    return list(groups.values())
 
-    components = sorted(groups.values(), key=lambda g: g[0][0] if g[0] else n)
-    one = CycInt.from_int(p, 1)
-    row_order, col_order = [], []
-    dets = []
-    for rs, cols in components:
+
+def _split_primes(p: int):
+    """The primes q = 1 (mod p) from _FIRST_MODULUS up, each with an element
+    of order p in F_q."""
+    step = 2 * p
+    q = (_FIRST_MODULUS // step + 1) * step + 1
+    while True:
+        if is_prime(q):
+            g = 2
+            while (zeta := pow(g, (q - 1) // p, q)) == 1:
+                g += 1
+            yield q, zeta
+        q += step
+
+
+def _singular_mod(mat, q: int) -> bool:
+    """Whether the square matrix mat of residues mod the prime q is singular,
+    by Gaussian elimination in place."""
+    n = len(mat)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k]), None)
+        if pivot is None:
+            return True
+        mat[k], mat[pivot] = mat[pivot], mat[k]
+        row = mat[k]
+        inv = pow(row[k], -1, q)
+        for r in range(k + 1, n):
+            other = mat[r]
+            if f := other[k] * inv % q:
+                mat[r] = [(a - f * b) % q for a, b in zip(other, row)]
+    return False
+
+
+def is_nonsingular(p: int, rows) -> bool:
+    """Whether the square matrix over Z[w] with the given rows has a nonzero
+    determinant D.  Each row is a dict from column to the exponent k of its
+    entry w^k; the other entries are 0.
+
+    Up to sign, D is the product of the determinants of the connected
+    components of the support graph, so a component with more rows than
+    columns or fewer makes D = 0, and each square one is decided alone; let
+    D be its determinant.  An element zeta of order p in F_q, q a prime
+    = 1 (mod p), gives a ring map Z[w] -> F_q sending w to zeta, whose
+    kernel is a prime ideal of norm q.  If the component's image mod q is
+    nonsingular, D is not 0.  If it is singular, D lies in that kernel, so q
+    divides the integer norm N(D) = prod sigma(D) over the p - 1 complex
+    embeddings sigma.  Under each sigma every entry has absolute value 0 or
+    1, so Hadamard's inequality gives |sigma(D)| <= H, where H^2 is the
+    product of the row support sizes, and |N(D)| <= H^(p-1).  Once the
+    product of the distinct primes with a singular image exceeds H^(p-1),
+    N(D) = 0 and so D = 0.
+    """
+    for rs, cols in _components(rows, len(rows)):
         if len(rs) != len(cols):
-            return CycInt.zero(p)
-        row_order.extend(rs)
-        col_order.extend(cols)
-        dets.append(_laplace_det([[rows[r][c] for c in cols] for r in rs], one))
-    sign = _perm_sign(range(n), row_order) * _perm_sign(range(n), col_order)
-    det = CycInt.from_int(p, sign)
-    for d in dets:
-        det = det * d
-    return det
+            return False
+        exponents = [[rows[r].get(c) for c in cols] for r in rs]
+        # (H^(p-1))^2: the product of the primes is compared squared
+        bound = prod(len(rows[r]) for r in rs) ** (p - 1)
+        primes = 1
+        for q, zeta in _split_primes(p):
+            powers = [pow(zeta, k, q) for k in range(p)]
+            image = [[0 if k is None else powers[k % p] for k in row] for row in exponents]
+            if not _singular_mod(image, q):
+                break
+            primes *= q
+            if primes * primes > bound:
+                return False
+    return True
 
 
 def verify_extraspecial(p: int) -> list:
@@ -399,16 +323,18 @@ def _weight_basis_seconds(p: int, l: int) -> float:
     above MAX_WEIGHT_BASIS_SECONDS."""
     seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
     if l == 1:
-        seconds += p**4 * 2**p * 5e-8
+        seconds += p**2 * 4e-5 + p**4 * 6e-8
     return seconds
 
 
 def verify_weight_basis(p: int, l: int) -> int:
-    """Check the weight relations for every index tuple; at l = 1 also check
-    that the eigen-lines span, via the coordinate determinant in Z[w].
+    """Check the weight relations for every index tuple; at l = 1 first
+    check that the eigen-lines span: the coordinate matrix, whose column
+    (i, j) holds the entries of A_{i,j}, is nonsingular over Z[w].
     Returns the number of eigen-lines verified.
 
-    Raises VerificationFailure on the first relation that does not hold.
+    Raises VerificationFailure on a zero coordinate determinant or on the
+    first relation that does not hold.
     """
     check_modulus(p)
     if l < 1:
@@ -432,6 +358,13 @@ def verify_weight_basis(p: int, l: int) -> int:
         generators.append(reduce(CycMatrix.kron, slots_tau))
 
     base = {(i, j): a_matrix(i, j, p) for i in range(p) for j in range(p)}
+    if l == 1:
+        coordinates = [{} for _ in range(p * p)]  # row r * p + c: entry (r, c)
+        for line, a in enumerate(base.values()):
+            for r, (c, k) in enumerate(zip(a.columns, a.powers)):
+                coordinates[r * p + c][line] = k
+        if not is_nonsingular(p, coordinates):
+            raise VerificationFailure("coordinate determinant of the A_{i,j} is zero")
     verified = 0
     for idx in product(range(p), repeat=2 * l):
         pairs = [idx[2 * k : 2 * k + 2] for k in range(l)]
@@ -443,11 +376,6 @@ def verify_weight_basis(p: int, l: int) -> int:
                     f"index {idx}: generator {g_pos} does not scale by w^{expected}"
                 )
         verified += 1
-    if l == 1:
-        dense = [base[(i, j)].rows for i in range(p) for j in range(p)]
-        coord = [[m[r][c] for m in dense] for r in range(p) for c in range(p)]
-        if cyc_determinant(p, coord).is_zero():
-            raise VerificationFailure("coordinate determinant of the A_{i,j} is zero")
     return verified
 
 

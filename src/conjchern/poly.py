@@ -74,36 +74,6 @@ def _add_terms(pairs, p: int, out=None) -> dict:
     return {key: r for key, c in acc.items() if (r := c % p)}
 
 
-def _laplace_det(rows, one):
-    """Determinant of a square matrix over any commutative ring, by signed
-    expansion along the rows, memoized over the remaining column subsets.
-
-    Entries are tested for zero by truth value and skipped; one is the unit
-    of the ring of the entries."""
-    n = len(rows)
-    zero = one - one
-    memo: dict = {}
-
-    def minor(cols: tuple):
-        if not cols:
-            return one
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = rows[n - len(cols)]
-        acc = zero
-        for k, c in enumerate(cols):
-            e = row[c]
-            if not e:
-                continue
-            contrib = e * minor(cols[:k] + cols[k + 1 :])
-            acc = acc + contrib if k % 2 == 0 else acc - contrib
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
-
-
 def _perm_sign(base, target) -> int:
     """Sign of the permutation that carries the sequence base to target."""
     positions = [base.index(t) for t in target]
@@ -574,13 +544,35 @@ class PolyMatrix:
 
 
 def determinant(mat: PolyMatrix) -> Poly:
-    """Exact determinant via signed expansion, memoized over column subsets."""
+    """Exact determinant by signed expansion along the rows, memoized over
+    the remaining column subsets; zero entries are skipped."""
     if mat.rows != mat.cols:
         raise NotSquare(f"matrix is {mat.rows}x{mat.cols}")
     n = mat.rows
     if n > MAX_DET_SIZE:
         raise SizeGuard(f"determinant size {n} exceeds {MAX_DET_SIZE}")
-    return _laplace_det(mat.entries, mat.ring.one())
+    rows = mat.entries
+    one, zero = mat.ring.one(), mat.ring.zero()
+    memo: dict = {}
+
+    def minor(cols: tuple):
+        if not cols:
+            return one
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        row = rows[n - len(cols)]
+        acc = zero
+        for k, c in enumerate(cols):
+            e = row[c]
+            if not e:
+                continue
+            contrib = e * minor(cols[:k] + cols[k + 1 :])
+            acc = acc + contrib if k % 2 == 0 else acc - contrib
+        memo[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:

@@ -110,18 +110,6 @@ class CohAlgebra(_ExponentLayout):
     def __repr__(self):
         return f"CohAlgebra(p={self.p}, m={self.m})"
 
-    def odd_gen(self, k: int) -> CohClass:
-        """a_k, 1-based."""
-        if not 1 <= k <= self.m:
-            raise ValueError(f"odd generator index {k} out of range")
-        return CohClass._raw(self, {1 << (k - 1): 1})
-
-    def even_gen(self, k: int) -> CohClass:
-        """x_k, 1-based."""
-        if not 1 <= k <= self.m:
-            raise ValueError(f"even generator index {k} out of range")
-        return CohClass._raw(self, {self._units[k - 1] << self.m: 1})
-
     def term(self, odd, even, coeff: int = 1) -> CohClass:
         return CohClass(self, {(tuple(odd), tuple(even)): coeff})
 

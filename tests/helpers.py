@@ -5,7 +5,7 @@ import re
 from functools import reduce
 from operator import add, neg, sub
 
-from conjchern.cyclo import CycInt, CycMatrix
+from conjchern.cyclo import CycMatrix
 from conjchern.dickson import GLMatrix
 from conjchern.errors import NonExactDivision
 from conjchern.poly import Poly
@@ -128,17 +128,70 @@ def random_monomial(rng, p, size):
     return CycMatrix(p, columns, [rng.randrange(-2 * p, 2 * p) for _ in range(size)])
 
 
+# -- a reference Z[w] for the monomial matrices of cyclo -------------------------
+
+
+class ZW:
+    """An element of Z[w], w a primitive p-th root of unity, as integer
+    coefficients of 1, w, ..., w^{p-1} shifted so that the last is 0: the
+    relation 1 + w + ... + w^{p-1} = 0 makes that form canonical, so equality
+    is coefficient equality.  The ring of the dense oracles below."""
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p, coeffs):
+        self.p = p
+        self.coeffs = tuple(c - coeffs[-1] for c in coeffs)
+
+    @classmethod
+    def omega(cls, p, k=1):
+        """w^k."""
+        return cls(p, [int(e == k % p) for e in range(p)])
+
+    @classmethod
+    def of(cls, p, value):
+        """value as a ZW: an int is lifted, a ZW is returned as it is."""
+        return value if isinstance(value, ZW) else cls(p, [value] + [0] * (p - 1))
+
+    def __add__(self, other):
+        other = ZW.of(self.p, other)
+        return ZW(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        other = ZW.of(self.p, other)
+        p = self.p
+        out = [0] * p
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[(i + j) % p] += a * b
+        return ZW(p, out)
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == ZW.of(self.p, other).coeffs
+
+
+def dense(m):
+    """The rows of a CycMatrix as ZW entries."""
+    rows = [[ZW.of(m.p, 0)] * m.size for _ in range(m.size)]
+    for r, (c, k) in enumerate(zip(m.columns, m.powers)):
+        rows[r][c] = ZW.omega(m.p, k)
+    return tuple(map(tuple, rows))
+
+
 def dense_mul(p, a, b):
-    """Row-by-column product of two square matrices given as rows of CycInt."""
+    """Row-by-column product of two square matrices given as rows of ZW."""
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), CycInt.zero(p)) for j in range(n))
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZW.of(p, 0)) for j in range(n))
         for i in range(n)
     )
 
 
 def dense_kron(a, b):
-    """Kronecker product of two matrices given as rows of CycInt."""
+    """Kronecker product of two matrices given as rows of ZW."""
     m = len(b)
     return tuple(
         tuple(a[i // m][j // m] * b[i % m][j % m] for j in range(len(a) * m))
@@ -148,8 +201,28 @@ def dense_kron(a, b):
 
 def dense_scale(p, a, k):
     """Every entry multiplied by w^k."""
-    w = CycInt.omega(p, k)
+    w = ZW.omega(p, k)
     return tuple(tuple(e * w for e in row) for row in a)
+
+
+def brute_force_det(p, rows):
+    """The determinant of a square matrix of ZW or int entries, as a ZW: the
+    Leibniz sum over the permutations through nonzero entries, each signed
+    by its inversions.  The oracle for cyclo.is_nonsingular."""
+    n = len(rows)
+
+    def expand(r, used, sign):
+        if r == n:
+            return ZW.of(p, sign)
+        total = ZW.of(p, 0)
+        for c in range(n):
+            if c not in used and rows[r][c]:
+                inversions = sum(u > c for u in used)
+                rest = expand(r + 1, used | {c}, -sign if inversions % 2 else sign)
+                total = total + rest * rows[r][c]
+        return total
+
+    return expand(0, frozenset(), 1)
 
 
 def gl_product(a, b):
@@ -221,6 +294,16 @@ def tuple_exact_div(f, g):
             else:
                 del rem[mono]
     return Poly(f.ring, quot)
+
+
+def odd_gen(alg, k):
+    """The exterior generator a_k of a CohAlgebra, 1-based."""
+    return alg.term((k,), (0,) * alg.m)
+
+
+def even_gen(alg, k):
+    """The polynomial generator x_k of a CohAlgebra, 1-based."""
+    return alg.term((), tuple(int(t == k - 1) for t in range(alg.m)))
 
 
 def crossing_sign(s, t, m):

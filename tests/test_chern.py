@@ -15,7 +15,14 @@ from conjchern.chern import (
 from conjchern.errors import SizeGuard
 from conjchern.poly import PolyRing
 from conjchern.steenrod import even_to_poly
-from helpers import balanced_linear_form_product, linear_form, naive_product, passed, poly_of
+from helpers import (
+    balanced_linear_form_product,
+    even_gen,
+    linear_form,
+    naive_product,
+    passed,
+    poly_of,
+)
 
 C31 = ChernContext(3, 1)
 
@@ -253,7 +260,7 @@ def test_gamma_top_failure_diffs_the_pair_that_disagrees(monkeypatch, capsys):
 
     def planted(p, i, l):
         r = original_r(p, i, l)
-        return r + r.algebra.even_gen(1) ** (p + 1) if i == 1 else r
+        return r + even_gen(r.algebra, 1) ** (p + 1) if i == 1 else r
 
     def top_from_planted(ctx):
         graded = original_chern(ctx)

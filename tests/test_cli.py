@@ -304,3 +304,16 @@ def test_gl_invariance_refusal_rounds_its_seconds():
         "50 random matrices would expand about 1.05e+07 Lucas picks, about 7 s; "
         "the guard allows 1.00e+07"
     )
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    """Exit code 1 means a failed check, so a report that cannot be written
+    is a usage error, found before the suite runs."""
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        proc = run_cli("--suite", "signs", "--out", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"verify: error: --out {target}: "
+            + ("No such file or directory" if target != tmp_path else "Is a directory")
+        ]

@@ -1,93 +1,70 @@
 import random
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from conjchern import cli, cyclo
 from conjchern.cyclo import (
-    CycInt,
     CycMatrix,
     a_matrix,
     conj_act,
-    cyc_determinant,
     gen_matrices,
+    is_nonsingular,
     verify_extraspecial,
     verify_weight_basis,
 )
 from conjchern.errors import NotMonomial, PrimeMismatch, SizeGuard
-from helpers import dense_kron, dense_mul, dense_scale, passed, random_monomial
+from helpers import (
+    ZW,
+    brute_force_det,
+    dense,
+    dense_kron,
+    dense_mul,
+    dense_scale,
+    passed,
+    random_monomial,
+)
 
 
 def w(p, k=1):
-    return CycInt.omega(p, k)
+    return ZW.omega(p, k)
 
 
-def random_cyc(rng, p, bound=3):
-    return CycInt(p, [rng.randrange(-bound, bound + 1) for _ in range(p - 1)])
-
-
-# -- ring of cyclotomic integers ----------------------------------------------
+# -- scalars and mixed primes ------------------------------------------------------
 
 
 def test_omega_has_order_p():
     for p in (3, 5, 7):
-        assert w(p) * w(p, p - 1) == 1
-        acc = CycInt.from_int(p, 1)
+        eye = CycMatrix.identity(p, p)
+        omega = eye.mul_omega(1)
         for k in range(1, p + 1):
-            acc = acc * w(p)
-            assert (acc == 1) == (k == p)
-
-
-def test_cyclotomic_relation():
-    for p in (3, 5):
-        total = CycInt.zero(p)
-        for k in range(p):
-            total = total + w(p, k)
-        assert total.is_zero()
-
-
-def test_omega_power_addition():
-    rng = random.Random(3)
-    for p in (3, 5):
-        for _ in range(50):
-            a, b = rng.randrange(p), rng.randrange(p)
-            assert w(p, a) * w(p, b) == w(p, (a + b) % p)
-
-
-def test_ring_laws_random():
-    rng = random.Random(5)
-    for p in (3, 5):
-        for _ in range(300):
-            a, b, c = (random_cyc(rng, p) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert (omega**k == eye) == (k == p)
+        assert omega * eye.mul_omega(p - 1) == eye
 
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
-        w(3) + w(5)
+        CycMatrix.identity(3, 3) * CycMatrix.identity(5, 3)
     with pytest.raises(PrimeMismatch):
-        w(3) * w(5)
+        CycMatrix.identity(3, 2).kron(CycMatrix.identity(5, 2))
 
 
 # -- generator matrices --------------------------------------------------------
 
 
 def test_sigma_matrix_frozen():
-    sigma, _ = gen_matrices(3)
-    assert [sigma.rows[i][i] for i in range(3)] == [w(3, 1), w(3, 2), w(3, 0)]
+    rows = dense(gen_matrices(3)[0])
+    assert [rows[i][i] for i in range(3)] == [w(3, 1), w(3, 2), w(3, 0)]
     off = [(i, j) for i in range(3) for j in range(3) if i != j]
-    assert all(sigma.rows[i][j].is_zero() for i, j in off)
+    assert not any(rows[i][j] for i, j in off)
 
 
 def test_tau_matrix_frozen():
-    _, tau = gen_matrices(3)
+    rows = dense(gen_matrices(3)[1])
     pattern = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     for i in range(3):
         for j in range(3):
-            entry = tau.rows[i][j]
-            assert entry == pattern[i][j]
+            assert rows[i][j] == pattern[i][j]
 
 
 def test_generator_orders():
@@ -101,13 +78,13 @@ def test_generator_orders():
 def test_a_matrix_frozen_values():
     for p in (3, 5):
         assert a_matrix(0, 0, p) == CycMatrix.identity(p, p)
-    a01 = a_matrix(0, 1, 3)
-    assert [a01.rows[i][i] for i in range(3)] == [w(3, 2), w(3, 1), w(3, 0)]
-    a10 = a_matrix(1, 0, 3)
+    a01 = dense(a_matrix(0, 1, 3))
+    assert [a01[i][i] for i in range(3)] == [w(3, 2), w(3, 1), w(3, 0)]
+    a10 = dense(a_matrix(1, 0, 3))
     pattern = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     for i in range(3):
         for j in range(3):
-            assert a10.rows[i][j] == pattern[i][j]
+            assert a10[i][j] == pattern[i][j]
 
 
 def test_a_matrix_index_range():
@@ -156,7 +133,7 @@ def test_conj_matches_full_product():
     sigma, tau = gen_matrices(p)
     g = sigma * tau
     m = a_matrix(1, 2, p)
-    assert dense_mul(p, conj_act(g, m).rows, g.rows) == dense_mul(p, g.rows, m.rows)
+    assert dense_mul(p, dense(conj_act(g, m)), dense(g)) == dense_mul(p, dense(g), dense(m))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -166,18 +143,18 @@ def test_monomial_operations_match_dense_reference(p):
         for _ in range(4):
             a = random_monomial(rng, p, size)
             b = random_monomial(rng, p, size)
-            eye = CycMatrix.identity(p, size).rows
-            assert (a * b).rows == dense_mul(p, a.rows, b.rows)
-            assert dense_mul(p, a.rows, a.inverse_monomial().rows) == eye
-            assert dense_mul(p, a.inverse_monomial().rows, a.rows) == eye
+            eye = dense(CycMatrix.identity(p, size))
+            assert dense(a * b) == dense_mul(p, dense(a), dense(b))
+            assert dense_mul(p, dense(a), dense(a.inverse_monomial())) == eye
+            assert dense_mul(p, dense(a.inverse_monomial()), dense(a)) == eye
             k = rng.randrange(-p, 2 * p)
-            assert a.mul_omega(k).rows == dense_scale(p, a.rows, k)
-            assert dense_mul(p, conj_act(a, b).rows, a.rows) == dense_mul(
-                p, a.rows, b.rows
+            assert dense(a.mul_omega(k)) == dense_scale(p, dense(a), k)
+            assert dense_mul(p, dense(conj_act(a, b)), dense(a)) == dense_mul(
+                p, dense(a), dense(b)
             )
             if size <= 3:
                 c = random_monomial(rng, p, rng.randrange(1, 4))
-                assert a.kron(c).rows == dense_kron(a.rows, c.rows)
+                assert dense(a.kron(c)) == dense_kron(dense(a), dense(c))
 
 
 def test_not_monomial():
@@ -198,44 +175,88 @@ def test_weight_characters_pairwise_distinct():
                     assert a[0] != b[0] or a[1] != b[1]
 
 
-# -- determinants over Z[w] ------------------------------------------------------
+# -- the nonsingularity decision --------------------------------------------------
 
 
-def brute_force_det(p, rows):
-    total = CycInt.zero(p)
-    n = len(rows)
-    for perm in permutations(range(n)):
-        invs = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        prod = CycInt.from_int(p, 1)
-        for r, c in enumerate(perm):
-            prod = prod * rows[r][c]
-        total = total + (prod if invs % 2 == 0 else -prod)
-    return total
+def random_exponents(rng, p, n, density):
+    """An n x n matrix of exponents k of w^k, None for a zero entry."""
+    return [
+        [rng.randrange(p) if rng.random() < density else None for _ in range(n)]
+        for _ in range(n)
+    ]
 
 
-def test_component_determinant_matches_brute_force():
-    rng = random.Random(77)
-    for p in (3, 5):
-        for n in (2, 3, 4):
-            for _ in range(15):
-                rows = [
-                    [
-                        random_cyc(rng, p, 1)
-                        if rng.random() < 0.6
-                        else CycInt.zero(p)
-                        for _ in range(n)
-                    ]
-                    for _ in range(n)
-                ]
-                assert cyc_determinant(p, rows) == brute_force_det(p, rows)
+def decide(p, exponents):
+    """is_nonsingular on the exponent matrix, and whether the brute-force
+    determinant of the same matrix is nonzero."""
+    rows = [{c: k for c, k in enumerate(row) if k is not None} for row in exponents]
+    entries = [[0 if k is None else w(p, k) for k in row] for row in exponents]
+    return is_nonsingular(p, rows), bool(brute_force_det(p, entries))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nonsingular_matches_brute_force(p):
+    rng = random.Random(77 + p)
+    outcomes = set()
+    for n in range(1, 8):
+        for _ in range(12 if n < 6 else 3):
+            exponents = random_exponents(rng, p, n, rng.choice((0.4, 0.7, 1.0)))
+            got, want = decide(p, exponents)
+            assert got == want
+            outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_planted_singular_matrices_are_decided_zero(p):
+    """Row b is w^k times row a, so the determinant is 0 though no row need
+    be zero: every image mod q is singular, and only the norm bound ends the
+    search."""
+    rng = random.Random(91 + p)
+    for n in range(2, 8):
+        for _ in range(3):
+            exponents = random_exponents(rng, p, n, 0.8)
+            a, b = rng.sample(range(n), 2)
+            k = rng.randrange(p)
+            exponents[b] = [None if e is None else (e + k) % p for e in exponents[a]]
+            assert decide(p, exponents) == (False, False)
+
+
+def test_norm_bound_ends_the_search(monkeypatch):
+    """A 7 x 7 matrix at p = 7 with no zero entry and two equal rows: H^2 =
+    7^7, so the primes must multiply past H^(p-1) = 7^21, about 2^58.9.
+    Four primes above 2^14 reach about 2^56, five 2^70."""
+    drawn = []
+    original = cyclo._split_primes
+
+    def counted(p):
+        for q, zeta in original(p):
+            drawn.append(q)
+            yield q, zeta
+
+    monkeypatch.setattr(cyclo, "_split_primes", counted)
+    rows = [{c: (r * c) % 7 for c in range(7)} for r in range(6)]
+    assert not is_nonsingular(7, rows + [dict(rows[2])])
+    assert len(drawn) == 5 and all(q % 7 == 1 and q > 2**14 for q in drawn)
+    drawn.clear()
+    assert is_nonsingular(7, rows + [{c: (c * c) % 7 for c in range(7)}])
+    assert len(drawn) == 1
+
+
+def test_coordinate_matrix_at_p3_matches_brute_force():
+    """The 9 x 9 matrix whose column (i, j) holds the entries of A_{i,j}."""
+    p = 3
+    lines = [a_matrix(i, j, p) for i in range(p) for j in range(p)]
+    exponents = [
+        [a.powers[r] if a.columns[r] == c else None for a in lines]
+        for r in range(p)
+        for c in range(p)
+    ]
+    assert decide(p, exponents) == (True, True)
 
 
 def test_zero_row_determinant():
-    p = 3
-    z = CycInt.zero(p)
-    assert cyc_determinant(p, [[z, z], [z, CycInt.from_int(p, 1)]]).is_zero()
+    assert not is_nonsingular(3, [{}, {1: 0}])
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -284,11 +305,12 @@ def test_weight_basis_guard_detail_states_the_cost():
         "the guard allows 12 s"
     )
     with pytest.raises(SizeGuard) as l1:
-        verify_weight_basis(17, 1)
+        verify_weight_basis(109, 1)
     assert str(l1.value) == (
-        "289 index tuples of size-17 matrices and a 289x289 coordinate "
-        "determinant would take about 547 s; the guard allows 12 s"
+        "11881 index tuples of size-109 matrices and a 11881x11881 coordinate "
+        "determinant would take about 12.8 s; the guard allows 12 s"
     )
+
 
 
 # -- negative controls -------------------------------------------------------------
@@ -325,3 +347,26 @@ def test_rep_suite_fails_on_broken_tau(monkeypatch):
     status = {c.name: c.status for c in checks}
     assert status["tau-order"] == "fail"
     assert status["sigma-order"] == "pass"
+
+
+def test_rep_suite_fails_on_coinciding_weight_lines(monkeypatch, capsys):
+    """A_{1,2} replaced by A_{1,1}: two columns of one component of the
+    coordinate matrix coincide, so its determinant is 0."""
+    original = cyclo.a_matrix
+
+    def broken(i, j, p):
+        return original(i, 1 if (i, j) == (1, 2) else j, p)
+
+    monkeypatch.setattr(cyclo, "a_matrix", broken)
+    code = cli.main(["--suite", "rep", "--p", "5", "--l", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    line = [s for s in out.splitlines() if "rep/weight-basis-l1" in s][0]
+    assert "FAIL" in line
+    assert "coordinate determinant of the A_{i,j} is zero" in line
+
+
+def test_rep_suite_passes_at_p23(capsys):
+    assert cli.main(["--suite", "rep", "--p", "23", "--l", "1"]) == 0
+    line = [s for s in capsys.readouterr().out.splitlines() if "weight-basis-l1" in s][0]
+    assert "PASS" in line and "529 weight lines verified" in line

@@ -17,6 +17,8 @@ from conjchern.steenrod import (
     total_power,
 )
 from helpers import (
+    even_gen,
+    odd_gen,
     poly_of,
     random_nonzero_poly,
     random_poly,
@@ -199,8 +201,8 @@ def test_coh_mul_matches_the_tuple_oracle():
 def test_coh_operations_at_the_limit():
     alg = CohAlgebra(3, 2)
     limit = alg._limit
-    t1 = alg.even_gen(1)
-    a2 = alg.odd_gen(2)
+    t1 = even_gen(alg, 1)
+    a2 = odd_gen(alg, 2)
     near = alg.term((2,), (limit - 2, 0))
     assert (near * t1).terms == {((2,), (limit - 1, 0)): 1}
     with pytest.raises(SizeGuard):
