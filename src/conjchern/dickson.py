@@ -11,11 +11,11 @@ routes and serve as mutual oracles.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, SizeGuard
-from .fp import _binom_support, check_modulus
+from .fp import _binom_support, _pick_count, check_modulus
 from .poly import (
     Poly,
     PolyMatrix,
@@ -305,7 +305,7 @@ def _elementary_factors(entries, p: int) -> list:
 
 def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     """Substitute x_j -> x_j + c*x_i, expanding each (x_j + c*x_i)^e over the
-    Lucas-nonzero binomials of e."""
+    Lucas table of e."""
     ring = f.ring
     p, shift_j, fmask = ring.p, ring._shifts[j], ring._fmask
     # moving one unit of exponent from x_j to x_i keeps the degree
@@ -315,13 +315,11 @@ def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     def terms():
         for m, v in f._terms.items():
             e = m >> shift_j & fmask
-            if not e:
-                yield m, v
-                continue
             picks = images.get(e)
             if picks is None:
                 picks = images[e] = [
-                    ((e - k) * move, b * pow(c, e - k, p)) for k, b in _binom_support(e, p)
+                    ((e - k) * move, b * pow(c, e - k, p))
+                    for k, b in _binom_support(e, p).items()
                 ]
             for step, w in picks:
                 yield m + step, v * w
@@ -340,13 +338,7 @@ def _trial_picks(cs) -> int:
     ring = cs[0].ring
     p, fmask = ring.p, ring._fmask
 
-    def picks(e: int) -> int:  # the product of d + 1 over the base-p digits d of e
-        count = 1
-        while e:
-            e, d = divmod(e, p)
-            count *= d + 1
-        return count
-
+    picks = partial(_pick_count, p=p)
     total = 0
     for c in cs:
         for s in ring._shifts:

@@ -20,6 +20,7 @@ sign of merging the two exterior words, looked up per pair of masks.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache, partial
 
 from .errors import ContextMismatch, DepthGuard, OddPartPresent
@@ -34,6 +35,7 @@ from .poly import (
     _SparseSum,
     agree,
     diff_detail,
+    jacobian_det,
 )
 from .report import timed_check
 
@@ -61,14 +63,12 @@ class CohAlgebra(_ExponentLayout):
 
     The exterior generator a_k has degree 1, the polynomial generator x_k
     degree 2, and the Bockstein sends a_k to x_k.  The algebra also keeps,
-    per polynomial generator, the picks of the reduced powers on its powers
-    with their key increments (_Steps), filled on first use.
+    per polynomial generator, the shift of its exponent field and the key
+    increment of its t^(p-1), by which the reduced powers step over the
+    Lucas table of an exponent.
     """
 
-    __slots__ = (
-        "m", "odd_names", "even_names",
-        "_signs", "_power_steps", "_last_steps", "_total_steps",
-    )
+    __slots__ = ("m", "odd_names", "even_names", "_signs", "_positions")
 
     def __init__(self, p: int, m: int, odd_names=None, even_names=None):
         check_modulus(p)
@@ -91,11 +91,7 @@ class CohAlgebra(_ExponentLayout):
             raise ValueError(f"duplicate generator names in {names}")
         self._identity = (p, m, self.odd_names, self.even_names)
         self._signs = _sign_table(m)
-        # the key increment of t^(p-1) at each position
-        units = [(p - 1) * unit << m for unit in self._units]
-        self._power_steps = [_Steps(_sorted_picks, p, u) for u in units]
-        self._last_steps = _Steps(_picks_by_budget, p, units[-1])
-        self._total_steps = [_Steps(_support_steps, p, u) for u in units]
+        self._positions = [(s, (p - 1) * u << m) for s, u in zip(self._shifts, self._units)]
 
     @classmethod
     def bv(cls, p: int, l: int) -> CohAlgebra:
@@ -184,14 +180,6 @@ class CohClass(_SparseSum):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        out = self.algebra.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
     # -- grading ---------------------------------------------------------
 
     def degrees(self) -> set:
@@ -234,67 +222,29 @@ def bockstein(x: CohClass) -> CohClass:
     return CohClass._raw(alg, out)
 
 
-class _Steps(dict):
-    """e -> build(e, p, unit): the picks of t^e at one position of a key,
-    whose t^(p-1) has the key increment unit, computed on first use."""
-
-    __slots__ = ("build", "p", "unit")
-
-    def __init__(self, build, p: int, unit: int):
-        self.build = build
-        self.p = p
-        self.unit = unit
-
-    def __missing__(self, e: int):
-        got = self[e] = self.build(e, self.p, self.unit)
-        return got
-
-
-def _support_steps(e: int, p: int, unit: int) -> tuple:
-    """The picks of t^e as (key increment, C(e,j) mod p), in the order of
-    _binom_support."""
-    return tuple((j * unit, b) for j, b in _binom_support(e, p))
-
-
 def total_power(x: CohClass) -> CohClass:
     """The total reduced-power operation: the ring endomorphism fixing the
-    exterior generators and sending each even generator t to t + t^p."""
+    exterior generators and sending each even generator t to t + t^p, so
+    t^e -> sum_j C(e,j) t^(e + j(p-1)) over the whole Lucas table of e."""
     alg = x.algebra
     p, m = alg.p, alg.m
     if not x._terms:
         return x
     # t^e -> t^(pe) is the largest image, and scaling a key scales its degree
     alg._fit((max(x._terms) >> m) * p)
-    positions = list(zip(alg._total_steps, alg._shifts))
-    fmask = alg._fmask
+    positions, fmask = alg._positions, alg._fmask
 
     def terms():
         for key, c in x._terms.items():
-            # t^e -> sum_k C(e,k) t^(e + k(p-1)), expanded position by position
             even = key >> m
             images = [(key, c)]
-            for steps, s in positions:
+            for s, unit in positions:
                 if e := even >> s & fmask:
-                    images = [(k + inc, v * b) for k, v in images for inc, b in steps[e]]
+                    steps = [(j * unit, b) for j, b in _binom_support(e, p).items()]
+                    images = [(k + inc, v * b) for k, v in images for inc, b in steps]
             yield from images
 
     return CohClass._raw(alg, _add_terms(terms(), p))
-
-
-@lru_cache(maxsize=None)
-def _picks(e: int, p: int) -> tuple:
-    """The Lucas-nonzero binomials of t^e as (j, C(e,j) mod p), sorted by j."""
-    return tuple(sorted(_binom_support(e, p)))
-
-
-def _sorted_picks(e: int, p: int, unit: int) -> tuple:
-    """The picks of t^e as (j, C(e,j) mod p, key increment), sorted by j."""
-    return tuple((j, b, j * unit) for j, b in _picks(e, p))
-
-
-def _picks_by_budget(e: int, p: int, unit: int) -> dict:
-    """The picks of t^e as j -> (C(e,j) mod p, key increment)."""
-    return {j: (b, j * unit) for j, b in _picks(e, p)}
 
 
 def power_op(k: int, x: CohClass) -> CohClass:
@@ -303,11 +253,11 @@ def power_op(k: int, x: CohClass) -> CohClass:
 
     The total operation sends t^e to sum_j C(e,j) t^(e + j(p-1)), so a term
     t_1^e_1..t_m^e_m contributes the picks (j_1..j_m) with j_1 + .. + j_m = k.
-    Only those are enumerated: position by position over the Lucas-nonzero
-    binomials, keeping each partial pick whose remaining budget the later
-    positions can still spend exactly; the last position takes the budget
-    that is left.  Inhomogeneous classes need no split, since every term is
-    shifted by the same degree."""
+    Only those are enumerated: position by position over the Lucas table of
+    e_i capped at k, so no pick above the budget is ever listed, keeping each
+    partial pick whose remaining budget the later positions can still spend
+    exactly; the last position takes the budget that is left.  Inhomogeneous
+    classes need no split, since every term is shifted by the same degree."""
     if k < 0:
         raise ValueError("negative power operation index")
     if k == 0 or not x._terms:
@@ -315,32 +265,36 @@ def power_op(k: int, x: CohClass) -> CohClass:
     alg = x.algebra
     p, m = alg.p, alg.m
     alg._fit((max(x._terms) >> m) + (k * (p - 1) << alg._dshift))
-    positions = list(zip(alg._power_steps, alg._shifts))
-    last_steps, fmask = alg._last_steps, alg._fmask
+    positions, fmask = alg._positions, alg._fmask
 
     def terms():
         for key, c in x._terms.items():
             even = key >> m
-            lists = [steps[even >> s & fmask] for steps, s in positions]
+            # a zero exponent has the one pick 0, which changes nothing
+            active = [
+                (_binom_support(e, p, k), unit)
+                for s, unit in positions
+                if (e := even >> s & fmask)
+            ]
             # reach[i]: the largest pick sum that positions i.. can spend
-            reach = [0] * (m + 1)
-            for i in range(m - 1, -1, -1):
-                reach[i] = reach[i + 1] + lists[i][-1][0]
+            reach = [0] * (len(active) + 1)
+            for i in range(len(active) - 1, -1, -1):
+                reach[i] = reach[i + 1] + next(reversed(active[i][0]))
             if reach[0] < k:
                 continue
             states = [(k, key, c)]
-            for i in range(m - 1):
+            for i, (table, unit) in enumerate(active[:-1]):
                 later = reach[i + 1]
                 states = [
-                    (left - j, kk + inc, coeff * b)
+                    (left - j, kk + j * unit, coeff * b)
                     for left, kk, coeff in states
-                    for j, b, inc in lists[i]
+                    for j, b in table.items()
                     if j <= left and left - j <= later
                 ]
-            last = last_steps[even & fmask]
+            last, unit = active[-1]
             for left, kk, coeff in states:
-                if got := last.get(left):
-                    yield kk + got[1], coeff * got[0]
+                if b := last.get(left):
+                    yield kk + left * unit, coeff * b
 
     return CohClass._raw(alg, _add_terms(terms(), p))
 
@@ -435,7 +389,6 @@ def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
 def verify_jacobian_independence(p: int, l: int) -> list:
     """The closed forms r_1..r_{2l} have a nonzero Jacobian determinant with
     respect to (xi_1, eta_1, ..., xi_l, eta_l)."""
-    from .poly import jacobian_det
 
     def run():
         ring = PolyRing(p, CohAlgebra.bv(p, l).even_names)
@@ -483,10 +436,8 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     """Closed forms of the Milnor primitives plus the structural laws:
     the Bockstein squares to zero, Q_i are anticommuting derivations, the
     total power is a ring endomorphism, and P^0 is the identity."""
-    import random as _random
-
     alg = CohAlgebra.bv(p, l)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     checks = []
 
     def closed_form(i):

@@ -82,6 +82,12 @@ def naive_product(factors):
     return reduce(lambda x, y: x * y, factors)
 
 
+def coh_power(x, e):
+    """x^e for a CohClass x and e >= 1, as e - 1 products: CohClass has no
+    power of its own."""
+    return naive_product([x] * e)
+
+
 def balanced_linear_form_product(ring):
     """prod over v in F_p^m of (T + v_1 y_1 + ... + v_m y_m), T the last
     variable, by the subspace recursion F_k(T) = prod_c F_{k-1}(T + c y_k)

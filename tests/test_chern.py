@@ -17,6 +17,7 @@ from conjchern.poly import PolyRing
 from conjchern.steenrod import even_to_poly
 from helpers import (
     balanced_linear_form_product,
+    coh_power,
     even_gen,
     linear_form,
     naive_product,
@@ -260,7 +261,7 @@ def test_gamma_top_failure_diffs_the_pair_that_disagrees(monkeypatch, capsys):
 
     def planted(p, i, l):
         r = original_r(p, i, l)
-        return r + even_gen(r.algebra, 1) ** (p + 1) if i == 1 else r
+        return r + coh_power(even_gen(r.algebra, 1), p + 1) if i == 1 else r
 
     def top_from_planted(ctx):
         graded = original_chern(ctx)

@@ -69,3 +69,17 @@ def test_every_import_is_read():
                     if name not in read:
                         unread.append(f"{path.name}: {name}")
     assert unread == []
+
+
+def test_no_import_inside_a_function():
+    """Every module imports at its top, so what a function uses is loaded
+    when its module is."""
+    local = {}  # the place of each import -> its outermost function
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        local.setdefault(f"{path.name}:{node.lineno}", func.name)
+    assert local == {}

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +22,7 @@ from conjchern.steenrod import (
     verify_steenrod,
     x_class,
 )
-from helpers import crossing_sign, even_gen, odd_gen, passed, poly_of
+from helpers import coh_power, crossing_sign, even_gen, odd_gen, passed, poly_of
 
 A31 = CohAlgebra.bv(3, 1)
 
@@ -132,7 +134,7 @@ def test_bockstein_derivation_sign():
 
 def test_p1_on_degree_two_class():
     xi = even_gen(A31, 1)
-    assert power_op(1, xi) == xi**3
+    assert power_op(1, xi) == coh_power(xi, 3)
 
 
 def test_powers_vanish_on_degree_one():
@@ -143,7 +145,7 @@ def test_powers_vanish_on_degree_one():
 
 def test_cartan_product_expansion():
     xi, eta = even_gen(A31, 1), even_gen(A31, 2)
-    assert power_op(1, xi * eta) == xi**3 * eta + xi * eta**3
+    assert power_op(1, xi * eta) == coh_power(xi, 3) * eta + xi * coh_power(eta, 3)
 
 
 def test_unstable_behavior_on_even_powers():
@@ -151,8 +153,8 @@ def test_unstable_behavior_on_even_powers():
     alg = CohAlgebra.bv(5, 1)
     xi = even_gen(alg, 1)
     for k in (1, 2, 3):
-        x = xi**k
-        assert power_op(k, x) == x**5
+        x = coh_power(xi, k)
+        assert power_op(k, x) == coh_power(x, 5)
         assert power_op(k + 1, x).is_zero()
 
 
@@ -214,7 +216,7 @@ def test_q0_is_bockstein():
 
 
 def test_q1_on_exterior_generator():
-    assert milnor_q(1, odd_gen(A31, 1)) == even_gen(A31, 1) ** 3
+    assert milnor_q(1, odd_gen(A31, 1)) == coh_power(even_gen(A31, 1), 3)
 
 
 def test_milnor_degree_shift():
@@ -349,14 +351,18 @@ def test_suite_fails_on_non_multiplicative_total_power(monkeypatch, capsys):
 
 
 def drop_top_pick(monkeypatch):
-    """power_op loses the pick j = 1 of t^1, so P^1(t) = 0 instead of t^p."""
-    original = steenrod._picks
+    """power_op loses the pick j = 1 of t^1, so P^1(t) = 0 instead of t^p.
+    Only the capped tables, which power_op reads, lose it, and each loses it
+    in a copy: the cached table is shared by later tests."""
+    original = steenrod._binom_support
 
-    def dropped(e, p):
-        picks = original(e, p)
-        return picks[:-1] if e == 1 else picks
+    def dropped(e, p, *cap):
+        table = original(e, p, *cap)
+        if e == 1 and cap:
+            return {j: b for j, b in table.items() if j != 1}
+        return table
 
-    monkeypatch.setattr(steenrod, "_picks", dropped)
+    monkeypatch.setattr(steenrod, "_binom_support", dropped)
 
 
 def test_suite_fails_on_dropped_power_op_pick(monkeypatch, capsys):
@@ -401,7 +407,7 @@ def test_suite_fails_on_dependent_closed_forms(monkeypatch, capsys):
     original = steenrod.r_closed
 
     def dependent(p, i, l):
-        return original(p, 1, l) ** p if i == 2 else original(p, i, l)
+        return coh_power(original(p, 1, l), p) if i == 2 else original(p, i, l)
 
     monkeypatch.setattr(steenrod, "r_closed", dependent)
     code = cli.main(STEENROD_P3_L1)
@@ -425,3 +431,18 @@ def test_suite_passes_at_the_largest_admitted_prime(capsys):
     assert code == 0
     assert len(checks) == 10
     assert [c["name"] for c in checks if c["status"] != "pass"] == []
+
+
+def test_power_op_lists_only_the_picks_within_its_budget():
+    """t^(2^31 - 3) at p = 3 has 20 base-3 digits and millions of Lucas
+    picks, but P^1 can use only the picks 0 and 1: listing every pick before
+    applying the budget outlasts the timeout."""
+    code = (
+        "from conjchern.steenrod import CohAlgebra, power_op; "
+        "print(power_op(1, CohAlgebra(3, 1).term((), (2**31 - 3,))).to_text())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2*x1^2147483647"
