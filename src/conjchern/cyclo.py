@@ -37,8 +37,20 @@ from .report import timed_check
 # bound admits p <= 107 at l = 1 and p <= 11 at l = 2.  A singular
 # coordinate matrix, which fails the check, costs more: its singular
 # component is eliminated mod up to about p^2 log2(p) / 28 primes before the
-# norm bound decides it.
-MAX_WEIGHT_BASIS_SECONDS = 12
+# norm bound decides it.  The same bound holds each check of
+# verify_extraspecial.
+MAX_REP_SECONDS = 12
+
+# Cost model of verify_extraspecial, fitted on the same box: each of its
+# checks builds a few monomial matrices of size p, at 0.3-0.4 microseconds
+# an entry.  sigma-order and tau-order build the two generators, two
+# identities, and the bit_length(p) squarings and popcount(p) products of
+# the power p; commutator-central builds 15 and omega-commutes 8.  Measured at
+# p = 10^5 + 3: 1.10, 0.86, 0.60 and 0.27 s; at p = 10^6 + 3: 12.6, 9.6, 5.9
+# and 3.0 s, with 552 MB peak RSS.  The bound admits the two order checks
+# up to about p = 9.36 * 10^5, commutator-central up to 2 * 10^6 and
+# omega-commutes up to about 3.7 * 10^6.
+SECONDS_PER_MATRIX_ENTRY = 4e-7
 
 # The first modulus tried by is_nonsingular: small enough that the trial
 # division finding each prime q = 1 (mod p) is cheap, large enough that a
@@ -280,16 +292,28 @@ def is_nonsingular(p: int, rows) -> bool:
 
 def verify_extraspecial(p: int) -> list:
     """Generator orders, the central commutator (both bracket conventions),
-    and centrality of the scalar w."""
-    sigma, tau = gen_matrices(p)
-    identity = CycMatrix.identity(p, p)
-    omega_central = identity.mul_omega(1)
-    checks = []
+    and centrality of the scalar w.  Each check builds its own matrices,
+    after its guard has admitted the count it would build."""
+    check_modulus(p)
+    power_builds = 4 + p.bit_length() + p.bit_count()
 
-    checks.append(timed_check("sigma-order", lambda: sigma**p == identity))
-    checks.append(timed_check("tau-order", lambda: tau**p == identity))
+    def guarded(name: str, builds: int, fn):
+        def run():
+            seconds = builds * p * SECONDS_PER_MATRIX_ENTRY
+            if seconds > MAX_REP_SECONDS:
+                raise SizeGuard(
+                    f"{builds} monomial matrices of size {p} would take about "
+                    f"{seconds:.3g} s; the guard allows {MAX_REP_SECONDS} s"
+                )
+            return fn(*gen_matrices(p))
 
-    def commutator():
+        return timed_check(name, run)
+
+    def order(g):
+        return g**p == CycMatrix.identity(p, p)
+
+    def commutator(sigma, tau):
+        identity = CycMatrix.identity(p, p)
         sigma_inv = sigma.inverse_monomial()
         tau_inv = tau.inverse_monomial()
         left = tau * sigma * tau_inv * sigma_inv
@@ -307,20 +331,21 @@ def verify_extraspecial(p: int) -> list:
             return False, "commutator degenerates to the identity"
         return ok, "; ".join(results)
 
-    checks.append(timed_check("commutator-central", commutator))
-    checks.append(
-        timed_check(
-            "omega-commutes",
-            lambda: omega_central * sigma == sigma * omega_central
-            and omega_central * tau == tau * omega_central,
-        )
-    )
-    return checks
+    def omega_commutes(sigma, tau):
+        omega = CycMatrix.identity(p, p).mul_omega(1)
+        return omega * sigma == sigma * omega and omega * tau == tau * omega
+
+    return [
+        guarded("sigma-order", power_builds, lambda sigma, tau: order(sigma)),
+        guarded("tau-order", power_builds, lambda sigma, tau: order(tau)),
+        guarded("commutator-central", 15, commutator),
+        guarded("omega-commutes", 8, omega_commutes),
+    ]
 
 
 def _weight_basis_seconds(p: int, l: int) -> float:
     """Estimated seconds of verify_weight_basis(p, l), from the cost model
-    above MAX_WEIGHT_BASIS_SECONDS."""
+    above MAX_REP_SECONDS."""
     seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
     if l == 1:
         seconds += p**2 * 4e-5 + p**4 * 6e-8
@@ -340,12 +365,12 @@ def verify_weight_basis(p: int, l: int) -> int:
     if l < 1:
         raise ValueError("l must be >= 1")
     seconds = _weight_basis_seconds(p, l)
-    if seconds > MAX_WEIGHT_BASIS_SECONDS:
+    if seconds > MAX_REP_SECONDS:
         det = f" and a {p * p}x{p * p} coordinate determinant" if l == 1 else ""
         raise SizeGuard(
             f"{p ** (2 * l)} index tuples of size-{p**l} matrices{det} "
             f"would take about {seconds:.3g} s; the guard allows "
-            f"{MAX_WEIGHT_BASIS_SECONDS} s"
+            f"{MAX_REP_SECONDS} s"
         )
     sigma, tau = gen_matrices(p)
     identity = CycMatrix.identity(p, p)

@@ -329,12 +329,15 @@ def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
 
 def _trial_picks(cs) -> int:
     """The Lucas picks that gl_action expands, and builds, in one random trial
-    on the polynomials cs: a random matrix has about n - 1 transvections into
-    each x_j, each expanding every term x_j^e over the picks of e and building
-    their list once per distinct e.  On the terms of cs this is within 5% of
-    the count in the trials at n = 2, p = 13..101, and up to 1.25 times high
-    at n = 3, 4 (1.55 at p <= 5); at PAIRS_PER_SECOND it states 0.7-1.3 times
-    the time of a trial (2-core x86, Python 3.11)."""
+    on the polynomials cs without a memo: a random matrix has about n - 1
+    transvections into each x_j, each expanding every term x_j^e over the
+    picks of e and building their list once per distinct e.  On the terms of
+    cs this is within 5% of the count in the trials at n = 2, p = 13..101,
+    and up to 1.25 times high at n = 3, 4 (1.55 at p <= 5); at
+    PAIRS_PER_SECOND it states 0.7-1.3 times the time of a trial (2-core x86,
+    Python 3.11).  The trials of one check share a memo, which skips every
+    repeated (polynomial, factor) substitution, so on a passing check the
+    estimate is an upper bound."""
     ring = cs[0].ring
     p, fmask = ring.p, ring._fmask
 
@@ -347,30 +350,55 @@ def _trial_picks(cs) -> int:
     return (ring.arity - 1) * total
 
 
-def gl_action(f: Poly, a: GLMatrix) -> Poly:
+def _apply_factor(f: Poly, i: int, j: int, c: int) -> Poly:
+    """The substitution of one elementary factor (i, j, c) of a GLMatrix."""
+    if i != j:
+        return _transvection(f, j, i, c)
+    ring = f.ring
+    images = [ring.variable(k) for k in range(ring.arity)]
+    images[j] = ring.monomial({j: 1}, c)
+    return f.compose(images, ring)
+
+
+def gl_action(f: Poly, a: GLMatrix, memo: dict | None = None) -> Poly:
     """Substitute x_j -> sum_i a[i][j] x_i (the matrix acts on the column of
     variables); extends multiplicatively to all polynomials.
 
     Computed exactly from the elementary factors a = E_1 ... E_m: since
     act(f, A*B) = act(act(f, B), A), their one-variable substitutions apply
     last factor first.
+
+    memo maps (polynomial, factor) to the result of that one substitution,
+    a pure function of the two; pass one dict to the calls of a single check
+    so that its trials compute each distinct substitution once.  A result
+    equal to its input is stored as the input object, so an invariant keeps
+    one copy.  Without a memo every substitution is computed.
     """
     ring = f.ring
     if ring.arity != a.n or ring.p != a.p:
         raise RingMismatch("polynomial ring does not match the matrix")
-    for i, j, c in reversed(a.factors):
-        if i == j:
-            images = [ring.variable(k) for k in range(a.n)]
-            images[j] = ring.monomial({j: 1}, c)
-            f = f.compose(images, ring)
-        else:
-            f = _transvection(f, j, i, c)
+    for factor in reversed(a.factors):
+        if memo is None:
+            f = _apply_factor(f, *factor)
+            continue
+        key = (f, factor)
+        moved = memo.get(key)
+        if moved is None:
+            moved = _apply_factor(f, *factor)
+            if moved == f:
+                moved = f
+            memo[key] = moved
+        f = moved
     return f
 
 
 def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list:
     """Check the two invariant routes, the Moore factorization, and
-    GL-invariance under seeded random matrices."""
+    GL-invariance under seeded random matrices.
+
+    The trials of gl-invariance share one substitution memo.  Its guard
+    counts the picks of every trial as if each ran without the memo, so on
+    a passing check the time it states is an upper bound."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     checks = []
@@ -395,10 +423,11 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
         _refuse_above_limit(
             f"{trials} random matrices would expand", trials * _trial_picks(cs), "Lucas picks"
         )
+        memo: dict = {}
         for t in range(trials):
             a = random_gl(ctx.n, ctx.p, seed + t)
             for i, c in enumerate(cs):
-                moved = gl_action(c, a)
+                moved = gl_action(c, a, memo)
                 if moved != c:
                     return False, f"trial {t}: C_{{{ctx.n},{i}}} moved; " + diff_detail(
                         moved, c

@@ -36,10 +36,12 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
 # Trace coverage is a share of wall time, so a scheduling stall outside the
-# library can push one short run below the minimum: dickson-p13-n2 has a
-# median coverage of 0.968, and 3 of 75 traced runs on a 2-core box read
-# 0.938-0.943.  A coverage shortfall alone is retried, up to COVERAGE_TRIES
-# traced runs; every other problem fails at once.
+# library can push one short run below the minimum.  dickson-p13-n2 has the
+# least library time: over traced runs at seed 12 on a 2-core box its
+# coverage had a median of 0.992 (lowest 0.988, 118 runs) before the
+# gl-invariance trials shared a substitution memo, and of 0.980 (lowest
+# 0.973, 157 runs) with it.  A coverage shortfall alone is retried, up to
+# COVERAGE_TRIES traced runs; every other problem fails at once.
 COVERAGE_TRIES = 3
 
 

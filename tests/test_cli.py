@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -139,25 +140,38 @@ def test_relations_suite_skips_at_p7():
     assert any(s == "skipped" for s in statuses.values())
 
 
+# The address space allowed to each run at the largest prime: a run that
+# starts building size-p objects fails fast with a MemoryError instead of
+# exhausting the machine.
+ADDRESS_SPACE_CAP = 2**30
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["--suite", "chern", "--l", "1"],
         ["--suite", "dickson", "--n", "2", "--trials", "2"],
         ["--suite", "relations"],
+        ["--suite", "rep"],
+        ["--suite", "all", "--l", "1", "--trials", "2"],
     ],
 )
 def test_largest_admitted_prime_ends_in_seconds(argv):
-    """Without the guards of dickson_c and verify_quadratic the dickson and
-    relations runs outlast a 15 s timeout; now the expensive checks are SKIPPED
-    with their estimates."""
+    """Without the guards of dickson_c, verify_quadratic and
+    verify_extraspecial these runs outlast a 15 s timeout or run out of
+    memory; now the expensive checks are SKIPPED with their estimates."""
     proc = subprocess.run(
         [sys.executable, "-m", "conjchern", *argv, "--p", "2147483647", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=cap_address_space,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr[-2000:]
     data = json.loads(proc.stdout)
     skipped = [c for c in data["checks"] if c["status"] == "skipped"]
     assert skipped and all(" about " in c["detail"] for c in skipped)

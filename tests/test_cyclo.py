@@ -13,7 +13,7 @@ from conjchern.cyclo import (
     verify_extraspecial,
     verify_weight_basis,
 )
-from conjchern.errors import NotMonomial, PrimeMismatch, SizeGuard
+from conjchern.errors import NotMonomial, PrimeMismatch, SizeGuard, VerificationFailure
 from helpers import (
     ZW,
     brute_force_det,
@@ -311,6 +311,35 @@ def test_weight_basis_guard_detail_states_the_cost():
         "determinant would take about 12.8 s; the guard allows 12 s"
     )
 
+
+def test_extraspecial_guard_refuses_before_building(monkeypatch):
+    """Each check's guard decides before it builds a generator: a stand-in
+    for gen_matrices that fails marks every check the guard admitted."""
+
+    def admitted(p):
+        raise VerificationFailure("admitted")
+
+    monkeypatch.setattr(cyclo, "gen_matrices", admitted)
+    status = {c.name: c.status for c in verify_extraspecial(100003)}
+    assert set(status.values()) == {"fail"}
+    status = {c.name: c.status for c in verify_extraspecial(1000003)}
+    assert status == {
+        "sigma-order": "skipped",
+        "tau-order": "skipped",
+        "commutator-central": "fail",
+        "omega-commutes": "fail",
+    }
+    detail = {c.name: c.detail for c in verify_extraspecial(2147483647)}
+    assert detail == {
+        "sigma-order": "66 monomial matrices of size 2147483647 would take about "
+        "5.67e+04 s; the guard allows 12 s",
+        "tau-order": "66 monomial matrices of size 2147483647 would take about "
+        "5.67e+04 s; the guard allows 12 s",
+        "commutator-central": "15 monomial matrices of size 2147483647 would take "
+        "about 1.29e+04 s; the guard allows 12 s",
+        "omega-commutes": "8 monomial matrices of size 2147483647 would take about "
+        "6.87e+03 s; the guard allows 12 s",
+    }
 
 
 # -- negative controls -------------------------------------------------------------

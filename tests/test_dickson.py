@@ -19,7 +19,7 @@ from conjchern.dickson import (
 )
 from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
 from conjchern.fp import _binom_support
-from conjchern.poly import PolyRing
+from conjchern.poly import Poly, PolyRing
 from helpers import (
     balanced_linear_form_product,
     dense_gl_action,
@@ -533,3 +533,93 @@ def test_trial_picks_bound_the_expanded_picks(p, n, monkeypatch):
             gl_action(c, a)
     ratio = 10 * dickson._trial_picks(cs) / expanded[0]
     assert (0.95 <= ratio <= 1.05) if n == 2 else (1 <= ratio <= 1.25), ratio
+
+
+# -- the substitution memo of gl-invariance -------------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (13, 2)])
+def test_shared_memo_matches_the_memo_less_and_dense_actions(p, n):
+    """One memo over 20 matrices, on random polynomials that the matrices
+    move and on an invariant, whose unmoved results the memo stores as the
+    input object."""
+    ctx = DicksonContext(p, n)
+    rng = random.Random(10 * p + n)
+    fs = [random_nonzero_poly(rng, ctx.ring, max_terms=5, max_exp=2 * p + 1) for _ in range(3)]
+    fs.append(dickson_c(ctx, 0))
+    memo = {}
+    moved = set()
+    for seed in range(20):
+        a = random_gl(n, p, seed)
+        for k, f in enumerate(fs):
+            got = gl_action(f, a, memo)
+            assert got == gl_action(f, a) == dense_gl_action(f, a), (a, f)
+            if got != f:
+                moved.add(k)
+    assert moved == {0, 1, 2}
+    invariant = fs[-1]
+    assert all(got is invariant for (f, _), got in memo.items() if f is invariant)
+
+
+def test_shared_memo_still_fails_a_later_trial(monkeypatch):
+    """C_{2,1} at p = 3 planted as x1^2 + x2^2: the swap of trials 0 and 1
+    fixes it and x2 -> x1 + x2 in trial 2 moves it.  The memo filled by the
+    first two trials must not hide the move, and the detail is the one of the
+    memo-less action."""
+    ctx = DicksonContext(3, 2)
+    swap = GLMatrix(((0, 1), (1, 0)), 3)
+    shear = GLMatrix(((1, 1), (0, 1)), 3)
+    matrices = [swap, swap, shear]
+    original = dickson.dickson_c
+
+    def planted(ctx_, i):
+        if (ctx_.p, ctx_.n, i) == (3, 2, 1):
+            return poly_of(ctx_.ring, "x1^2 + x2^2")
+        return original(ctx_, i)
+
+    def invariance():
+        return {c.name: c for c in verify_dickson(ctx, trials=3)}["gl-invariance"]
+
+    monkeypatch.setattr(dickson, "dickson_c", planted)
+    monkeypatch.setattr(dickson, "random_gl", lambda n, p, seed: matrices[seed])
+    with_memo = invariance()
+    action = dickson.gl_action
+    monkeypatch.setattr(dickson, "gl_action", lambda f, a, memo=None: action(f, a))
+    without_memo = invariance()
+    assert with_memo.status == without_memo.status == "fail"
+    assert with_memo.detail.startswith("trial 2: C_{2,1} moved; ")
+    assert with_memo.detail == without_memo.detail
+
+
+def test_memo_computes_each_distinct_substitution_once(monkeypatch):
+    """At (13, 2) every intermediate of a passing check is one of the C, so
+    the check substitutes at most once per distinct (C, factor) pair."""
+    ctx = DicksonContext(13, 2)
+    factors = {f for seed in range(50) for f in random_gl(2, 13, seed).factors}
+    assert passed(verify_dickson(ctx))  # fills the caches of the other checks
+    calls = [0]
+    transvection, compose = dickson._transvection, Poly.compose
+
+    def counted_transvection(f, j, i, c):
+        calls[0] += 1
+        return transvection(f, j, i, c)
+
+    def counted_compose(f, images, ring=None):
+        if ring is f.ring:  # a scaling; to_xring composes into another ring
+            calls[0] += 1
+        return compose(f, images, ring)
+
+    def substitutions():
+        calls[0] = 0
+        checks = verify_dickson(ctx)
+        assert {c.name: c.status for c in checks}["gl-invariance"] == "pass"
+        return calls[0]
+
+    monkeypatch.setattr(dickson, "_transvection", counted_transvection)
+    monkeypatch.setattr(Poly, "compose", counted_compose)
+    with_memo = substitutions()
+    action = dickson.gl_action
+    monkeypatch.setattr(dickson, "gl_action", lambda f, a, memo=None: action(f, a))
+    without_memo = substitutions()
+    assert 0 < with_memo <= 3 * len(factors)
+    assert with_memo < without_memo, (with_memo, without_memo)
