@@ -11,12 +11,12 @@ topological degree 2.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _split_last, agree, diff_detail
-from .report import timed_check
+from .report import timed_check, two_routes
 from .steenrod import even_to_poly, r_closed
 
 
@@ -106,21 +106,19 @@ def verify_conj_chern(ctx: ChernContext) -> list:
     invariant in the class variables, and all other parts vanish."""
     p, l = ctx.p, ctx.l
     top = p ** (2 * l)
-    checks = []
     special = {top - p**k: k for k in range(2 * l + 1)}
 
-    def gamma_check(d, k):
-        def run():
-            got = total_conj_chern(ctx).part(d)
-            expected = dickson_on_classes(ctx, k)
-            if k % 2:
-                expected = -expected
-            return agree(got, expected)
+    def part(d):
+        return total_conj_chern(ctx).part(d)
 
-        return run
+    def signed_invariant(k):
+        c = dickson_on_classes(ctx, k)
+        return -c if k % 2 else c
 
-    for d in sorted(special, reverse=True):
-        checks.append(timed_check(f"gamma-degree-{d}", gamma_check(d, special[d])))
+    checks = [
+        two_routes(f"gamma-degree-{d}", partial(part, d), partial(signed_invariant, k))
+        for d, k in sorted(special.items(), reverse=True)
+    ]
 
     def vanishing():
         chern = total_conj_chern(ctx)
@@ -155,17 +153,17 @@ def verify_top_chern(ctx: ChernContext) -> list:
     the class variables, and the row-0 minor is its p-th power."""
     p, l = ctx.p, ctx.l
     top = p ** (2 * l)
-
-    def top_part():
-        got = total_conj_chern(ctx).part(top - 1)
-        return agree(got, delta_on_classes(ctx, 2 * l) ** (p - 1))
-
-    def zero_minor():
-        return agree(delta_on_classes(ctx, 0), delta_on_classes(ctx, 2 * l) ** p)
-
     return [
-        timed_check("top-gamma-power", top_part),
-        timed_check("minor-frobenius-power", zero_minor),
+        two_routes(
+            "top-gamma-power",
+            lambda: total_conj_chern(ctx).part(top - 1),
+            lambda: delta_on_classes(ctx, 2 * l) ** (p - 1),
+        ),
+        two_routes(
+            "minor-frobenius-power",
+            partial(delta_on_classes, ctx, 0),
+            lambda: delta_on_classes(ctx, 2 * l) ** p,
+        ),
     ]
 
 
@@ -176,41 +174,30 @@ def verify_vistoli(p: int) -> list:
     ring = ctx.ring
     xi = ring.variable("xi1")
     eta = ring.variable("eta1")
-    r1 = even_to_poly(r_closed(p, 1, 1), ring)
-    r2 = even_to_poly(r_closed(p, 2, 1), ring)
-    checks = []
-
     mid, top = p * p - p, p * p - 1
 
     def gamma(d):
         return total_conj_chern(ctx).part(d)
 
+    def r(i):
+        return even_to_poly(r_closed(p, i, 1), ring)
+
     def mid_closed_form():
-        got = gamma(mid)
-        expected = -(xi ** (p * p - p)) - eta ** (p - 1) * (
+        return -(xi ** (p * p - p)) - eta ** (p - 1) * (
             xi ** (p - 1) - eta ** (p - 1)
         ) ** (p - 1)
-        return agree(got, expected)
 
-    checks.append(timed_check("gamma-mid-closed-form", mid_closed_form))
+    checks = [two_routes("gamma-mid-closed-form", partial(gamma, mid), mid_closed_form)]
 
     def top_closed_form():
         got = gamma(top)
-        expected = r1 ** (p - 1)
+        expected = r(1) ** (p - 1)
         direct = (xi**p * eta - xi * eta**p) ** (p - 1)
         if got != expected:
             return agree(got, expected)
         return agree(expected, direct)
 
     checks.append(timed_check("gamma-top-closed-form", top_closed_form))
-
-    def r2_relation():
-        return agree(r2, -(gamma(mid) * r1))
-
-    checks.append(timed_check("r2-relation", r2_relation))
-
-    def r1_power_relation():
-        return agree(r1**p, gamma(top) * r1)
-
-    checks.append(timed_check("r1-power-relation", r1_power_relation))
+    checks.append(two_routes("r2-relation", partial(r, 2), lambda: -(gamma(mid) * r(1))))
+    checks.append(two_routes("r1-power-relation", lambda: r(1) ** p, lambda: gamma(top) * r(1)))
     return checks

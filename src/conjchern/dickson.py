@@ -22,12 +22,11 @@ from .poly import (
     PolyRing,
     _add_terms,
     _split_last,
-    agree,
     determinant,
     diff_detail,
     exact_div,
 )
-from .report import timed_check
+from .report import timed_check, two_routes
 
 # Size guard of linear_form_product over F_p^m and of the exact division of
 # dickson_c, in the monomial pairs that they visit.  For the product the
@@ -38,7 +37,9 @@ from .report import timed_check
 # 1.3-2.1 million of these pairs a second in the products at (p, m) = (3, 4),
 # (5, 3), (7, 3), (5, 4) and (3, 5) (2-core x86, Python 3.11; 0.43-0.69
 # million on exponent tuples, same machine), so the limit stands for about
-# 7 s.
+# 7 s.  At m = 1 the time is the p^2/2 steps of _shift_scalars, whose dict
+# grows by one entry per factor; at about 1.1 million steps a second (p =
+# 1009..10007, same machine) the estimate states them as 2p^2/3 pairs.
 MAX_TERM_PAIRS = 10**7
 PAIRS_PER_SECOND = 1_500_000
 
@@ -183,7 +184,10 @@ def linear_form_product(ring: PolyRing) -> Poly:
     term is kept; nothing about the shape of the result is assumed.
     """
     p, m = ring.p, ring.arity - 1
-    pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
+    if m == 1:
+        pairs = 2 * p * p // 3
+    else:
+        pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
     _refuse_above_limit(f"the product of the {p}^{m} linear forms would multiply", pairs)
     f = ring.variable(m)
     for k in range(m):
@@ -401,22 +405,19 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
     a passing check the time it states is an upper bound."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    checks = []
-
-    def route_check(i):
-        def run():
-            return agree(dickson_c(ctx, i), dickson_c_from_f(ctx, i))
-
-        return run
-
-    for i in range(ctx.n + 1):
-        checks.append(timed_check(f"two-route-c{i}", route_check(i)))
-
-    def factorization():
-        lhs = delta_full(ctx)
-        return agree(lhs, ctx.to_xring(delta_ni(ctx, ctx.n)) * f_n_product(ctx))
-
-    checks.append(timed_check("delta-factorization", factorization))
+    checks = [
+        two_routes(
+            f"two-route-c{i}", partial(dickson_c, ctx, i), partial(dickson_c_from_f, ctx, i)
+        )
+        for i in range(ctx.n + 1)
+    ]
+    checks.append(
+        two_routes(
+            "delta-factorization",
+            partial(delta_full, ctx),
+            lambda: ctx.to_xring(delta_ni(ctx, ctx.n)) * f_n_product(ctx),
+        )
+    )
 
     def invariance():
         cs = [dickson_c(ctx, i) for i in range(ctx.n + 1)]

@@ -7,6 +7,7 @@ import time
 
 from ._version import __version__
 from .errors import ConjChernError, SizeGuard
+from .poly import agree
 
 PASS = "pass"
 FAIL = "fail"
@@ -117,3 +118,13 @@ def timed_check(name: str, fn) -> Check:
         status = PASS if ok else FAIL
     elapsed = round((time.perf_counter() - start) * 1000)
     return Check(name, status, detail, elapsed)
+
+
+def two_routes(name: str, lhs, rhs) -> Check:
+    """A check that two independent routes reach the same result: lhs() is
+    computed first, then rhs(), and the two are compared with agree, so a
+    failed check diffs lhs against rhs.
+
+    tests/test_routes.py runs each route alone and fails when both reach a
+    library function outside the shared ring arithmetic."""
+    return timed_check(name, lambda: agree(lhs(), rhs()))

@@ -33,11 +33,10 @@ from .poly import (
     _perm_sign,
     _powers,
     _SparseSum,
-    agree,
     diff_detail,
     jacobian_det,
 )
-from .report import timed_check
+from .report import timed_check, two_routes
 
 MAX_MILNOR_INDEX = 6
 
@@ -438,16 +437,14 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     total power is a ring endomorphism, and P^0 is the identity."""
     alg = CohAlgebra.bv(p, l)
     rng = random.Random(seed)
-    checks = []
 
-    def closed_form(i):
-        def run():
-            return agree(milnor_q(i, x_class(p, l)), r_closed(p, i, l))
+    def q_on_x(i):
+        return milnor_q(i, x_class(p, l))
 
-        return run
-
-    for i in range(5):
-        checks.append(timed_check(f"milnor-closed-form-q{i}", closed_form(i)))
+    checks = [
+        two_routes(f"milnor-closed-form-q{i}", partial(q_on_x, i), partial(r_closed, p, i, l))
+        for i in range(5)
+    ]
 
     def bockstein_squared():
         for _ in range(trials):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -120,6 +121,30 @@ def test_json_schema_and_determinism_small():
     validate_schema(data)
     assert data["suite"] == "vistoli"
     assert all(c["elapsed_ms"] == 0 for c in data["checks"])
+
+
+# The sha256 of the default (--threads 1) JSON report of each benchmark
+# workload, so that a change of any byte fails here.
+GOLDEN_REPORTS = {
+    "all-p3-l2": (
+        ["--suite", "all", "--p", "3", "--l", "2", "--seed", "7"],
+        "f9483dcc0eab5b84a624f33a488775b0f5f0c32a9c61ac951b84feb4ed0924a4",
+    ),
+    "dickson-p13-n2": (
+        ["--suite", "dickson", "--p", "13", "--n", "2", "--seed", "7"],
+        "406bab00a1a084d29c153abd65339c564c6b6a8da277a49d416385f69881bd44",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_REPORTS))
+def test_benchmark_reports_are_byte_identical(workload):
+    argv, digest = GOLDEN_REPORTS[workload]
+    proc = subprocess.run(
+        [sys.executable, "-m", "conjchern", *argv, "--format", "json"], capture_output=True
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_out_file(tmp_path):

@@ -477,6 +477,30 @@ def test_rank_one_invariance_passes_at_the_largest_admitted_prime():
     }
 
 
+def test_rank_one_product_guard_refuses_before_the_scalars(monkeypatch):
+    """At n = 1 the product's time is the p^2/2 steps of _shift_scalars, so
+    p = 10007 (about 45 s) is refused before any of them runs."""
+
+    def never(p, exponents):
+        raise AssertionError("_shift_scalars ran past the guard")
+
+    monkeypatch.setattr(dickson, "_shift_scalars", never)
+    checks = verify_dickson(DicksonContext(10007, 1), trials=2, seed=0)
+    status = {c.name: c for c in checks}
+    for name in ("two-route-c0", "two-route-c1", "delta-factorization"):
+        assert status[name].status == "skipped"
+        assert status[name].detail == (
+            "the product of the 10007^1 linear forms would multiply about "
+            "6.68e+07 monomial pairs, about 45 s; the guard allows 1.00e+07"
+        )
+    assert status["gl-invariance"].status == "pass"
+
+
+def test_rank_one_product_passes_below_its_guard():
+    checks = verify_dickson(DicksonContext(1009, 1), trials=2, seed=0)
+    assert {c.status for c in checks} == {"pass"}
+
+
 def test_division_guard_refuses_before_dividing(monkeypatch):
     def never(f, g):
         raise AssertionError("exact_div ran past the guard")
