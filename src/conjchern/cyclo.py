@@ -20,36 +20,21 @@ from .errors import (
     IndexOutOfRange,
     NotMonomial,
     PrimeMismatch,
-    SizeGuard,
     VerificationFailure,
 )
 from .fp import check_modulus, is_prime
-from .report import timed_check
+from .report import REP_BUDGET, refuse_above, timed_check
 
-# Cost model of verify_weight_basis, fitted on a 2-core x86 box (Python 3.11).
-# Each of the p^(2l) index tuples builds one monomial matrix of size p^l and
-# conjugates it by 2l generators: about 1 microsecond per p^(3l) * (2l + 1).
-# At l = 1 the matrices are small enough that each tuple's fixed cost, about
-# 40 microseconds, shows, and the span decision adds about 0.06
-# microseconds per p^4 (p components of size p, each eliminated mod one
-# prime).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s, (11, 2) 5.5 s, (5, 3)
-# 7.8-10.8 s; at l = 1, p = 11: 10-15 ms, 23: 72-100 ms, 107: 11.1 s.  The
-# bound admits p <= 107 at l = 1 and p <= 11 at l = 2.  A singular
-# coordinate matrix, which fails the check, costs more: its singular
-# component is eliminated mod up to about p^2 log2(p) / 28 primes before the
-# norm bound decides it.  The same bound holds each check of
-# verify_extraspecial.
-MAX_REP_SECONDS = 12
-
-# Cost model of verify_extraspecial, fitted on the same box: each of its
-# checks builds a few monomial matrices of size p, at 0.3-0.4 microseconds
-# an entry.  sigma-order and tau-order build the two generators, two
-# identities, and the bit_length(p) squarings and popcount(p) products of
-# the power p; commutator-central builds 15 and omega-commutes 8.  Measured at
-# p = 10^5 + 3: 1.10, 0.86, 0.60 and 0.27 s; at p = 10^6 + 3: 12.6, 9.6, 5.9
-# and 3.0 s, with 552 MB peak RSS.  The bound admits the two order checks
-# up to about p = 9.36 * 10^5, commutator-central up to 2 * 10^6 and
-# omega-commutes up to about 3.7 * 10^6.
+# Cost model of verify_extraspecial, fitted on a 2-core x86 box (Python
+# 3.11): each of its checks builds a few monomial matrices of size p, at
+# 0.3-0.4 microseconds an entry.  sigma-order and tau-order build the two
+# generators, two identities, and the bit_length(p) squarings and
+# popcount(p) products of the power p; commutator-central builds 15 and
+# omega-commutes 8.  Measured at p = 10^5 + 3: 1.10, 0.86, 0.60 and 0.27 s;
+# at p = 10^6 + 3: 12.6, 9.6, 5.9 and 3.0 s, with 552 MB peak RSS.
+# REP_BUDGET admits the two order checks up to about p = 9.36 * 10^5,
+# commutator-central up to 2 * 10^6 and omega-commutes up to about
+# 3.7 * 10^6.
 SECONDS_PER_MATRIX_ENTRY = 4e-7
 
 # The first modulus tried by is_nonsingular: small enough that the trial
@@ -85,6 +70,16 @@ class CycMatrix:
         self.columns = columns
         self.powers = tuple(k % p for k in powers)
 
+    @classmethod
+    def _raw(cls, p: int, columns, powers) -> CycMatrix:
+        """A matrix built from valid ones, so its columns are a permutation
+        and its prime is checked; only the powers are reduced mod p."""
+        m = object.__new__(cls)
+        m.p = p
+        m.columns = tuple(columns)
+        m.powers = tuple([k % p for k in powers])
+        return m
+
     @property
     def size(self) -> int:
         return len(self.columns)
@@ -103,7 +98,7 @@ class CycMatrix:
         self._check(other)
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return CycMatrix(
+        return CycMatrix._raw(
             self.p,
             [other.columns[c] for c in self.columns],
             [k + other.powers[c] for c, k in zip(self.columns, self.powers)],
@@ -135,13 +130,13 @@ class CycMatrix:
 
     def mul_omega(self, k: int) -> CycMatrix:
         """Entrywise multiplication by the scalar w^k."""
-        return CycMatrix(self.p, self.columns, [e + k for e in self.powers])
+        return CycMatrix._raw(self.p, self.columns, [e + k for e in self.powers])
 
     def kron(self, other: CycMatrix) -> CycMatrix:
         """Kronecker product."""
         self._check(other)
         m = other.size
-        return CycMatrix(
+        return CycMatrix._raw(
             self.p,
             [c * m + d for c in self.columns for d in other.columns],
             [k + e for k in self.powers for e in other.powers],
@@ -155,7 +150,7 @@ class CycMatrix:
         for r, (c, k) in enumerate(zip(self.columns, self.powers)):
             columns[c] = r
             powers[c] = -k
-        return CycMatrix(self.p, columns, powers)
+        return CycMatrix._raw(self.p, columns, powers)
 
     def scalar_exponent(self):
         """k if self == w^k * I, else None."""
@@ -299,12 +294,8 @@ def verify_extraspecial(p: int) -> list:
 
     def guarded(name: str, builds: int, fn):
         def run():
-            seconds = builds * p * SECONDS_PER_MATRIX_ENTRY
-            if seconds > MAX_REP_SECONDS:
-                raise SizeGuard(
-                    f"{builds} monomial matrices of size {p} would take about "
-                    f"{seconds:.3g} s; the guard allows {MAX_REP_SECONDS} s"
-                )
+            work = f"{builds} monomial matrices of size {p}"
+            refuse_above(work, builds * p * SECONDS_PER_MATRIX_ENTRY, REP_BUDGET)
             return fn(*gen_matrices(p))
 
         return timed_check(name, run)
@@ -343,15 +334,6 @@ def verify_extraspecial(p: int) -> list:
     ]
 
 
-def _weight_basis_seconds(p: int, l: int) -> float:
-    """Estimated seconds of verify_weight_basis(p, l), from the cost model
-    above MAX_REP_SECONDS."""
-    seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
-    if l == 1:
-        seconds += p**2 * 4e-5 + p**4 * 6e-8
-    return seconds
-
-
 def verify_weight_basis(p: int, l: int) -> int:
     """Check the weight relations for every index tuple; at l = 1 first
     check that the eigen-lines span: the coordinate matrix, whose column
@@ -364,14 +346,25 @@ def verify_weight_basis(p: int, l: int) -> int:
     check_modulus(p)
     if l < 1:
         raise ValueError("l must be >= 1")
-    seconds = _weight_basis_seconds(p, l)
-    if seconds > MAX_REP_SECONDS:
-        det = f" and a {p * p}x{p * p} coordinate determinant" if l == 1 else ""
-        raise SizeGuard(
-            f"{p ** (2 * l)} index tuples of size-{p**l} matrices{det} "
-            f"would take about {seconds:.3g} s; the guard allows "
-            f"{MAX_REP_SECONDS} s"
-        )
+    # Cost model, fitted on a 2-core x86 box (Python 3.11).  Each of the
+    # p^(2l) index tuples builds one monomial matrix of size p^l and
+    # conjugates it by 2l generators: about 1 microsecond per p^(3l) *
+    # (2l + 1).  At l = 1 the matrices are small enough that each tuple's
+    # fixed cost, about 40 microseconds, shows, and the span decision adds
+    # about 0.06 microseconds per p^4 (p components of size p, each
+    # eliminated mod one prime).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s,
+    # (11, 2) 5.5 s, (5, 3) 7.8-10.8 s; at l = 1, p = 11: 10-15 ms, 23:
+    # 72-100 ms, 107: 11.1 s.  REP_BUDGET admits p <= 107 at l = 1 and
+    # p <= 11 at l = 2.  A singular coordinate matrix, which fails the check,
+    # costs more: its singular component is eliminated mod up to about
+    # p^2 log2(p) / 28 primes before the norm bound decides it.
+    seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
+    det = ""
+    if l == 1:
+        seconds += p**2 * 4e-5 + p**4 * 6e-8
+        det = f" and a {p * p}x{p * p} coordinate determinant"
+    work = f"{p ** (2 * l)} index tuples of size-{p**l} matrices{det}"
+    refuse_above(work, seconds, REP_BUDGET)
     sigma, tau = gen_matrices(p)
     identity = CycMatrix.identity(p, p)
 

@@ -14,7 +14,7 @@ import random
 from functools import lru_cache, partial
 from math import factorial
 
-from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, SizeGuard
+from .errors import IndexOutOfRange, RingMismatch, SingularMatrix
 from .fp import _binom_support, _pick_count, check_modulus
 from .poly import (
     Poly,
@@ -26,9 +26,9 @@ from .poly import (
     diff_detail,
     exact_div,
 )
-from .report import timed_check, two_routes
+from .report import POLY_BUDGET, refuse_above, timed_check, two_routes
 
-# Size guard of linear_form_product over F_p^m and of the exact division of
+# Cost of linear_form_product over F_p^m and of the exact division of
 # dickson_c, in the monomial pairs that they visit.  For the product the
 # estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is a power law fitted to the
 # counted pairs for m = 3..6 and p = 2..23 and to the times for m = 2 and p
@@ -36,26 +36,11 @@ from .report import timed_check, two_routes
 # factor 2 wherever it exceeds 10^4.  On packed keys Poly.__mul__ visits
 # 1.3-2.1 million of these pairs a second in the products at (p, m) = (3, 4),
 # (5, 3), (7, 3), (5, 4) and (3, 5) (2-core x86, Python 3.11; 0.43-0.69
-# million on exponent tuples, same machine), so the limit stands for about
-# 7 s.  At m = 1 the time is the p^2/2 steps of _shift_scalars, whose dict
-# grows by one entry per factor; at about 1.1 million steps a second (p =
-# 1009..10007, same machine) the estimate states them as 2p^2/3 pairs.
-MAX_TERM_PAIRS = 10**7
+# million on exponent tuples, same machine).  At m = 1 the time is the p^2/2
+# steps of _shift_scalars, whose dict grows by one entry per factor; at
+# about 1.1 million steps a second (p = 1009..10007, same machine) the
+# estimate states them as 2p^2/3 pairs.
 PAIRS_PER_SECOND = 1_500_000
-
-
-def _refuse_above_limit(work: str, pairs: int, units: str = "monomial pairs") -> None:
-    """Raise SizeGuard if pairs exceeds MAX_TERM_PAIRS, saying that work
-    would visit about that many units and how long that would take, the
-    seconds rounded to the nearest one."""
-    if pairs <= MAX_TERM_PAIRS:
-        return
-    seconds = round(pairs / PAIRS_PER_SECOND)
-    cost = f"{seconds} s" if seconds < 3600 else f"{seconds / 3600:.3g} h"
-    raise SizeGuard(
-        f"{work} about {pairs:.2e} {units}, about {cost}; "
-        f"the guard allows {MAX_TERM_PAIRS:.2e}"
-    )
 
 
 class DicksonContext:
@@ -188,7 +173,8 @@ def linear_form_product(ring: PolyRing) -> Poly:
         pairs = 2 * p * p // 3
     else:
         pairs = p ** (m * (m + 1) // 2) // (10 if m == 3 else 2)
-    _refuse_above_limit(f"the product of the {p}^{m} linear forms would multiply", pairs)
+    work = f"the product of the {p}^{m} linear forms ({pairs:.3g} monomial pairs)"
+    refuse_above(work, pairs / PAIRS_PER_SECOND, POLY_BUDGET)
     f = ring.variable(m)
     for k in range(m):
         f = _product_of_shifts(f, k)
@@ -214,7 +200,8 @@ def dickson_c(ctx: DicksonContext, i: int) -> Poly:
     factor 2.5."""
     p, n = ctx.p, ctx.n
     pairs = (1 if i == n else p ** (n * (n - 1) // 2)) * factorial(n)
-    _refuse_above_limit(f"the exact division for C_{{{n},{i}}} would visit", pairs)
+    work = f"the exact division for C_{{{n},{i}}} ({pairs:.3g} monomial pairs)"
+    refuse_above(work, pairs / PAIRS_PER_SECOND, POLY_BUDGET)
     return exact_div(delta_ni(ctx, i), delta_ni(ctx, n))
 
 
@@ -421,9 +408,9 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
 
     def invariance():
         cs = [dickson_c(ctx, i) for i in range(ctx.n + 1)]
-        _refuse_above_limit(
-            f"{trials} random matrices would expand", trials * _trial_picks(cs), "Lucas picks"
-        )
+        picks = trials * _trial_picks(cs)
+        work = f"{trials} random matrices ({picks:.3g} Lucas picks)"
+        refuse_above(work, picks / PAIRS_PER_SECOND, POLY_BUDGET)
         memo: dict = {}
         for t in range(trials):
             a = random_gl(ctx.n, ctx.p, seed + t)

@@ -15,11 +15,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .chern import ChernContext, delta_on_classes, total_conj_chern
-from .dickson import MAX_TERM_PAIRS, PAIRS_PER_SECOND
-from .errors import IndexOutOfRange, SamePartition, SizeGuard, VerificationFailure
+from .errors import IndexOutOfRange, SamePartition, VerificationFailure
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _perm_sign, diff_detail
-from .report import FAIL, timed_check, two_routes
+from .report import FAIL, POLY_BUDGET, refuse_above, timed_check, two_routes
 from .steenrod import even_to_poly, r_closed
 
 
@@ -185,20 +184,14 @@ def verify_quadratic(p: int) -> list:
     """Scaling every Y_i by a scalar a of F_p scales each R_j by a^2.
 
     Each check substitutes all p scalars, at about 45 us each (2-core x86,
-    Python 3.11, p = 101..10007), so it is guarded by the time the product
-    guard of dickson stands for."""
+    Python 3.11, p = 101..10007), so it is guarded by the budget of the
+    polynomial kernels."""
     ring = y_ring(p)
     checks = []
-    seconds = p * 4.5e-5
-    budget = MAX_TERM_PAIRS / PAIRS_PER_SECOND
 
     def scaling(j):
         def run():
-            if seconds > budget:
-                raise SizeGuard(
-                    f"the {p} scalars would take about {seconds:.3g} s; "
-                    f"the guard allows {budget:.3g} s"
-                )
+            refuse_above(f"the {p} scalars", p * 4.5e-5, POLY_BUDGET)
             base = r_j_poly(j, p)
             for a in range(p):
                 images = [ring.monomial({t: 1}, a) for t in range(4)]

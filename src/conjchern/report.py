@@ -120,6 +120,28 @@ def timed_check(name: str, fn) -> Check:
     return Check(name, status, detail, elapsed)
 
 
+# The two time budgets of the size guards, in seconds (2-core x86, Python
+# 3.11).  POLY_BUDGET bounds the polynomial kernels of dickson and relations:
+# 10^7 monomial pairs at the 1.5 million a second of dickson.PAIRS_PER_SECOND,
+# about 6.67 s.  REP_BUDGET bounds each check of cyclo.
+POLY_BUDGET = 10**7 / 1_500_000
+REP_BUDGET = 12
+
+
+def refuse_above(work: str, seconds: float, budget: float) -> None:
+    """Raise SizeGuard if the estimated seconds of work exceed budget.
+
+    Every cost guard refuses through here, before its work starts, so each
+    SKIPPED detail reads "<work> would take about <cost>; the guard allows
+    <budget> s", the cost to 3 significant figures, in hours above an hour."""
+    if seconds > budget:
+        cost, unit = (seconds / 3600, "h") if seconds > 3600 else (seconds, "s")
+        raise SizeGuard(
+            f"{work} would take about {float(f'{cost:.3g}'):g} {unit}; "
+            f"the guard allows {budget:.3g} s"
+        )
+
+
 def two_routes(name: str, lhs, rhs) -> Check:
     """A check that two independent routes reach the same result: lhs() is
     computed first, then rhs(), and the two are compared with agree, so a

@@ -275,21 +275,21 @@ def power_op(k: int, x: CohClass) -> CohClass:
                 for s, unit in positions
                 if (e := even >> s & fmask)
             ]
-            # reach[i]: the largest pick sum that positions i.. can spend
-            reach = [0] * (len(active) + 1)
-            for i in range(len(active) - 1, -1, -1):
-                reach[i] = reach[i + 1] + next(reversed(active[i][0]))
-            if reach[0] < k:
+            # the largest pick sum that the positions not yet consumed can spend
+            reach = sum(next(reversed(table)) for table, _ in active)
+            if reach < k:
                 continue
             states = [(k, key, c)]
-            for i, (table, unit) in enumerate(active[:-1]):
-                later = reach[i + 1]
-                states = [
-                    (left - j, kk + j * unit, coeff * b)
-                    for left, kk, coeff in states
-                    for j, b in table.items()
-                    if j <= left and left - j <= later
-                ]
+            for table, unit in active[:-1]:
+                reach -= next(reversed(table))
+                grown = []
+                for left, kk, coeff in states:
+                    for j, b in table.items():  # in increasing j
+                        if j > left:
+                            break
+                        if left - j <= reach:
+                            grown.append((left - j, kk + j * unit, coeff * b))
+                states = grown
             last, unit = active[-1]
             for left, kk, coeff in states:
                 if b := last.get(left):

@@ -11,6 +11,13 @@ from conjchern.errors import NonExactDivision
 from conjchern.poly import Poly
 from conjchern.steenrod import CohClass
 
+# The one text of every cost guard's refusal (report.refuse_above): the cost
+# to three significant figures, in hours above an hour, and one of the two
+# budgets.
+REFUSAL = re.compile(
+    r".+ would take about \d+(\.\d+)?(e\+\d+)? [sh]; the guard allows (6\.67|12) s"
+)
+
 
 def passed(checks):
     """True when no check of a verifier's list failed, as the run's report

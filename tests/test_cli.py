@@ -11,6 +11,8 @@ from conjchern import cli
 from conjchern.errors import VerificationFailure
 from conjchern.report import Check, VerificationReport, timed_check
 
+from helpers import REFUSAL
+
 SCHEMA_KEYS = {"suite", "params", "checks", "overall", "seed", "version"}
 CHECK_KEYS = {"name", "status", "detail", "elapsed_ms"}
 
@@ -199,7 +201,7 @@ def test_largest_admitted_prime_ends_in_seconds(argv):
     assert proc.returncode == 0, proc.stderr[-2000:]
     data = json.loads(proc.stdout)
     skipped = [c for c in data["checks"] if c["status"] == "skipped"]
-    assert skipped and all(" about " in c["detail"] for c in skipped)
+    assert skipped and all(REFUSAL.fullmatch(c["detail"]) for c in skipped)
 
 
 def test_strict_promotes_skips_to_failure():
@@ -327,21 +329,21 @@ def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
     check = gl_invariance_at(401)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices would expand about 4.33e+09 Lucas picks, about 2887 s; "
-        "the guard allows 1.00e+07"
+        "50 random matrices (4.33e+09 Lucas picks) would take about 2890 s; "
+        "the guard allows 6.67 s"
     )
 
 
 def test_gl_invariance_refusal_rounds_its_seconds():
     """At --p 53 the 50 trials come to 10,494,400 picks, 6.996 s: just over
-    the guard's 10^7 picks (6.7 s), so the stated time must read 7 s, not a
-    floored 6 s that would sit below what the guard allows, and the picks
-    1.05e+07 against 1.00e+07, both with three significant digits."""
+    the guard's 10^7 picks (6.67 s), so the stated time must read 7 s, not a
+    floored 6 s that would sit below what the guard allows; both times have
+    three significant digits."""
     check = gl_invariance_at(53)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices would expand about 1.05e+07 Lucas picks, about 7 s; "
-        "the guard allows 1.00e+07"
+        "50 random matrices (1.05e+07 Lucas picks) would take about 7 s; "
+        "the guard allows 6.67 s"
     )
 
 

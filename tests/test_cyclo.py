@@ -332,13 +332,13 @@ def test_extraspecial_guard_refuses_before_building(monkeypatch):
     detail = {c.name: c.detail for c in verify_extraspecial(2147483647)}
     assert detail == {
         "sigma-order": "66 monomial matrices of size 2147483647 would take about "
-        "5.67e+04 s; the guard allows 12 s",
+        "15.7 h; the guard allows 12 s",
         "tau-order": "66 monomial matrices of size 2147483647 would take about "
-        "5.67e+04 s; the guard allows 12 s",
+        "15.7 h; the guard allows 12 s",
         "commutator-central": "15 monomial matrices of size 2147483647 would take "
-        "about 1.29e+04 s; the guard allows 12 s",
+        "about 3.58 h; the guard allows 12 s",
         "omega-commutes": "8 monomial matrices of size 2147483647 would take about "
-        "6.87e+03 s; the guard allows 12 s",
+        "1.91 h; the guard allows 12 s",
     }
 
 

@@ -83,3 +83,27 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         local.setdefault(f"{path.name}:{node.lineno}", func.name)
     assert local == {}
+
+
+def test_only_the_guard_helper_raises_size_guard():
+    """Every cost guard refuses through report.refuse_above, so SizeGuard is
+    built there and only in the two structural guards: the packed-key field
+    check and the determinant size."""
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    if name == "SizeGuard":
+                        builders.add(scope)
+                visit(child, inner)
+
+        visit(tree, path.stem)
+    assert builders == {"report.refuse_above", "poly._ExponentLayout._fit", "poly.determinant"}

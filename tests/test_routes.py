@@ -71,7 +71,7 @@ SHARED = {
     *(f"steenrod.CohAlgebra.{name}" for name in ("__init__", "bv", "term", "_encode")),
     "steenrod.CohClass.__mul__",
     *(f"dickson.DicksonContext.{name}" for name in ("__init__", "__eq__", "__hash__")),
-    "dickson._refuse_above_limit",
+    "report.refuse_above",
 }
 
 # The Moore determinants: delta-factorization and minor-frobenius-power each
