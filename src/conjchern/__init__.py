@@ -13,7 +13,6 @@ from .dickson import (
     GLMatrix,
     delta_full,
     delta_ni,
-    dickson_c,
     dickson_c_from_f,
     f_n_product,
     gl_action,
@@ -25,7 +24,6 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     determinant,
-    exact_div,
     jacobian_det,
 )
 from .report import Check, VerificationReport
@@ -62,10 +60,8 @@ __all__ = [
     "delta_full",
     "delta_ni",
     "determinant",
-    "dickson_c",
     "dickson_c_from_f",
     "even_to_poly",
-    "exact_div",
     "f_n_product",
     "gen_matrices",
     "gl_action",

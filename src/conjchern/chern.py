@@ -4,7 +4,10 @@ The product of the linear factors 1 + sum(i_k xi_k + j_k eta_k) over all
 nonzero tuples of F_p^{2l} is read off the homogeneous product of
 T + sum(i_k xi_k + j_k eta_k) over all tuples, built by the subspace
 recursion of dickson.linear_form_product: the graded part of degree d is
-the coefficient of T^{p^{2l} - d}.  Degrees follow the half-degree
+the coefficient of T^{p^{2l} - d}.  The paper identifies these parts with
+the Dickson invariants C_{2l,k} = Delta_{2l,k} / Delta_{2l,2l} in the class
+variables; the checks compare them with the Moore minors cross-multiplied,
+so no quotient is formed.  Degrees follow the half-degree
 convention: each ring variable counts 1, standing for a cohomology class of
 topological degree 2.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .dickson import DicksonContext, delta_ni, dickson_c, linear_form_product
+from .dickson import DicksonContext, _nonzero, delta_ni, linear_form_product
 from .fp import check_modulus
 from .poly import Poly, PolyRing, _split_last, agree, diff_detail
 from .report import timed_check, two_routes
@@ -89,16 +92,18 @@ def _dickson_images(ctx: ChernContext, swap_last_pair: bool = False):
     return images
 
 
-def dickson_on_classes(ctx: ChernContext, k: int, swap_last_pair: bool = False) -> Poly:
-    """C_{2l,k} evaluated at (eta_1, xi_1, ..., eta_l, xi_l)."""
+def delta_on_classes(ctx: ChernContext, i: int, swap_last_pair: bool = False) -> Poly:
+    """The Moore minor Delta_{2l,i} evaluated at (eta_1, xi_1, ..., eta_l, xi_l),
+    or with the final pair in the (xi_l, eta_l) order."""
     dctx = DicksonContext(ctx.p, 2 * ctx.l)
-    return dickson_c(dctx, k).compose(_dickson_images(ctx, swap_last_pair), ctx.ring)
+    return delta_ni(dctx, i).compose(_dickson_images(ctx, swap_last_pair), ctx.ring)
 
 
-def delta_on_classes(ctx: ChernContext, i: int) -> Poly:
-    """The Moore minor in the same class variables."""
-    dctx = DicksonContext(ctx.p, 2 * ctx.l)
-    return delta_ni(dctx, i).compose(_dickson_images(ctx), ctx.ring)
+def _top_minor(ctx: ChernContext, swap_last_pair: bool = False) -> Poly:
+    """Delta_{2l,2l} in the class variables, the denominator of every C_{2l,k}."""
+    order = "swapped class variables" if swap_last_pair else "class variables"
+    n = 2 * ctx.l
+    return _nonzero(delta_on_classes(ctx, n, swap_last_pair), f"Delta_{{{n},{n}}} of the {order}")
 
 
 def verify_conj_chern(ctx: ChernContext) -> list:
@@ -108,15 +113,16 @@ def verify_conj_chern(ctx: ChernContext) -> list:
     top = p ** (2 * l)
     special = {top - p**k: k for k in range(2 * l + 1)}
 
-    def part(d):
-        return total_conj_chern(ctx).part(d)
-
-    def signed_invariant(k):
-        c = dickson_on_classes(ctx, k)
-        return -c if k % 2 else c
+    def part_times_denominator(d, k):
+        product = _top_minor(ctx) * total_conj_chern(ctx).part(d)
+        return -product if k % 2 else product
 
     checks = [
-        two_routes(f"gamma-degree-{d}", partial(part, d), partial(signed_invariant, k))
+        two_routes(
+            f"gamma-degree-{d}",
+            partial(part_times_denominator, d, k),
+            partial(delta_on_classes, ctx, k),
+        )
         for d, k in sorted(special.items(), reverse=True)
     ]
 
@@ -134,13 +140,13 @@ def verify_conj_chern(ctx: ChernContext) -> list:
     checks.append(timed_check("vanishing-elsewhere", vanishing))
 
     def order_invariance():
+        main_top, alt_top = _top_minor(ctx), _top_minor(ctx, swap_last_pair=True)
         for k in range(2 * l + 1):
-            main = dickson_on_classes(ctx, k)
-            alt = dickson_on_classes(ctx, k, swap_last_pair=True)
-            if main != alt:
+            lhs = delta_on_classes(ctx, k) * alt_top
+            rhs = delta_on_classes(ctx, k, swap_last_pair=True) * main_top
+            if lhs != rhs:
                 return False, (
-                    f"argument orders disagree for C_{{{2 * l},{k}}}; "
-                    + diff_detail(main, alt)
+                    f"argument orders disagree for C_{{{2 * l},{k}}}; " + diff_detail(lhs, rhs)
                 )
         return True, "both documented argument orders agree"
 

@@ -3,18 +3,20 @@
 Over F_p[x_1..x_n] the key objects are the Moore determinants built from the
 Frobenius-power rows (x_1^{p^r}, ..., x_n^{p^r}), the product f_n(X) of the
 linear forms X - sum(k_i x_i) over all tuples k in F_p^n, and the invariants
-C_{n,i} obtained either as exact quotients of Moore minors or as signed
-coefficients of f_n(X).  The two constructions are independent computation
-routes and serve as mutual oracles.
+C_{n,i}: the quotients Delta_{n,i} / Delta_{n,n} of Moore minors, and the
+signed coefficients of f_n(X).  The two constructions are independent
+computation routes and serve as mutual oracles.  No quotient is formed:
+over an integral domain a / b = c exactly when a = b c for nonzero b, so
+each check multiplies by its denominator minor and asserts that it is
+nonzero.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache, partial
-from math import factorial
 
-from .errors import IndexOutOfRange, RingMismatch, SingularMatrix
+from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, VerificationFailure
 from .fp import _binom_support, _pick_count, check_modulus
 from .poly import (
     Poly,
@@ -24,22 +26,20 @@ from .poly import (
     _split_last,
     determinant,
     diff_detail,
-    exact_div,
 )
 from .report import POLY_BUDGET, refuse_above, timed_check, two_routes
 
-# Cost of linear_form_product over F_p^m and of the exact division of
-# dickson_c, in the monomial pairs that they visit.  For the product the
-# estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is a power law fitted to the
-# counted pairs for m = 3..6 and p = 2..23 and to the times for m = 2 and p
-# up to 307, where the steps of _shift_scalars dominate; it is within a
-# factor 2 wherever it exceeds 10^4.  On packed keys Poly.__mul__ visits
-# 1.3-2.1 million of these pairs a second in the products at (p, m) = (3, 4),
-# (5, 3), (7, 3), (5, 4) and (3, 5) (2-core x86, Python 3.11; 0.43-0.69
-# million on exponent tuples, same machine).  At m = 1 the time is the p^2/2
-# steps of _shift_scalars, whose dict grows by one entry per factor; at
-# about 1.1 million steps a second (p = 1009..10007, same machine) the
-# estimate states them as 2p^2/3 pairs.
+# Cost of linear_form_product over F_p^m, in the monomial pairs that it
+# visits.  The estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is a power law
+# fitted to the counted pairs for m = 3..6 and p = 2..23 and to the times
+# for m = 2 and p up to 307, where the steps of _shift_scalars dominate; it
+# is within a factor 2 wherever it exceeds 10^4.  On packed keys
+# Poly.__mul__ visits 1.3-2.1 million of these pairs a second in the
+# products at (p, m) = (3, 4), (5, 3), (7, 3), (5, 4) and (3, 5) (2-core
+# x86, Python 3.11; 0.43-0.69 million on exponent tuples, same machine).  At
+# m = 1 the time is the p^2/2 steps of _shift_scalars, whose dict grows by
+# one entry per factor; at about 1.1 million steps a second (p =
+# 1009..10007, same machine) the estimate states them as 2p^2/3 pairs.
 PAIRS_PER_SECOND = 1_500_000
 
 
@@ -98,6 +98,15 @@ def delta_ni(ctx: DicksonContext, i: int) -> Poly:
         raise IndexOutOfRange(f"row index {i} not in 0..{ctx.n}")
     rows = [r for r in range(ctx.n + 1) if r != i]
     return determinant(_moore_matrix(ctx, rows, with_aux=False))
+
+
+def _nonzero(minor: Poly, name: str) -> Poly:
+    """minor, the denominator of a quotient that a check decides by
+    cross-multiplying.  A zero one would make both sides vanish, so it
+    fails the check."""
+    if minor.is_zero():
+        raise VerificationFailure(f"the Moore minor {name} is zero")
+    return minor
 
 
 def _shift_scalars(p: int, exponents) -> dict:
@@ -186,23 +195,6 @@ def f_n_product(ctx: DicksonContext) -> Poly:
     """The product of X - sum(k_i x_i) over all p^n coefficient tuples
     (k -> -k permutes the tuples, so the sign inside the forms is immaterial)."""
     return linear_form_product(ctx.xring)
-
-
-@lru_cache(maxsize=None)
-def dickson_c(ctx: DicksonContext, i: int) -> Poly:
-    """C_{n,i} by the determinant route: the exact quotient of Moore minors.
-
-    The division visits each term of the quotient against each of the n!
-    terms of the divisor.  For i < n the quotient has about p^(n(n-1)/2)
-    terms: counted, p + 1 at n = 2 (p = 3..101), 0.96-1.2 times that at
-    n = 3 (p = 3..7) and 0.39-1.13 times at n = 4 (p = 3, 5, 7).  At 0.7-1
-    million pairs a second, the time the guard states is low by up to a
-    factor 2.5."""
-    p, n = ctx.p, ctx.n
-    pairs = (1 if i == n else p ** (n * (n - 1) // 2)) * factorial(n)
-    work = f"the exact division for C_{{{n},{i}}} ({pairs:.3g} monomial pairs)"
-    refuse_above(work, pairs / PAIRS_PER_SECOND, POLY_BUDGET)
-    return exact_div(delta_ni(ctx, i), delta_ni(ctx, n))
 
 
 @lru_cache(maxsize=None)
@@ -387,37 +379,42 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
     """Check the two invariant routes, the Moore factorization, and
     GL-invariance under seeded random matrices.
 
-    The trials of gl-invariance share one substitution memo.  Its guard
-    counts the picks of every trial as if each ran without the memo, so on
-    a passing check the time it states is an upper bound."""
+    two-route-c<i> states C_{n,i} = Delta_{n,i} / Delta_{n,n} cross-multiplied:
+    Delta_{n,i} == Delta_{n,n} C_{n,i}, with C_{n,i} read from f_n.  The trials
+    of gl-invariance share one substitution memo.  Its guard counts the picks
+    of every trial as if each ran without the memo, so on a passing check the
+    time it states is an upper bound."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    n = ctx.n
+
+    def times_denominator(i):
+        return _nonzero(delta_ni(ctx, n), f"Delta_{{{n},{n}}}") * dickson_c_from_f(ctx, i)
+
     checks = [
-        two_routes(
-            f"two-route-c{i}", partial(dickson_c, ctx, i), partial(dickson_c_from_f, ctx, i)
-        )
-        for i in range(ctx.n + 1)
+        two_routes(f"two-route-c{i}", partial(delta_ni, ctx, i), partial(times_denominator, i))
+        for i in range(n + 1)
     ]
     checks.append(
         two_routes(
             "delta-factorization",
             partial(delta_full, ctx),
-            lambda: ctx.to_xring(delta_ni(ctx, ctx.n)) * f_n_product(ctx),
+            lambda: ctx.to_xring(delta_ni(ctx, n)) * f_n_product(ctx),
         )
     )
 
     def invariance():
-        cs = [dickson_c(ctx, i) for i in range(ctx.n + 1)]
+        cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
         picks = trials * _trial_picks(cs)
         work = f"{trials} random matrices ({picks:.3g} Lucas picks)"
         refuse_above(work, picks / PAIRS_PER_SECOND, POLY_BUDGET)
         memo: dict = {}
         for t in range(trials):
-            a = random_gl(ctx.n, ctx.p, seed + t)
+            a = random_gl(n, ctx.p, seed + t)
             for i, c in enumerate(cs):
                 moved = gl_action(c, a, memo)
                 if moved != c:
-                    return False, f"trial {t}: C_{{{ctx.n},{i}}} moved; " + diff_detail(
+                    return False, f"trial {t}: C_{{{n},{i}}} moved; " + diff_detail(
                         moved, c
                     )
         return True, f"{trials} random matrices fixed every C"

@@ -17,14 +17,6 @@ class NotSquare(ConjChernError):
     """A determinant was requested of a non-square matrix."""
 
 
-class NonExactDivision(ConjChernError):
-    """Polynomial long division left a nonzero remainder."""
-
-
-class DivisionByZero(ConjChernError):
-    """Division by the zero polynomial."""
-
-
 class SizeGuard(ConjChernError):
     """A computation was refused because it exceeds the configured size limits."""
 

@@ -5,15 +5,13 @@ Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", 2007): one fixed-width field per variable, the first
 variable most significant, under a top field holding the total degree.  A
 product of monomials is then one integer addition, a dict hashes one int,
-and int order is the term order used by division and by the canonical
-text: graded lexicographic in the ring's declared variable order,
-higher total degree first, ties broken by comparing exponent vectors left to
-right.  The top bit of each exponent field is a guard bit, and a monomial
-fits when its total degree is below it: then two fitting exponents add
-without carrying into the next field, and a subtraction that would leave a
-negative exponent borrows into a guard bit.  A result that would not fit
-raises SizeGuard.  The field width depends only on p, so equal sums have
-equal keys.
+and int order is the term order of the canonical text: graded
+lexicographic in the ring's declared variable order, higher total degree
+first, ties broken by comparing exponent vectors left to right.  The top
+bit of each exponent field is a guard bit, and a monomial fits when its
+total degree is below it: then two fitting exponents add without carrying
+into the next field.  A result that would not fit raises SizeGuard.  The
+field width depends only on p, so equal sums have equal keys.
 
 Poly shares its sum arithmetic, equality, context check and canonical text
 with steenrod.CohClass through the base class _SparseSum; diff_detail and
@@ -23,15 +21,12 @@ agree, the outcome of a check that two sums are equal, serve both.  The
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping
 from itertools import combinations
 
 from .errors import (
     ArityMismatch,
     ConjChernError,
-    DivisionByZero,
-    NonExactDivision,
     NotSquare,
     RingMismatch,
     SizeGuard,
@@ -88,13 +83,11 @@ class _ExponentLayout:
     _shifts[i] is the offset of the field of variable i, _units[i] the key
     of that variable alone, _dshift the offset of the total-degree field,
     _limit the first degree that does not fit and _cap the first key that
-    does not fit; _guard has the guard bit of every exponent field set.  A
-    context sets _identity, the tuple equality compares, and _sum, its sum
-    type."""
+    does not fit.  A context sets _identity, the tuple equality compares,
+    and _sum, its sum type."""
 
     __slots__ = (
-        "p", "_width", "_fmask", "_shifts", "_units", "_dshift", "_limit", "_cap", "_guard",
-        "_identity",
+        "p", "_width", "_fmask", "_shifts", "_units", "_dshift", "_limit", "_cap", "_identity",
     )
 
     def _lay_out(self, p: int, arity: int) -> None:
@@ -106,7 +99,6 @@ class _ExponentLayout:
         self._units = tuple((1 << s) + (1 << self._dshift) for s in self._shifts)
         self._limit = 1 << (w - 1)
         self._cap = self._limit << self._dshift
-        self._guard = sum(1 << (s + w - 1) for s in self._shifts)
 
     def _fit(self, top: int) -> None:
         """Raise SizeGuard unless the key top, a bound on every key of a
@@ -573,60 +565,6 @@ def determinant(mat: PolyMatrix) -> Poly:
         return acc
 
     return minor(tuple(range(n)))
-
-
-def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly.
-
-    Long division against the graded-lex order, which is the order of the
-    keys; any step whose leading term is not divisible raises
-    NonExactDivision immediately (divisibility is a promise of the callers,
-    so a failure signals a bug, not a state).
-    """
-    f._check(g)
-    if g.is_zero():
-        raise DivisionByZero("division by the zero polynomial")
-    if f.is_zero():
-        return f.ring.zero()
-    ring = f.ring
-    p, guard = ring.p, ring._guard
-    gm = max(g._terms)
-    ginv = pow(g._terms[gm], p - 2, p)
-    gitems = list(g._terms.items())
-    rem = dict(f._terms)
-    get = rem.get
-    heap = [-m for m in rem]  # a min-heap of negated keys pops the leader
-    heapq.heapify(heap)
-    quot: dict = {}
-    # The remainder loop stays separate from _add_terms: every monomial new to
-    # the remainder must also be pushed onto the heap of candidate leaders.
-    while rem:
-        while True:
-            m = -heapq.heappop(heap)
-            if m in rem:
-                break
-        c = rem[m]
-        mq = m - gm
-        # a negative exponent borrows into a guard bit, or below zero
-        if mq < 0 or mq & guard:
-            raise NonExactDivision(
-                f"leading term {ring._unpack(m)} not divisible by "
-                f"{ring._unpack(gm)} (remainder nonzero)"
-            )
-        cq = c * ginv % p
-        quot[mq] = cq
-        for m2, c2 in gitems:
-            mono = mq + m2
-            old = get(mono)
-            if old is None:
-                # cq and c2 are units mod p, so the new coefficient is nonzero
-                heapq.heappush(heap, -mono)
-                rem[mono] = -cq * c2 % p
-            elif v := (old - cq * c2) % p:
-                rem[mono] = v
-            else:
-                del rem[mono]
-    return Poly._raw(ring, quot)
 
 
 def jacobian_det(fs, variables) -> Poly:

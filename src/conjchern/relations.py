@@ -10,9 +10,9 @@ restricted Chern classes and the r_i.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from itertools import combinations
-from typing import NamedTuple
 
 from .chern import ChernContext, delta_on_classes, total_conj_chern
 from .errors import IndexOutOfRange, SamePartition, VerificationFailure
@@ -32,12 +32,11 @@ def index_set4(values) -> tuple:
     return vals
 
 
-class Partition22(NamedTuple):
+class Partition22(namedtuple("Partition22", "first second")):
     """An unordered splitting of a 4-element set into two unordered pairs;
     stored with each block sorted and the blocks ordered by first element."""
 
-    first: tuple
-    second: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, block1, block2) -> Partition22:

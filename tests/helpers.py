@@ -1,13 +1,11 @@
 """Shared generators and independent oracles for the test suite."""
 
-import heapq
 import re
 from functools import reduce
-from operator import add, neg, sub
+from operator import add
 
 from conjchern.cyclo import CycMatrix
 from conjchern.dickson import GLMatrix
-from conjchern.errors import NonExactDivision
 from conjchern.poly import Poly
 from conjchern.steenrod import CohClass
 
@@ -274,39 +272,6 @@ def tuple_mul(f, g):
             mono = tuple(map(add, m1, m2))
             acc[mono] = acc.get(mono, 0) + c1 * c2
     return Poly(f.ring, acc)
-
-
-def tuple_exact_div(f, g):
-    """f / g by long division on exponent tuples, the leading term taken in
-    graded-lex order from a heap of (-degree, negated exponents): the oracle
-    for the packed exact_div.  Raises NonExactDivision on a leading term
-    that g's does not divide."""
-    p = f.ring.p
-    gm = max(g.terms, key=lambda m: (sum(m), m))
-    ginv = pow(g.terms[gm], p - 2, p)
-    rem = dict(f.terms.items())
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
-    heapq.heapify(heap)
-    quot = {}
-    while rem:
-        while True:
-            _, _, m = heapq.heappop(heap)
-            if m in rem:
-                break
-        mq = tuple(map(sub, m, gm))
-        if min(mq) < 0:
-            raise NonExactDivision(f"leading term {m} not divisible by {gm}")
-        cq = rem[m] * ginv % p
-        quot[mq] = cq
-        for m2, c2 in g.terms.items():
-            mono = tuple(map(add, mq, m2))
-            if mono not in rem:
-                heapq.heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
-            if v := (rem.get(mono, 0) - cq * c2) % p:
-                rem[mono] = v
-            else:
-                del rem[mono]
-    return Poly(f.ring, quot)
 
 
 def odd_gen(alg, k):

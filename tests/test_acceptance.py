@@ -24,7 +24,6 @@ from conjchern.dickson import (
     DicksonContext,
     delta_full,
     delta_ni,
-    dickson_c,
     dickson_c_from_f,
     f_n_product,
     verify_dickson,
@@ -76,8 +75,9 @@ def test_criterion_01_dickson_two_routes():
     def run():
         for p, n in DICKSON_GRID:
             ctx = DicksonContext(p, n)
+            assert not delta_ni(ctx, n).is_zero(), (p, n)
             for i in range(n + 1):
-                assert dickson_c(ctx, i) == dickson_c_from_f(ctx, i), (p, n, i)
+                assert delta_ni(ctx, i) == delta_ni(ctx, n) * dickson_c_from_f(ctx, i), (p, n, i)
 
     criterion(1, "Dickson two-route agreement", 30, run)
 

@@ -6,7 +6,7 @@ from conjchern import chern, cli, dickson
 from conjchern.chern import (
     ChernContext,
     GradedChern,
-    dickson_on_classes,
+    delta_on_classes,
     total_conj_chern,
     verify_conj_chern,
     verify_top_chern,
@@ -55,8 +55,8 @@ def test_graded_product_matches_naive_oracle():
 def test_rank_one_parts_frozen():
     graded = total_conj_chern(C31)
     assert graded.part(0) == C31.ring.one()
-    # degree 6 = 9 - 3 carries -C_{2,1}(eta, xi)
-    assert graded.part(6) == -dickson_on_classes(C31, 1)
+    # degree 6 = 9 - 3 carries -C_{2,1}(eta, xi) = -Delta_{2,1} / Delta_{2,2}
+    assert delta_on_classes(C31, 2) * graded.part(6) == -delta_on_classes(C31, 1)
     assert graded.part(7).is_zero()
     total = sum(graded.parts.values(), C31.ring.zero())
     assert all(sum(m) != 7 for m in total.terms)
@@ -98,16 +98,17 @@ def test_pair_block_relabeling_symmetry():
 
 
 def test_two_routes_product_vs_dickson_assembly():
-    # the full product equals sum_k (-1)^k C_{4,k}(eta1, xi1, eta2, xi2)
+    # the full product equals sum_k (-1)^k C_{4,k}(eta1, xi1, eta2, xi2), where
+    # C_{4,k} = Delta_{4,k} / Delta_{4,4}
     ctx = ChernContext(3, 2)
     total = sum(total_conj_chern(ctx).parts.values(), ctx.ring.zero())
     assembled = ctx.ring.zero()
     for k in range(5):
-        term = dickson_on_classes(ctx, k)
+        term = delta_on_classes(ctx, k)
         if k % 2:
             term = -term
         assembled = assembled + term
-    assert total == assembled
+    assert delta_on_classes(ctx, 4) * total == assembled
 
 
 def test_rank_two_product_matches_balanced_oracle():
@@ -218,24 +219,63 @@ def failed_lines(out):
     return [line for line in out.splitlines() if "FAIL" in line and "/" in line]
 
 
-def test_collapsed_swapped_order_fails_argument_order_invariance(monkeypatch, capsys):
-    # any invertible substitution passes, since C_{n,i} is GL-invariant
+def swapped_order(monkeypatch, last_image):
+    """Plant last_image(images) as the last image of the swapped order only."""
     original = chern._dickson_images
 
-    def collapsed(ctx, swap_last_pair=False):
+    def planted(ctx, swap_last_pair=False):
         images = original(ctx, swap_last_pair)
         if swap_last_pair:
-            images[-1] = images[-2]
+            images[-1] = last_image(images)
         return images
 
-    monkeypatch.setattr(chern, "_dickson_images", collapsed)
+    monkeypatch.setattr(chern, "_dickson_images", planted)
+
+
+def test_collapsed_swapped_order_fails_argument_order_invariance(monkeypatch, capsys):
+    # any invertible substitution passes, since C_{n,i} is GL-invariant; a
+    # collapsed one sends the denominator Delta_{2,2} to zero
+    swapped_order(monkeypatch, lambda images: images[-2])
     code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: fail" in out.lower()
     (line,) = failed_lines(out)
     assert "chern/argument-order-invariance" in line
+    assert line.endswith("the Moore minor Delta_{2,2} of the swapped class variables is zero")
+
+
+def test_squared_swapped_image_fails_argument_order_invariance(monkeypatch, capsys):
+    # eta_1 -> eta_1^2 in the swapped order keeps Delta_{2,2} nonzero but
+    # moves C_{2,0} = Delta_{2,2}^(p-1)
+    swapped_order(monkeypatch, lambda images: images[-1] ** 2)
+    code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    (line,) = failed_lines(out)
+    assert "chern/argument-order-invariance" in line
     assert "argument orders disagree for C_{2,0}; first differing terms: " in line
+
+
+def test_a_zero_class_minor_fails_the_cross_multiplied_checks(monkeypatch, capsys):
+    """Delta_{2,2} in the class variables planted as zero: every check that
+    cross-multiplies by it fails on its denominator, not on 0 == 0."""
+    original = chern.delta_ni
+
+    def planted(dctx, i):
+        return dctx.ring.zero() if i == dctx.n else original(dctx, i)
+
+    monkeypatch.setattr(chern, "delta_ni", planted)
+    checks = {c.name: c for c in verify_conj_chern(C31)}
+    names = ("gamma-degree-8", "gamma-degree-6", "gamma-degree-0", "argument-order-invariance")
+    for name in names:
+        assert (checks[name].status, checks[name].detail) == (
+            "fail",
+            "the Moore minor Delta_{2,2} of the class variables is zero",
+        )
+    code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
+    assert code == 1
+    assert "overall: FAIL" in capsys.readouterr().out
 
 
 def test_flipped_r1_fails_the_r2_relation(monkeypatch, capsys):

@@ -188,20 +188,51 @@ def cap_address_space():
     ],
 )
 def test_largest_admitted_prime_ends_in_seconds(argv):
-    """Without the guards of dickson_c, verify_quadratic and
+    """Without the guards of the linear-form product, verify_quadratic and
     verify_extraspecial these runs outlast a 15 s timeout or run out of
     memory; now the expensive checks are SKIPPED with their estimates."""
+    checks = capped_checks([*argv, "--p", "2147483647"], timeout=60)
+    skipped = [c for c in checks.values() if c["status"] == "skipped"]
+    assert skipped and all(REFUSAL.fullmatch(c["detail"]) for c in skipped)
+
+
+def capped_checks(argv, timeout):
+    """The checks of a JSON verify run under the address-space cap, by name;
+    the run must exit 0 within timeout seconds."""
     proc = subprocess.run(
-        [sys.executable, "-m", "conjchern", *argv, "--p", "2147483647", "--format", "json"],
+        [sys.executable, "-m", "conjchern", *argv, "--format", "json"],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         preexec_fn=cap_address_space,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    data = json.loads(proc.stdout)
-    skipped = [c for c in data["checks"] if c["status"] == "skipped"]
-    assert skipped and all(REFUSAL.fullmatch(c["detail"]) for c in skipped)
+    return {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+
+
+def test_largest_prime_orders_the_minors_and_refuses_rank_one_invariance():
+    """At p = 2^31 - 1 argument-order-invariance cross-multiplies 4x4 Moore
+    minors in the class variables, whose exponents reach p^4, and passes.
+    gl-invariance at n = 1 reads its C from f_1, so the product guard
+    refuses it."""
+    checks = capped_checks(["--suite", "chern", "--p", "2147483647", "--l", "2"], timeout=60)
+    assert checks["chern/argument-order-invariance"]["status"] == "pass"
+    argv = ["--suite", "dickson", "--p", "2147483647", "--n", "1", "--trials", "2"]
+    check = capped_checks(argv, timeout=60)["dickson/gl-invariance"]
+    assert (check["status"], check["detail"]) == (
+        "skipped",
+        "the product of the 2147483647^1 linear forms (3.07e+18 monomial pairs) "
+        "would take about 5.69e+08 h; the guard allows 6.67 s",
+    )
+
+
+def test_all_at_p7_l2_ends_in_seconds():
+    """When argument-order-invariance divided the Moore minors, this run
+    took about 24 s and 117 MB, 23 s of it in that check (2-core x86,
+    Python 3.11).  Cross-multiplied, the whole run takes about 0.5 s."""
+    argv = ["--suite", "all", "--p", "7", "--l", "2", "--trials", "5"]
+    checks = capped_checks(argv, timeout=20)
+    assert checks["chern/argument-order-invariance"]["status"] == "pass"
 
 
 def test_strict_promotes_skips_to_failure():
@@ -325,11 +356,13 @@ def gl_invariance_at(p):
 
 def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
     """A GL trial costs about p^3 at n = 2: unguarded, --p 401 ran past 60 s.
-    Now gl-invariance is SKIPPED with its estimate, like the product checks."""
-    check = gl_invariance_at(401)
+    Now gl-invariance is SKIPPED with its estimate.  Above p = 271 the
+    product guard refuses it first, since it reads its C from f_2, so the
+    trial guard is seen at p = 101."""
+    check = gl_invariance_at(101)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices (4.33e+09 Lucas picks) would take about 2890 s; "
+        "50 random matrices (7.07e+07 Lucas picks) would take about 47.2 s; "
         "the guard allows 6.67 s"
     )
 

@@ -9,7 +9,6 @@ from conjchern.dickson import (
     GLMatrix,
     delta_full,
     delta_ni,
-    dickson_c,
     dickson_c_from_f,
     f_n_product,
     gl_action,
@@ -19,7 +18,7 @@ from conjchern.dickson import (
 )
 from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
 from conjchern.fp import _binom_support
-from conjchern.poly import Poly, PolyRing
+from conjchern.poly import Poly
 from helpers import (
     balanced_linear_form_product,
     dense_gl_action,
@@ -87,15 +86,6 @@ def test_f_product_supported_on_p_power_exponents():
         assert {m[ax] for m in f_n_product(ctx).terms} <= powers
 
 
-def test_delta_divided_by_f_recovers_minor():
-    from conjchern.poly import exact_div
-
-    for p, n in [(2, 2), (3, 2), (5, 1)]:
-        ctx = DicksonContext(p, n)
-        quotient = exact_div(delta_full(ctx), f_n_product(ctx))
-        assert quotient == ctx.to_xring(delta_ni(ctx, n))
-
-
 def test_f_product_roots():
     # f_n vanishes under X -> sum(k_i x_i) for every coefficient tuple
     for p, n in [(2, 2), (3, 2), (5, 1), (5, 2), (3, 3)]:
@@ -115,32 +105,39 @@ def test_size_guard():
 
 
 def test_dickson_c_examples():
-    assert dickson_c(DicksonContext(3, 1), 0) == poly_of(PolyRing(3, ("x1",)), "x1^2")
-    assert dickson_c(DicksonContext(5, 1), 0) == poly_of(PolyRing(5, ("x1",)), "x1^4")
-    ctx22 = DicksonContext(2, 2)
-    assert dickson_c(ctx22, 1) == poly_of(ctx22.ring, "x1^2 + x1*x2 + x2^2")
-    assert dickson_c(ctx22, 0) == poly_of(ctx22.ring, "x1^2*x2 + x1*x2^2")
+    """C_{n,i} by both routes: the coefficient of f_n, and the quotient
+    Delta_{n,i} / Delta_{n,n}, cross-multiplied."""
+    examples = [
+        (DicksonContext(3, 1), 0, "x1^2"),
+        (DicksonContext(5, 1), 0, "x1^4"),
+        (DicksonContext(2, 2), 1, "x1^2 + x1*x2 + x2^2"),
+        (DicksonContext(2, 2), 0, "x1^2*x2 + x1*x2^2"),
+    ]
+    for ctx, i, text in examples:
+        c = poly_of(ctx.ring, text)
+        assert dickson_c_from_f(ctx, i) == c
+        assert delta_ni(ctx, i) == delta_ni(ctx, ctx.n) * c
 
 
 def test_c_nn_is_one():
     for p, n in ACCEPTANCE_GRID:
         ctx = DicksonContext(p, n)
-        assert dickson_c(ctx, n) == ctx.ring.one()
         assert dickson_c_from_f(ctx, n) == ctx.ring.one()
 
 
 def test_two_routes_agree():
     for p, n in ACCEPTANCE_GRID:
         ctx = DicksonContext(p, n)
+        assert not delta_ni(ctx, n).is_zero()
         for i in range(n + 1):
-            assert dickson_c(ctx, i) == dickson_c_from_f(ctx, i)
+            assert delta_ni(ctx, i) == delta_ni(ctx, n) * dickson_c_from_f(ctx, i)
 
 
 def test_homogeneity_degrees():
     for p, n in ACCEPTANCE_GRID:
         ctx = DicksonContext(p, n)
         for i in range(n):
-            c = dickson_c(ctx, i)
+            c = dickson_c_from_f(ctx, i)
             assert len(c.degrees()) <= 1
             assert c.degree() == p**n - p**i
 
@@ -335,7 +332,7 @@ def test_gl_action_without_a_pivot_is_a_library_error():
 def test_invariance_under_random_matrices():
     for p, n in [(3, 2), (2, 2), (5, 2)]:
         ctx = DicksonContext(p, n)
-        cs = [dickson_c(ctx, i) for i in range(n + 1)]
+        cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
         for t in range(20):
             a = random_gl(n, p, 9000 + t)
             for c in cs:
@@ -351,7 +348,7 @@ def test_invariance_under_permutation_matrices():
     for rows in perms:
         a = GLMatrix(rows, 3)
         for i in range(4):
-            c = dickson_c(ctx, i)
+            c = dickson_c_from_f(ctx, i)
             assert gl_action(c, a) == c
 
 
@@ -393,7 +390,7 @@ def test_linear_form_product_matches_balanced_oracle(p, n):
 def test_two_routes_agree_beyond_acceptance_grid(p, n):
     ctx = DicksonContext(p, n)
     for i in range(n + 1):
-        assert dickson_c(ctx, i) == dickson_c_from_f(ctx, i)
+        assert delta_ni(ctx, i) == delta_ni(ctx, n) * dickson_c_from_f(ctx, i)
 
 
 def test_size_guard_detail_states_the_cost():
@@ -434,7 +431,10 @@ def test_verify_dickson_fails_on_perturbed_product(perturbed_f):
     status = {c.name: c for c in checks}
     assert not passed(checks)
     assert status["two-route-c2"].status == "fail"
-    assert status["two-route-c2"].detail == "first differing terms: 1: 1 != 2"
+    # Delta_{2,2} = x1*x2^3 - x1^3*x2 against twice that
+    assert status["two-route-c2"].detail == (
+        "first differing terms: x1^3*x2: 2 != 1; x1*x2^3: 1 != 2"
+    )
     assert status["delta-factorization"].status == "fail"
     assert status["delta-factorization"].detail.startswith("first differing terms:")
     assert status["two-route-c0"].status == "pass"
@@ -450,14 +450,14 @@ def test_cli_exits_one_on_perturbed_product(perturbed_f, capsys):
 def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
     """C_{2,1} at p = 3 replaced by x2^6, homogeneous of its degree 6; the
     seed-0 trial-0 matrix x2 -> x1 + x2 moves it."""
-    original = dickson.dickson_c
+    original = dickson.dickson_c_from_f
 
     def planted(ctx, i):
         if (ctx.p, ctx.n, i) == (3, 2, 1):
             return ctx.ring.monomial({1: 6})
         return original(ctx, i)
 
-    monkeypatch.setattr(dickson, "dickson_c", planted)
+    monkeypatch.setattr(dickson, "dickson_c_from_f", planted)
     code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2"])
     out = capsys.readouterr().out
     assert code == 1
@@ -469,25 +469,32 @@ def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
     )
 
 
-# -- the largest admitted prime ------------------------------------------------------
+def test_a_zero_denominator_minor_fails_every_two_route_check(monkeypatch, capsys):
+    """Delta_{2,2} planted as zero: each two-route-c<i> would read 0 == 0 after
+    cross-multiplying, so each fails on its denominator instead."""
+    original = dickson.delta_ni
 
-BIG_P = 2147483647
+    def planted(ctx, i):
+        return ctx.ring.zero() if i == ctx.n else original(ctx, i)
+
+    monkeypatch.setattr(dickson, "delta_ni", planted)
+    checks = {c.name: c for c in verify_dickson(DicksonContext(3, 2), trials=2)}
+    for i in range(3):
+        check = checks[f"two-route-c{i}"]
+        assert (check.status, check.detail) == ("fail", "the Moore minor Delta_{2,2} is zero")
+    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2", "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: FAIL" in out
 
 
-def test_rank_one_invariance_passes_at_the_largest_admitted_prime():
-    checks = verify_dickson(DicksonContext(BIG_P, 1), trials=2, seed=0)
-    status = {c.name: c.status for c in checks}
-    assert status == {
-        "two-route-c0": "skipped",
-        "two-route-c1": "skipped",
-        "delta-factorization": "skipped",
-        "gl-invariance": "pass",
-    }
+# -- the rank-one product guard ------------------------------------------------------
 
 
 def test_rank_one_product_guard_refuses_before_the_scalars(monkeypatch):
     """At n = 1 the product's time is the p^2/2 steps of _shift_scalars, so
-    p = 10007 (about 45 s) is refused before any of them runs."""
+    p = 10007 (about 45 s) is refused before any of them runs.  gl-invariance
+    reads its C from f_1, so it is refused with the product."""
 
     def never(p, exponents):
         raise AssertionError("_shift_scalars ran past the guard")
@@ -495,33 +502,18 @@ def test_rank_one_product_guard_refuses_before_the_scalars(monkeypatch):
     monkeypatch.setattr(dickson, "_shift_scalars", never)
     checks = verify_dickson(DicksonContext(10007, 1), trials=2, seed=0)
     status = {c.name: c for c in checks}
-    for name in ("two-route-c0", "two-route-c1", "delta-factorization"):
+    assert set(status) == {"two-route-c0", "two-route-c1", "delta-factorization", "gl-invariance"}
+    for name in status:
         assert status[name].status == "skipped"
         assert status[name].detail == (
             "the product of the 10007^1 linear forms (6.68e+07 monomial pairs) "
             "would take about 44.5 s; the guard allows 6.67 s"
         )
-    assert status["gl-invariance"].status == "pass"
 
 
 def test_rank_one_product_passes_below_its_guard():
     checks = verify_dickson(DicksonContext(1009, 1), trials=2, seed=0)
     assert {c.status for c in checks} == {"pass"}
-
-
-def test_division_guard_refuses_before_dividing(monkeypatch):
-    def never(f, g):
-        raise AssertionError("exact_div ran past the guard")
-
-    monkeypatch.setattr(dickson, "exact_div", never)
-    ctx = DicksonContext(BIG_P, 2)
-    for i in range(2):
-        with pytest.raises(SizeGuard) as guard:
-            dickson_c(ctx, i)
-        assert str(guard.value) == (
-            f"the exact division for C_{{2,{i}}} (4.29e+09 monomial pairs) would "
-            "take about 2860 s; the guard allows 6.67 s"
-        )
 
 
 def test_invariance_guard_refuses_before_the_first_trial(monkeypatch):
@@ -550,7 +542,7 @@ def test_trial_picks_bound_the_expanded_picks(p, n, monkeypatch):
     and builds over ten random trials: within 5% at n = 2, and at most 1.25
     times high at n = 3."""
     ctx = DicksonContext(p, n)
-    cs = [dickson_c(ctx, i) for i in range(n + 1)]
+    cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
     expanded = [0]
     transvection = dickson._transvection
 
@@ -581,7 +573,7 @@ def test_shared_memo_matches_the_memo_less_and_dense_actions(p, n):
     ctx = DicksonContext(p, n)
     rng = random.Random(10 * p + n)
     fs = [random_nonzero_poly(rng, ctx.ring, max_terms=5, max_exp=2 * p + 1) for _ in range(3)]
-    fs.append(dickson_c(ctx, 0))
+    fs.append(dickson_c_from_f(ctx, 0))
     memo = {}
     moved = set()
     for seed in range(20):
@@ -605,7 +597,7 @@ def test_shared_memo_still_fails_a_later_trial(monkeypatch):
     swap = GLMatrix(((0, 1), (1, 0)), 3)
     shear = GLMatrix(((1, 1), (0, 1)), 3)
     matrices = [swap, swap, shear]
-    original = dickson.dickson_c
+    original = dickson.dickson_c_from_f
 
     def planted(ctx_, i):
         if (ctx_.p, ctx_.n, i) == (3, 2, 1):
@@ -615,7 +607,7 @@ def test_shared_memo_still_fails_a_later_trial(monkeypatch):
     def invariance():
         return {c.name: c for c in verify_dickson(ctx, trials=3)}["gl-invariance"]
 
-    monkeypatch.setattr(dickson, "dickson_c", planted)
+    monkeypatch.setattr(dickson, "dickson_c_from_f", planted)
     monkeypatch.setattr(dickson, "random_gl", lambda n, p, seed: matrices[seed])
     with_memo = invariance()
     action = dickson.gl_action

@@ -10,7 +10,7 @@ import pytest
 
 from conjchern import cyclo, dickson
 from conjchern.cyclo import verify_extraspecial, verify_weight_basis
-from conjchern.dickson import DicksonContext, dickson_c, linear_form_product, verify_dickson
+from conjchern.dickson import DicksonContext, linear_form_product, verify_dickson
 from conjchern.errors import ConjChernError
 from conjchern.poly import Poly
 from conjchern.relations import verify_quadratic
@@ -30,14 +30,6 @@ def product(m):
     return run
 
 
-def division(n):
-    def run(p):
-        dickson_c.cache_clear()
-        return timed_check("division", lambda: dickson_c(DicksonContext(p, n), 0))
-
-    return run
-
-
 def weight_basis(l):
     return lambda p: timed_check("weight-basis", lambda: verify_weight_basis(p, l))
 
@@ -53,8 +45,6 @@ GUARDS = {
     "product-m2": ((dickson, "_shift_scalars"), product(2), 271, 277),
     "product-m3": ((dickson, "_shift_scalars"), product(3), 19, 23),
     "product-m4": ((dickson, "_shift_scalars"), product(4), 5, 7),
-    "division-n3": ((dickson, "exact_div"), division(3), 113, 127),
-    "division-n4": ((dickson, "exact_div"), division(4), 7, 11),
     "trials-n2": (
         (dickson, "gl_action"),
         named(lambda p: verify_dickson(DicksonContext(p, 2)), "gl-invariance"),

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from conjchern import chern, cli, dickson, poly, steenrod
-from conjchern.errors import ConjChernError, NonExactDivision, SizeGuard
-from conjchern.poly import Poly, PolyRing, exact_div
+from conjchern.errors import ConjChernError, SizeGuard
+from conjchern.poly import Poly, PolyRing
 from conjchern.steenrod import (
     CohAlgebra,
     CohClass,
@@ -21,9 +21,7 @@ from helpers import (
     odd_gen,
     poly_of,
     random_nonzero_poly,
-    random_poly,
     tuple_coh_mul,
-    tuple_exact_div,
     tuple_mul,
 )
 
@@ -115,7 +113,7 @@ def near_powers_of_two(rng, ring, terms, bits):
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 2147483647])
-def test_mul_and_division_match_the_tuple_oracles(p):
+def test_mul_matches_the_tuple_oracle(p):
     rng = random.Random(1000 + p % 1000)
     ring = PolyRing(p, ("x1", "x2", "x3"))
     for trial in range(60):
@@ -127,26 +125,8 @@ def test_mul_and_division_match_the_tuple_oracles(p):
             g = near_powers_of_two(rng, ring, 3, (1, 4, 8, 16, 27))
         h = f * g
         assert h == tuple_mul(f, g) == g * f
-        assert exact_div(h, g) == tuple_exact_div(h, g) == f
         assert h.degree() == f.degree() + g.degree()
         assert h.to_text() == tuple_mul(f, g).to_text()
-
-
-def test_nonexact_division_is_refused_like_the_oracle():
-    rng = random.Random(5)
-    refused = 0
-    for _ in range(100):
-        f = random_poly(rng, R3, max_terms=4, max_exp=3)
-        g = random_nonzero_poly(rng, R3, max_terms=3, max_exp=2)
-        try:
-            want = tuple_exact_div(f, g)
-        except NonExactDivision:
-            refused += 1
-            with pytest.raises(NonExactDivision):
-                exact_div(f, g)
-        else:
-            assert exact_div(f, g) == want
-    assert refused > 50
 
 
 def test_sums_reach_the_last_value_below_the_limit():
@@ -159,8 +139,6 @@ def test_sums_reach_the_last_value_below_the_limit():
     assert h.terms[(LIMIT - 1, 0, 0)] == 1
     assert h.terms[(0, LIMIT - 1, 0)] == 2
     assert h.degree() == LIMIT - 1
-    assert exact_div(h, g) == tuple_exact_div(h, g) == f
-    assert exact_div(h, f) == g
     # the exponent field full up to its guard bit, one variable at a time
     for v in range(3):
         assert (R3.monomial({v: LIMIT - 2}) * R3.variable(v)).degree() == LIMIT - 1
@@ -263,4 +241,7 @@ def test_planted_carry_between_fields_fails(narrow_fields, capsys):
     assert " FAIL " in lines["dickson/delta-factorization"]
     assert "first differing terms: " in lines["dickson/delta-factorization"]
     assert " FAIL " in lines["dickson/two-route-c2"]
-    assert lines["dickson/two-route-c2"].endswith("first differing terms: 1: 1 != 0")
+    # X^9 carried out of f_2, so Delta_{2,2} is compared with Delta_{2,2} * 0
+    assert lines["dickson/two-route-c2"].endswith(
+        "first differing terms: x1^3*x2: 2 != 0; x1*x2^3: 1 != 0"
+    )
