@@ -1,5 +1,6 @@
-"""Prime moduli: the primality test, the modulus check, and the Lucas table
-of binomials mod p that the reduced powers and substitutions expand over."""
+"""Prime moduli: the primality test, the modulus check, the least primitive
+root, and the Lucas table of binomials mod p that the reduced powers and
+substitutions expand over."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ from math import comb
 MAX_MODULUS = 2**31
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for word-sized moduli."""
+    """Trial-division primality test, adequate for word-sized moduli; cached,
+    since every ring and context over p checks p again."""
     if n < 2:
         return False
     if n < 4:
@@ -34,6 +37,21 @@ def check_modulus(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p: the least g with
+    g^((p-1)/q) != 1 for each prime q dividing p - 1, found by trial division."""
+    n, q, primes = check_modulus(p) - 1, 2, []
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,9 @@ listed as u, v, w.  Their signs and the slash pairing drive a family of
 three-term quadratic polynomials R_j in the weighted ring F_p[Y_1..Y_4],
 deg(Y_i) = p^i + 1.  Substituting the closed-form classes r_i for Y_i turns
 each R_j into a Moore minor, and from there into a relation between the
-restricted Chern classes and the r_i.
+restricted Chern classes and the r_i.  Each check decides its statement
+exactly: quadratic scaling at two scalars, each literal display against its
+partition sum in the Y_i, and each substituted relation through two routes.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from itertools import combinations
 
 from .chern import ChernContext, delta_on_classes, total_conj_chern
 from .errors import IndexOutOfRange, SamePartition, VerificationFailure
-from .fp import check_modulus
-from .poly import Poly, PolyRing, _perm_sign, diff_detail
-from .report import FAIL, POLY_BUDGET, refuse_above, timed_check, two_routes
+from .fp import check_modulus, primitive_root
+from .poly import Poly, PolyRing, _perm_sign
+from .report import timed_check, two_routes
 from .steenrod import even_to_poly, r_closed
 
 
@@ -100,34 +102,24 @@ def slash(rho: Partition22, kappa: Partition22) -> int:
     return value
 
 
-def verify_partition_signs(iset) -> list:
-    """sum over partitions rho != kappa of epsilon(rho) * (rho/kappa) is zero
-    for each of the three choices of kappa."""
+def kappa_sums(iset) -> dict:
+    """The sum over partitions rho != kappa of epsilon(rho) * (rho/kappa), for
+    each of the three choices of kappa, named kappa-u, kappa-v, kappa-w; each
+    vanishes."""
     parts = partitions22(iset)
-
-    def total_for(kappa):
-        def run():
-            total = sum(
-                epsilon(rho) * slash(rho, kappa) for rho in parts if rho != kappa
-            )
-            return total == 0, f"sum = {total}"
-
-        return run
-
-    return [timed_check(f"kappa-{n}", total_for(kappa)) for n, kappa in zip("uvw", parts)]
+    return {
+        f"kappa-{n}": sum(epsilon(rho) * slash(rho, kappa) for rho in parts if rho != kappa)
+        for n, kappa in zip("uvw", parts)
+    }
 
 
 def verify_signs() -> list:
-    """verify_partition_signs on each 4-subset I of {0..6}, one check per I,
+    """The three kappa sums on each 4-subset I of {0..6}, one check per I,
     and the frozen sign table of the partitions of {0, 1, 2, 3}."""
 
     def signs_of(iset):
         def run():
-            failed = [
-                f"{c.name}: {c.detail}"
-                for c in verify_partition_signs(iset)
-                if c.status == FAIL
-            ]
+            failed = [f"{n}: sum = {total}" for n, total in kappa_sums(iset).items() if total]
             return not failed, "; ".join(failed) or "all three kappa sums vanish"
 
         return run
@@ -182,28 +174,24 @@ def r_j_poly(j: int, p: int) -> Poly:
 def verify_quadratic(p: int) -> list:
     """Scaling every Y_i by a scalar a of F_p scales each R_j by a^2.
 
-    Each check substitutes all p scalars, at about 45 us each (2-core x86,
-    Python 3.11, p = 101..10007), so it is guarded by the budget of the
-    polynomial kernels."""
+    A scaling maps each monomial to a^deg times itself, so the identity holds
+    for every a exactly when each term has deg > 0, which a = 0 decides, and
+    deg = 2 (mod p - 1), which the primitive root a = g decides.  At p = 3
+    the root alone would pass a constant term: there g^0 = g^2."""
     ring = y_ring(p)
-    checks = []
 
     def scaling(j):
         def run():
-            refuse_above(f"the {p} scalars", p * 4.5e-5, POLY_BUDGET)
             base = r_j_poly(j, p)
-            for a in range(p):
+            for a in (0, primitive_root(p)):
                 images = [ring.monomial({t: 1}, a) for t in range(4)]
-                scaled = base.compose(images, ring)
-                if scaled != base * (a * a):
+                if base.compose(images, ring) != base * (a * a):
                     return False, f"a = {a} violates quadratic scaling"
             return True, f"all {p} scalars"
 
         return run
 
-    for j in range(5):
-        checks.append(timed_check(f"quadratic-scaling-j{j}", scaling(j)))
-    return checks
+    return [timed_check(f"quadratic-scaling-j{j}", scaling(j)) for j in range(5)]
 
 
 def _r_classes(p: int, ring: PolyRing) -> list:
@@ -211,79 +199,64 @@ def _r_classes(p: int, ring: PolyRing) -> list:
     return [even_to_poly(r_closed(p, i, 2), ring) for i in range(1, 5)]
 
 
+def _at_r_classes(j: int, ring: PolyRing) -> Poly:
+    """R_j(r_1..r_4) in ring, the class ring of l = 2."""
+    return r_j_poly(j, ring.p).compose(_r_classes(ring.p, ring), ring)
+
+
 def verify_r_delta(p: int) -> list:
     """Substituting r_i for Y_i turns R_j into the Moore minor with the rows
     (eta_1, xi_1, eta_2, xi_2)."""
     ctx = ChernContext(p, 2)
     ring = ctx.ring
-    rs = _r_classes(p, ring)
-    checks = []
 
     def grading():
-        for i, r in enumerate(rs, start=1):
+        for i, r in enumerate(_r_classes(p, ring), start=1):
             if r.degrees() != {p**i + 1}:
                 return False, f"r_{i} is not homogeneous of degree p^{i}+1"
         return True, "deg r_i = p^i + 1 matches the Y_i weights"
 
-    checks.append(timed_check("substitution-grading", grading))
-
-    def substituted(j):
-        return r_j_poly(j, p).compose(rs, ring)
-
+    checks = [timed_check("substitution-grading", grading)]
     for j in range(5):
         checks.append(
             two_routes(
-                f"moore-minor-j{j}", partial(substituted, j), partial(delta_on_classes, ctx, j)
+                f"moore-minor-j{j}",
+                partial(_at_r_classes, j, ring),
+                partial(delta_on_classes, ctx, j),
             )
         )
     return checks
 
 
-def verify_chern_r_relations(p: int) -> list:
-    """R_j(r) = (-1)^j gamma_{p^4 - p^j} R_4(r) for j = 0..4 (the j = 4
-    instance is the tautology gamma_0 = 1), plus the four explicit displays
-    written out with literal exponents."""
-    ctx = ChernContext(p, 2)
-    ring = ctx.ring
-    rs = _r_classes(p, ring)
-    checks = []
-
-    def relation_check(j, lhs, base):
-        """lhs(r) == (-1)^j gamma_{p^4 - p^j} * base(r), for r = (r_1..r_4)."""
-
-        def run():
-            gamma = total_conj_chern(ctx).part(p**4 - p**j)
-            left = lhs(*rs)
-            right = gamma * base(*rs)
-            if j % 2:
-                right = -right
-            if left == right:
-                return True, "tautology gamma_0 = 1" if j == 4 else ""
-            return False, diff_detail(left, right)
-
-        return run
-
-    def r_sub(j):
-        return lambda *r: r_j_poly(j, p).compose(r, ring)
-
-    for j in range(5):
-        checks.append(
-            timed_check(f"chern-relation-j{j}", relation_check(j, r_sub(j), r_sub(4)))
-        )
-
-    def base(r1, r2, r3, r4):
-        return r1 ** (p**2 + 1) - r2 ** (p + 1) + r1**p * r3
-
-    displays = {
+def displays(p: int) -> dict:
+    """The relations R_j written out with literal exponents, j = 4..0: each a
+    function of four variables."""
+    return {
+        4: lambda r1, r2, r3, r4: r1 ** (p**2 + 1) - r2 ** (p + 1) + r1**p * r3,
         3: lambda r1, r2, r3, r4: r1**p * r4 + r1 * r2 ** (p**2) - r2 * r3**p,
         2: lambda r1, r2, r3, r4: r1 ** (p**3 + 1) + r2**p * r4 - r3 ** (p + 1),
-        1: lambda r1, r2, r3, r4: (
-            r1 ** (p**3) * r2 - r2 ** (p**2) * r3 + r1 ** (p**2) * r4
-        ),
-        0: lambda r1, r2, r3, r4: (
-            r1 ** (p**3 + p) - r2 ** (p**2 + p) + r1 ** (p**2) * r3**p
-        ),
+        1: lambda r1, r2, r3, r4: r1 ** (p**3) * r2 - r2 ** (p**2) * r3 + r1 ** (p**2) * r4,
+        0: lambda r1, r2, r3, r4: r1 ** (p**3 + p) - r2 ** (p**2 + p) + r1 ** (p**2) * r3**p,
     }
-    for j, lhs in displays.items():
-        checks.append(timed_check(f"display-j{j}", relation_check(j, lhs, base)))
+
+
+def verify_chern_r_relations(p: int) -> list:
+    """R_j(r) = (-1)^j gamma_{p^4 - p^j} R_4(r) for j = 0..4 (the j = 4
+    instance is the tautology gamma_0 = 1), and each literal display of R_j
+    equal to its partition sum in the Y_i; together they give each display
+    at r as (-1)^j gamma_{p^4 - p^j} times the display of R_4."""
+    ctx = ChernContext(p, 2)
+    ring = ctx.ring
+
+    def with_gamma(j):  # the left route, so a refused product SKIPs before any substitution
+        gamma = total_conj_chern(ctx).part(p**4 - p**j)
+        return gamma * _at_r_classes(4, ring) * (-1) ** j
+
+    checks = [
+        two_routes(f"chern-relation-j{j}", partial(with_gamma, j), partial(_at_r_classes, j, ring))
+        for j in range(5)
+    ]
+    ys = [y_ring(p).variable(t) for t in range(4)]
+    for j, display in displays(p).items():
+        checks.append(two_routes(f"display-j{j}", partial(display, *ys), partial(r_j_poly, j, p)))
     return checks

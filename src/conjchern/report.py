@@ -121,9 +121,9 @@ def timed_check(name: str, fn) -> Check:
 
 
 # The two time budgets of the size guards, in seconds (2-core x86, Python
-# 3.11).  POLY_BUDGET bounds the polynomial kernels of dickson and relations:
-# 10^7 monomial pairs at the 1.5 million a second of dickson.PAIRS_PER_SECOND,
-# about 6.67 s.  REP_BUDGET bounds each check of cyclo.
+# 3.11).  POLY_BUDGET bounds the linear-form product and the GL trials of
+# dickson: 10^7 monomial pairs at the 1.5 million a second of
+# dickson.PAIRS_PER_SECOND, about 6.67 s.  REP_BUDGET bounds each check of cyclo.
 POLY_BUDGET = 10**7 / 1_500_000
 REP_BUDGET = 12
 

@@ -130,7 +130,7 @@ def test_json_schema_and_determinism_small():
 GOLDEN_REPORTS = {
     "all-p3-l2": (
         ["--suite", "all", "--p", "3", "--l", "2", "--seed", "7"],
-        "f9483dcc0eab5b84a624f33a488775b0f5f0c32a9c61ac951b84feb4ed0924a4",
+        "4c8c8a6a59f920942efeb6985093907bd62f1645c4a8dfaebad03bc60b0379ab",
     ),
     "dickson-p13-n2": (
         ["--suite", "dickson", "--p", "13", "--n", "2", "--seed", "7"],
@@ -188,9 +188,9 @@ def cap_address_space():
     ],
 )
 def test_largest_admitted_prime_ends_in_seconds(argv):
-    """Without the guards of the linear-form product, verify_quadratic and
-    verify_extraspecial these runs outlast a 15 s timeout or run out of
-    memory; now the expensive checks are SKIPPED with their estimates."""
+    """Without the guards of the linear-form product and verify_extraspecial
+    these runs outlast a 15 s timeout or run out of memory; now the expensive
+    checks are SKIPPED with their estimates."""
     checks = capped_checks([*argv, "--p", "2147483647"], timeout=60)
     skipped = [c for c in checks.values() if c["status"] == "skipped"]
     assert skipped and all(REFUSAL.fullmatch(c["detail"]) for c in skipped)
@@ -233,6 +233,9 @@ def test_all_at_p7_l2_ends_in_seconds():
     argv = ["--suite", "all", "--p", "7", "--l", "2", "--trials", "5"]
     checks = capped_checks(argv, timeout=20)
     assert checks["chern/argument-order-invariance"]["status"] == "pass"
+    # the 7^4 product guard SKIPs 7 chern checks and relations/chern-relation-j0..j4
+    skipped = [name for name, c in checks.items() if c["status"] == "skipped"]
+    assert len(skipped) == 12, skipped
 
 
 def test_strict_promotes_skips_to_failure():

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from conjchern.fp import _binom_support, _pick_count, check_modulus, is_prime
+from conjchern.fp import _binom_support, _pick_count, check_modulus, is_prime, primitive_root
 
 
 def test_is_prime_small():
@@ -10,6 +10,16 @@ def test_is_prime_small():
     not_primes = [0, 1, 4, 6, 9, 15, 21, 25]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in not_primes)
+
+
+def test_primitive_root_is_the_least_generator():
+    """Against a brute-force search for the least g whose powers reach every unit."""
+    for p in filter(is_prime, range(500)):
+        least = next(
+            g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+        )
+        assert primitive_root(p) == least
+    assert primitive_root(2**31 - 1) == 7
 
 
 def test_check_modulus_rejects_composite():

@@ -12,8 +12,6 @@ from conjchern import cyclo, dickson
 from conjchern.cyclo import verify_extraspecial, verify_weight_basis
 from conjchern.dickson import DicksonContext, linear_form_product, verify_dickson
 from conjchern.errors import ConjChernError
-from conjchern.poly import Poly
-from conjchern.relations import verify_quadratic
 from conjchern.report import FAIL, SKIPPED, timed_check
 
 from helpers import REFUSAL
@@ -50,12 +48,6 @@ GUARDS = {
         named(lambda p: verify_dickson(DicksonContext(p, 2)), "gl-invariance"),
         47,
         53,
-    ),
-    "quadratic": (
-        (Poly, "compose"),
-        named(verify_quadratic, "quadratic-scaling-j0"),
-        148147,
-        148151,
     ),
     "weight-basis-l1": ((cyclo, "is_nonsingular"), weight_basis(1), 107, 109),
     "weight-basis-l2": ((cyclo, "gen_matrices"), weight_basis(2), 11, 13),

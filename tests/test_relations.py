@@ -19,12 +19,12 @@ from conjchern.relations import (
     Partition22,
     epsilon,
     index_set4,
+    kappa_sums,
     partitions22,
     r_j_poly,
     r_monomial,
     slash,
     verify_chern_r_relations,
-    verify_partition_signs,
     verify_quadratic,
     verify_r_delta,
     y_ring,
@@ -93,7 +93,7 @@ def test_sign_sum_vanishes_on_all_subsets():
                 epsilon(rho) * slash(rho, kappa) for rho in parts if rho != kappa
             )
             assert total == 0
-        assert passed(verify_partition_signs(iset))
+        assert kappa_sums(iset) == {"kappa-u": 0, "kappa-v": 0, "kappa-w": 0}
 
 
 # -- the graded polynomials -----------------------------------------------------
@@ -158,21 +158,23 @@ def test_r_delta_identity_p3():
 def test_chern_relations_p3():
     checks = verify_chern_r_relations(3)
     assert passed(checks)
-    names = [c.name for c in checks]
-    assert "chern-relation-j4" in names
-    tautology = [c for c in checks if c.name == "chern-relation-j4"][0]
-    assert "tautology" in tautology.detail
-    for j in range(4):
-        assert f"display-j{j}" in names
+    assert [c.name for c in checks] == [
+        *(f"chern-relation-j{j}" for j in range(5)),
+        *(f"display-j{j}" for j in (4, 3, 2, 1, 0)),
+    ]
 
 
 def test_p7_runs_r_delta_and_guards_the_chern_product():
+    """Only the chern-relation checks need the 7^4 product; the literal
+    displays are compared with the partition sums in the Y_i."""
     assert passed(verify_r_delta(7))
-    checks = verify_chern_r_relations(7)
-    assert len(checks) == 9
-    for check in checks:
+    checks = {c.name: c for c in verify_chern_r_relations(7)}
+    assert len(checks) == 10
+    for j in range(5):
+        check = checks.pop(f"chern-relation-j{j}")
         assert check.status == "skipped"
         assert "7^4 linear forms" in check.detail
+    assert {c.status for c in checks.values()} == {"pass"}
 
 
 # -- a guarded Chern product ------------------------------------------------------
@@ -202,6 +204,7 @@ def test_guarded_product_skips_only_the_checks_that_need_it(monkeypatch, capsys)
     reports = product_dependent_reports()
     assert {key: [c.name for c in r] for key, r in reports.items()} == names
     runs = {"argument-order-invariance", "minor-frobenius-power"}
+    runs |= {f"display-j{j}" for j in range(5)}
     for checks in reports.values():
         for check in checks:
             if check.name in runs:
@@ -244,7 +247,8 @@ def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsy
     failed = {n.removeprefix("relations/"): d for n, d in failed_lines(out).items()}
     expected = {f"moore-minor-j{j}" for j in range(5)}
     expected |= {f"chern-relation-j{j}" for j in range(4)}
-    # quadratic scaling, the gamma_0 tautology and the literal displays still pass
+    expected |= {f"display-j{j}" for j in range(5)}
+    # quadratic scaling and the gamma_0 tautology still pass
     assert set(failed) == expected
     for detail in failed.values():
         assert "first differing terms: " in detail
@@ -265,6 +269,41 @@ def test_inhomogeneous_r_j_fails_quadratic_scaling(monkeypatch, capsys):
     failed = failed_lines(out)
     for j in range(5):
         assert "a = 2 violates quadratic scaling" in failed[f"relations/quadratic-scaling-j{j}"]
+
+
+def test_constant_term_fails_quadratic_scaling_at_zero(monkeypatch, capsys):
+    """r_j_poly gains the constant 1.  At p = 3 the primitive root 2 scales
+    it as 2^0 = 1 = 2^2, so only the scalar a = 0 finds it."""
+    original = relations.r_j_poly
+    monkeypatch.setattr(relations, "r_j_poly", lambda j, p: original(j, p) + 1)
+    code = cli.main(["--suite", "relations", "--p", "3"])
+    failed = failed_lines(capsys.readouterr().out)
+    assert code == 1
+    for j in range(5):
+        assert failed[f"relations/quadratic-scaling-j{j}"].endswith(
+            "a = 0 violates quadratic scaling"
+        )
+
+
+def test_wrong_display_exponent_fails_at_p7(monkeypatch, capsys):
+    """The first term of the j = 1 display raised to r_1^(p^3 + 1), not r_1^(p^3)."""
+    original = relations.displays
+
+    def planted(p):
+        table = original(p)
+        table[1] = lambda r1, r2, r3, r4: (
+            r1 ** (p**3 + 1) * r2 - r2 ** (p**2) * r3 + r1 ** (p**2) * r4
+        )
+        return table
+
+    monkeypatch.setattr(relations, "displays", planted)
+    code = cli.main(["--suite", "relations", "--p", "7"])
+    failed = failed_lines(capsys.readouterr().out)
+    assert code == 1
+    assert set(failed) == {"relations/display-j1"}
+    assert "first differing terms: Y1^344*Y2: 1 != 0; Y1^343*Y2: 0 != 1" in failed[
+        "relations/display-j1"
+    ]
 
 
 def test_flipped_slash_fails_the_signs_suite(monkeypatch, capsys):
@@ -298,16 +337,11 @@ def test_r_delta_passes_at_the_largest_admitted_prime():
     assert [c.status for c in checks] == ["pass"] * 6
 
 
-def test_quadratic_guard_refuses_before_substituting(monkeypatch):
-    def never(j, p):
-        raise AssertionError("r_j_poly ran past the guard")
-
-    monkeypatch.setattr(relations, "r_j_poly", never)
-    checks = verify_quadratic(BIG_P)
-    assert {c.status for c in checks} == {"skipped"}
-    assert {c.detail for c in checks} == {
-        "the 2147483647 scalars would take about 26.8 h; the guard allows 6.67 s"
-    }
-    # every prime the tests and the benchmark run stays admitted
-    monkeypatch.undo()
-    assert passed(verify_quadratic(101))
+def test_relations_at_the_largest_admitted_prime_skip_only_the_product():
+    """Quadratic scaling substitutes two scalars and the displays stay in the
+    Y_i, so only the checks that need the p^4-factor product are SKIPPED."""
+    checks = verify_quadratic(BIG_P) + verify_chern_r_relations(BIG_P)
+    skipped = {c.name for c in checks if c.status == "skipped"}
+    assert skipped == {f"chern-relation-j{j}" for j in range(5)}
+    assert {c.status for c in checks if c.name not in skipped} == {"pass"}
+    assert {c.detail for c in checks[:5]} == {f"all {BIG_P} scalars"}
