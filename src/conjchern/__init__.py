@@ -32,6 +32,7 @@ from .steenrod import (
     CohClass,
     bockstein,
     even_to_poly,
+    milnor_chain,
     milnor_q,
     power_op,
     r_closed,
@@ -66,6 +67,7 @@ __all__ = [
     "gen_matrices",
     "gl_action",
     "jacobian_det",
+    "milnor_chain",
     "milnor_q",
     "power_op",
     "r_closed",

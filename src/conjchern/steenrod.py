@@ -7,7 +7,9 @@ generator of degree 2 linked by the Bockstein.  Reduced powers are realized
 through the total operation, the ring endomorphism fixing the exterior
 generators and sending each polynomial generator t to t + t^p; the degree-k
 operation is the component raising degree by 2k(p-1), which power_op
-enumerates directly.  No Adem-relation rewriting is needed on this algebra.
+enumerates directly in one budgeted loop over the exponents.  milnor_chain
+lists Q_0(x), ..., Q_i(x) by Milnor's recursion without a cache.  No
+Adem-relation rewriting is needed on this algebra.
 
 CohClass is a sparse sum like poly.Poly and inherits from their common base
 its addition, scaling, equality, context check and canonical text; it adds
@@ -252,78 +254,68 @@ def power_op(k: int, x: CohClass) -> CohClass:
 
     The total operation sends t^e to sum_j C(e,j) t^(e + j(p-1)), so a term
     t_1^e_1..t_m^e_m contributes the picks (j_1..j_m) with j_1 + .. + j_m = k.
-    Only those are enumerated: position by position over the Lucas table of
-    e_i capped at k, so no pick above the budget is ever listed, keeping each
-    partial pick whose remaining budget the later positions can still spend
-    exactly; the last position takes the budget that is left.  Inhomogeneous
-    classes need no split, since every term is shifted by the same degree."""
+    Only those are enumerated, in one loop over the positions: each partial
+    pick carries the budget it has left, takes the next position's picks from
+    the Lucas table of e_i in increasing order up to that budget, and is
+    emitted the moment the budget is spent.  A pick never exceeds its
+    exponent, so the exponents of the positions not yet walked, read off the
+    key's degree field, bound what a partial pick can still spend; one that
+    cannot spend its budget is dropped.  Inhomogeneous classes need no
+    split, since every term is shifted by the same degree."""
     if k < 0:
         raise ValueError("negative power operation index")
-    if k == 0 or not x._terms:
-        return x
     alg = x.algebra
     p, m = alg.p, alg.m
-    alg._fit((max(x._terms) >> m) + (k * (p - 1) << alg._dshift))
-    positions, fmask = alg._positions, alg._fmask
+    alg._fit((max(x._terms, default=0) >> m) + (k * (p - 1) << alg._dshift))
+    positions, fmask, dshift = alg._positions, alg._fmask, alg._dshift
 
     def terms():
         for key, c in x._terms.items():
             even = key >> m
-            # a zero exponent has the one pick 0, which changes nothing
-            active = [
-                (_binom_support(e, p, k), unit)
-                for s, unit in positions
-                if (e := even >> s & fmask)
-            ]
-            # the largest pick sum that the positions not yet consumed can spend
-            reach = sum(next(reversed(table)) for table, _ in active)
-            if reach < k:
-                continue
+            rest = even >> dshift  # the degree field: the sum of the exponents
             states = [(k, key, c)]
-            for table, unit in active[:-1]:
-                reach -= next(reversed(table))
+            for s, unit in positions:
+                e = even >> s & fmask
+                rest -= e  # now the sum over the positions after this one
+                table = _binom_support(e, p, k)
                 grown = []
-                for left, kk, coeff in states:
+                for state in states:
+                    left, kk, coeff = state
                     for j, b in table.items():  # in increasing j
-                        if j > left:
+                        if j >= left:
+                            if j == left:
+                                yield kk + j * unit, coeff * b
                             break
-                        if left - j <= reach:
-                            grown.append((left - j, kk + j * unit, coeff * b))
+                        if left - j <= rest:
+                            grown.append((left - j, kk + j * unit, coeff * b) if j else state)
                 states = grown
-            last, unit = active[-1]
-            for left, kk, coeff in states:
-                if b := last.get(left):
-                    yield kk + left * unit, coeff * b
 
     return CohClass._raw(alg, _add_terms(terms(), p))
 
 
-def milnor_q(i: int, x: CohClass, memo: dict | None = None) -> CohClass:
-    """The i-th Milnor primitive via the recursion
+def milnor_chain(i: int, x: CohClass) -> list:
+    """[Q_0(x), ..., Q_i(x)]: the Milnor primitives by the recursion
     Q_0 = Bockstein, Q_i = P^{p^{i-1}} Q_{i-1} - Q_{i-1} P^{p^{i-1}}.
 
-    memo maps (i, x) to Q_i(x) and is shared by the recursive calls; pass one
-    dict to the calls of a single check so that they share their inner
-    Q_{i-1} values too.  Without one, each call starts a fresh memo.  No memo
-    outlives its caller, so a changed power_op or bockstein is always seen."""
+    The chain of x to i - 1 gives the first term, and its last entry is the
+    Q_{i-1} that P^{p^{i-1}} is applied to; the chain of P^{p^{i-1}} x gives
+    the second.  No (index, class) pair recurs in this tree, so nothing is
+    cached, and a changed power_op or bockstein is always seen."""
     if i < 0:
         raise ValueError("negative Milnor index")
     if i > MAX_MILNOR_INDEX:
         raise DepthGuard(f"Milnor index {i} exceeds the depth guard {MAX_MILNOR_INDEX}")
-    if memo is None:
-        memo = {}
-    key = (i, x)
-    got = memo.get(key)
-    if got is None:
-        if i == 0:
-            got = bockstein(x)
-        else:
-            k = x.algebra.p ** (i - 1)
-            got = power_op(k, milnor_q(i - 1, x, memo)) - milnor_q(
-                i - 1, power_op(k, x), memo
-            )
-        memo[key] = got
-    return got
+    if i == 0:
+        return [bockstein(x)]
+    k = x.algebra.p ** (i - 1)
+    chain = milnor_chain(i - 1, x)
+    chain.append(power_op(k, chain[-1]) - milnor_chain(i - 1, power_op(k, x))[-1])
+    return chain
+
+
+def milnor_q(i: int, x: CohClass) -> CohClass:
+    """The i-th Milnor primitive Q_i(x), the last entry of milnor_chain(i, x)."""
+    return milnor_chain(i, x)[-1]
 
 
 def x_class(p: int, l: int) -> CohClass:
@@ -434,7 +426,11 @@ def random_homogeneous(rng, algebra: CohAlgebra, max_even_exp: int = 4) -> CohCl
 def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     """Closed forms of the Milnor primitives plus the structural laws:
     the Bockstein squares to zero, Q_i are anticommuting derivations, the
-    total power is a ring endomorphism, and P^0 is the identity."""
+    total power is a ring endomorphism, and P^0 is the identity.
+
+    The derivation check reads the chains Q_0..Q_3 of x*y, x and y, the
+    anticommutation check the chains of each Q_j(x); the total power is
+    computed apart from power_op, so it stays an independent route."""
     alg = CohAlgebra.bv(p, l)
     rng = random.Random(seed)
 
@@ -456,30 +452,28 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     checks.append(timed_check("bockstein-squared", bockstein_squared))
 
     def derivations():
-        q = partial(milnor_q, memo={})
         for t in range(trials):
             x = random_homogeneous(rng, alg, max_even_exp=2)
             y = random_homogeneous(rng, alg, max_even_exp=2)
             sign = -1 if x.degree() % 2 else 1
-            for i in range(4):
-                lhs = q(i, x * y)
-                rhs = q(i, x) * y + x * q(i, y) * sign
-                if lhs != rhs:
+            chains = zip(milnor_chain(3, x * y), milnor_chain(3, x), milnor_chain(3, y))
+            for i, (qxy, qx, qy) in enumerate(chains):
+                if qxy != qx * y + x * qy * sign:
                     return False, f"Q_{i} not a derivation on pair {t}"
         return True, f"{trials} random homogeneous pairs, Q_0..Q_3"
 
     checks.append(timed_check("milnor-derivation", derivations))
 
     def anticommute():
-        q = partial(milnor_q, memo={})
         for t in range(trials // 4 or 1):
             x = random_homogeneous(rng, alg, max_even_exp=2)
+            # qq[j][i] = Q_i Q_j x
+            qq = [milnor_chain(3, q) for q in milnor_chain(3, x)]
             for i in range(4):
-                if not q(i, q(i, x)).is_zero():
+                if not qq[i][i].is_zero():
                     return False, f"Q_{i}^2 != 0 on class {t}"
                 for j in range(i + 1, 4):
-                    anti = q(i, q(j, x)) + q(j, q(i, x))
-                    if not anti.is_zero():
+                    if not (qq[j][i] + qq[i][j]).is_zero():
                         return False, f"Q_{i}Q_{j} + Q_{j}Q_{i} != 0 on class {t}"
         return True, "squares and anticommutators vanish, Q_0..Q_3"
 

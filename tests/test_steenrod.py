@@ -166,12 +166,14 @@ def test_p0_is_identity():
         assert power_op(0, x) == x
 
 
-def degree_component(x, d):
-    """The degree-d part of a class, read off its terms."""
-    return CohClass(
-        x.algebra,
-        {key: c for key, c in x.terms.items() if len(key[0]) + 2 * sum(key[1]) == d},
-    )
+def degree_components(x):
+    """The homogeneous parts of a class by degree, read off its packed keys
+    once: exterior bits plus twice the total-degree field."""
+    alg, parts = x.algebra, {}
+    low, dshift = (1 << alg.m) - 1, alg._dshift + alg.m
+    for key, c in x._terms.items():
+        parts.setdefault((key & low).bit_count() + 2 * (key >> dshift), {})[key] = c
+    return {d: CohClass._raw(alg, part) for d, part in parts.items()}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -183,14 +185,14 @@ def test_power_op_matches_total_power_component(p, l):
     rng = random.Random(1000 * p + l)
     shift = 2 * (p - 1)
     for t in range(12):
-        x = random_homogeneous(rng, alg, max_even_exp=rng.choice([2, 4, p + 1]))
+        x = random_homogeneous(rng, alg, max_even_exp=rng.choice([2, 4, p + 1, p * p + 1]))
         y = random_homogeneous(rng, alg, max_even_exp=3)
         while y.degree() == x.degree():
             y = random_homogeneous(rng, alg, max_even_exp=3)
-        tx, ty = total_power(x), total_power(y)
+        tx, ty = degree_components(total_power(x)), degree_components(total_power(y))
         for k in [*range(7), p, p**2, p**3]:
-            want_x = degree_component(tx, x.degree() + k * shift)
-            want_y = degree_component(ty, y.degree() + k * shift)
+            want_x = tx.get(x.degree() + k * shift, alg.zero())
+            want_y = ty.get(y.degree() + k * shift, alg.zero())
             assert power_op(k, x) == want_x, (t, k)
             assert power_op(k, x + y) == want_x + want_y, (t, k)
 
@@ -394,12 +396,45 @@ def test_fault_after_a_clean_run_is_still_seen(monkeypatch, capsys):
     assert "first differing terms: xi1^3*eta1: 0 != 1" in line
 
 
-def test_milnor_memo_is_shared_by_the_calls_given_it():
+def test_milnor_chain_recomputes_on_every_call(monkeypatch):
+    """The chain to Q_3 takes 2 + 4 + 8 reduced powers and 8 Bocksteins,
+    and a second call takes as many again: nothing is cached."""
     x = x_class(3, 2)
-    memo = {}
-    assert milnor_q(3, x, memo) == r_closed(3, 3, 2)
-    assert {i for i, _ in memo} == {0, 1, 2, 3}
-    assert memo[(3, x)] is milnor_q(3, x, memo)
+    want = [milnor_q(j, x) for j in range(4)]
+    calls = {"power_op": 0, "bockstein": 0}
+    for name in calls:
+        original = getattr(steenrod, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(steenrod, name, counted)
+    chain = steenrod.milnor_chain(3, x)
+    assert chain == want
+    assert chain[-1] == r_closed(3, 3, 2)
+    assert calls == {"power_op": 14, "bockstein": 8}
+    assert steenrod.milnor_chain(3, x) == want
+    assert calls == {"power_op": 28, "bockstein": 16}
+
+
+def test_suite_fails_when_p0_drops_a_term(monkeypatch, capsys):
+    """P^0 loses the first term of a class.  The Milnor recursion never takes
+    P^0, so the P^0 clause of total-power-endomorphism is the one that fails."""
+    original = steenrod.power_op
+
+    def dropped(k, x):
+        out = original(k, x)
+        return CohClass(out.algebra, dict(list(out.terms.items())[1:])) if k == 0 else out
+
+    monkeypatch.setattr(steenrod, "power_op", dropped)
+    code = cli.main(STEENROD_P3_L1)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = failed_lines(out)
+    assert "steenrod/total-power-endomorphism" in line
+    assert "P^0 is not the identity" in line
 
 
 def test_suite_fails_on_dependent_closed_forms(monkeypatch, capsys):
