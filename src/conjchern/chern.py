@@ -1,10 +1,12 @@
 """The restricted total Chern class of the conjugation representation.
 
-The product of the linear factors 1 + sum(i_k xi_k + j_k eta_k) over all
-nonzero tuples of F_p^{2l} is read off the homogeneous product of
-T + sum(i_k xi_k + j_k eta_k) over all tuples, built by the subspace
-recursion of dickson.linear_form_product: the graded part of degree d is
-the coefficient of T^{p^{2l} - d}.  The paper identifies these parts with
+Restricted to V of rank 2l, the total class is the product of the linear
+factors 1 + sum(i_k xi_k + j_k eta_k) over all nonzero tuples of F_p^{2l}.
+It is read off the Dickson product f_{2l} of dickson.f_n_product, the
+product of X - sum(k_i x_i) over all tuples, with x_{2k-1}, x_{2k} read as
+xi_k, eta_k: the graded part of degree d is the coefficient of
+X^{p^{2l} - d}.  The ring of the classes is the polynomial part of
+steenrod.CohAlgebra(p, l).  The paper identifies these parts with
 the Dickson invariants C_{2l,k} = Delta_{2l,k} / Delta_{2l,2l} in the class
 variables; the checks compare them with the Moore minors cross-multiplied,
 so no quotient is formed.  Degrees follow the half-degree
@@ -16,30 +18,22 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .dickson import DicksonContext, _nonzero, delta_ni, linear_form_product
-from .fp import check_modulus
+from .dickson import DicksonContext, _nonzero, delta_ni, f_n_product
 from .poly import Poly, PolyRing, _split_last, agree, diff_detail
 from .report import timed_check, two_routes
-from .steenrod import even_to_poly, r_closed
+from .steenrod import CohAlgebra, even_to_poly, r_closed
 
 
 class ChernContext:
-    """p, l, and the ring F_p[xi_1, eta_1, ..., xi_l, eta_l]."""
+    """p, l, and the ring F_p[xi_1, eta_1, ..., xi_l, eta_l] of the even
+    generators of CohAlgebra(p, l), which checks p and l."""
 
     __slots__ = ("p", "l", "ring")
 
     def __init__(self, p: int, l: int):
-        check_modulus(p)
-        if p == 2:
-            raise ValueError("the conjugation representation needs an odd prime")
-        if l < 1:
-            raise ValueError("l must be >= 1")
-        names = []
-        for k in range(1, l + 1):
-            names += [f"xi{k}", f"eta{k}"]
         self.p = p
         self.l = l
-        self.ring = PolyRing(p, names)
+        self.ring = PolyRing(p, CohAlgebra(p, l).even_names)
 
     def __eq__(self, other):
         if isinstance(other, ChernContext):
@@ -56,11 +50,10 @@ class ChernContext:
 class GradedChern:
     """Graded parts of the total restricted Chern class, by half-degree."""
 
-    __slots__ = ("ring", "top", "parts")
+    __slots__ = ("ring", "parts")
 
-    def __init__(self, ring: PolyRing, top: int, parts: dict):
+    def __init__(self, ring: PolyRing, parts: dict):
         self.ring = ring
-        self.top = top
         self.parts = parts
 
     def part(self, d: int) -> Poly:
@@ -70,12 +63,11 @@ class GradedChern:
 @lru_cache(maxsize=None)
 def total_conj_chern(ctx: ChernContext) -> GradedChern:
     """The exact product of the p^{2l} linear factors (the zero tuple
-    contributes the factor 1), split into graded parts."""
+    contributes the factor 1), split into graded parts: f_{2l} read in the
+    class variables."""
     top = ctx.p ** (2 * ctx.l)
-    tring = PolyRing(ctx.p, ctx.ring.variables + ("T",))
-    coeffs = _split_last(linear_form_product(tring), ctx.ring)
-    parts = {top - e: part for e, part in coeffs.items()}
-    return GradedChern(ring=ctx.ring, top=top - 1, parts=parts)
+    coeffs = _split_last(f_n_product(DicksonContext(ctx.p, 2 * ctx.l)), ctx.ring)
+    return GradedChern(ctx.ring, {top - e: part for e, part in coeffs.items()})
 
 
 def _dickson_images(ctx: ChernContext, swap_last_pair: bool = False):
@@ -96,7 +88,7 @@ def delta_on_classes(ctx: ChernContext, i: int, swap_last_pair: bool = False) ->
     """The Moore minor Delta_{2l,i} evaluated at (eta_1, xi_1, ..., eta_l, xi_l),
     or with the final pair in the (xi_l, eta_l) order."""
     dctx = DicksonContext(ctx.p, 2 * ctx.l)
-    return delta_ni(dctx, i).compose(_dickson_images(ctx, swap_last_pair), ctx.ring)
+    return delta_ni(dctx, i).compose(_dickson_images(ctx, swap_last_pair))
 
 
 def _top_minor(ctx: ChernContext, swap_last_pair: bool = False) -> Poly:
@@ -177,16 +169,14 @@ def verify_vistoli(p: int) -> list:
     """The rank-one closed forms of the two surviving Chern classes and the
     two product relations they impose on r_1 and r_2."""
     ctx = ChernContext(p, 1)
-    ring = ctx.ring
-    xi = ring.variable("xi1")
-    eta = ring.variable("eta1")
+    xi, eta = ctx.ring.variable(0), ctx.ring.variable(1)
     mid, top = p * p - p, p * p - 1
 
     def gamma(d):
         return total_conj_chern(ctx).part(d)
 
     def r(i):
-        return even_to_poly(r_closed(p, i, 1), ring)
+        return even_to_poly(r_closed(p, i, 1))
 
     def mid_closed_form():
         return -(xi ** (p * p - p)) - eta ** (p - 1) * (

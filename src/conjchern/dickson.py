@@ -27,20 +27,17 @@ from .poly import (
     determinant,
     diff_detail,
 )
-from .report import POLY_BUDGET, refuse_above, timed_check, two_routes
+from .report import PAIRS_PER_SECOND, POLY_BUDGET, refuse_above, timed_check, two_routes
 
 # Cost of linear_form_product over F_p^m, in the monomial pairs that it
-# visits.  The estimate p^(m(m+1)/2) / 2, or / 10 at m = 3, is a power law
-# fitted to the counted pairs for m = 3..6 and p = 2..23 and to the times
-# for m = 2 and p up to 307, where the steps of _shift_scalars dominate; it
-# is within a factor 2 wherever it exceeds 10^4.  On packed keys
-# Poly.__mul__ visits 1.3-2.1 million of these pairs a second in the
-# products at (p, m) = (3, 4), (5, 3), (7, 3), (5, 4) and (3, 5) (2-core
-# x86, Python 3.11; 0.43-0.69 million on exponent tuples, same machine).  At
-# m = 1 the time is the p^2/2 steps of _shift_scalars, whose dict grows by
-# one entry per factor; at about 1.1 million steps a second (p =
-# 1009..10007, same machine) the estimate states them as 2p^2/3 pairs.
-PAIRS_PER_SECOND = 1_500_000
+# visits at report.PAIRS_PER_SECOND.  The estimate p^(m(m+1)/2) / 2, or / 10
+# at m = 3, is a power law fitted to the counted pairs for m = 3..6 and
+# p = 2..23 and to the times for m = 2 and p up to 307, where the steps of
+# _shift_scalars dominate; it is within a factor 2 wherever it exceeds 10^4.
+# At m = 1 the time is the p^2/2 steps of _shift_scalars, whose dict grows
+# by one entry per factor; at about 1.1 million steps a second (p =
+# 1009..10007, 2-core x86, Python 3.11) the estimate states them as 2p^2/3
+# pairs.
 
 
 class DicksonContext:
@@ -72,7 +69,7 @@ class DicksonContext:
     def to_xring(self, f: Poly) -> Poly:
         """Embed an n-variable polynomial into the X-augmented ring."""
         images = [self.xring.variable(v) for v in self.ring.variables]
-        return f.compose(images, self.xring)
+        return f.compose(images)
 
 
 def _moore_matrix(ctx: DicksonContext, row_powers, with_aux: bool) -> PolyMatrix:
@@ -340,7 +337,7 @@ def _apply_factor(f: Poly, i: int, j: int, c: int) -> Poly:
     ring = f.ring
     images = [ring.variable(k) for k in range(ring.arity)]
     images[j] = ring.monomial({j: 1}, c)
-    return f.compose(images, ring)
+    return f.compose(images)
 
 
 def gl_action(f: Poly, a: GLMatrix, memo: dict | None = None) -> Poly:

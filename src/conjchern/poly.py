@@ -436,18 +436,18 @@ class Poly(_SparseSum):
                 out[k - unit] = v
         return Poly._raw(ring, out)
 
-    def compose(self, images, ring: PolyRing | None = None) -> Poly:
+    def compose(self, images) -> Poly:
         """Substitute images[i] for the i-th variable.
 
-        All images must live in one target ring over the same prime.
+        All images must live in one ring over the same prime, the ring of
+        the result.
         """
         images = tuple(images)
         if len(images) != self.ring.arity:
             raise ArityMismatch(
                 f"{len(images)} images for {self.ring.arity} variables"
             )
-        if ring is None:
-            ring = images[0].ring
+        ring = getattr(images[0], "ring", None)
         for im in images:
             if not isinstance(im, Poly) or im.ring != ring:
                 raise RingMismatch("substitution images live in different rings")

@@ -185,7 +185,7 @@ def verify_quadratic(p: int) -> list:
             base = r_j_poly(j, p)
             for a in (0, primitive_root(p)):
                 images = [ring.monomial({t: 1}, a) for t in range(4)]
-                if base.compose(images, ring) != base * (a * a):
+                if base.compose(images) != base * (a * a):
                     return False, f"a = {a} violates quadratic scaling"
             return True, f"all {p} scalars"
 
@@ -194,24 +194,23 @@ def verify_quadratic(p: int) -> list:
     return [timed_check(f"quadratic-scaling-j{j}", scaling(j)) for j in range(5)]
 
 
-def _r_classes(p: int, ring: PolyRing) -> list:
+def _r_classes(p: int) -> list:
     """The closed-form classes r_1..r_4 for l = 2, as even polynomials."""
-    return [even_to_poly(r_closed(p, i, 2), ring) for i in range(1, 5)]
+    return [even_to_poly(r_closed(p, i, 2)) for i in range(1, 5)]
 
 
-def _at_r_classes(j: int, ring: PolyRing) -> Poly:
-    """R_j(r_1..r_4) in ring, the class ring of l = 2."""
-    return r_j_poly(j, ring.p).compose(_r_classes(ring.p, ring), ring)
+def _at_r_classes(j: int, p: int) -> Poly:
+    """R_j(r_1..r_4) in the class ring of l = 2."""
+    return r_j_poly(j, p).compose(_r_classes(p))
 
 
 def verify_r_delta(p: int) -> list:
     """Substituting r_i for Y_i turns R_j into the Moore minor with the rows
     (eta_1, xi_1, eta_2, xi_2)."""
     ctx = ChernContext(p, 2)
-    ring = ctx.ring
 
     def grading():
-        for i, r in enumerate(_r_classes(p, ring), start=1):
+        for i, r in enumerate(_r_classes(p), start=1):
             if r.degrees() != {p**i + 1}:
                 return False, f"r_{i} is not homogeneous of degree p^{i}+1"
         return True, "deg r_i = p^i + 1 matches the Y_i weights"
@@ -221,7 +220,7 @@ def verify_r_delta(p: int) -> list:
         checks.append(
             two_routes(
                 f"moore-minor-j{j}",
-                partial(_at_r_classes, j, ring),
+                partial(_at_r_classes, j, p),
                 partial(delta_on_classes, ctx, j),
             )
         )
@@ -246,14 +245,13 @@ def verify_chern_r_relations(p: int) -> list:
     equal to its partition sum in the Y_i; together they give each display
     at r as (-1)^j gamma_{p^4 - p^j} times the display of R_4."""
     ctx = ChernContext(p, 2)
-    ring = ctx.ring
 
     def with_gamma(j):  # the left route, so a refused product SKIPs before any substitution
         gamma = total_conj_chern(ctx).part(p**4 - p**j)
-        return gamma * _at_r_classes(4, ring) * (-1) ** j
+        return gamma * _at_r_classes(4, p) * (-1) ** j
 
     checks = [
-        two_routes(f"chern-relation-j{j}", partial(with_gamma, j), partial(_at_r_classes, j, ring))
+        two_routes(f"chern-relation-j{j}", partial(with_gamma, j), partial(_at_r_classes, j, p))
         for j in range(5)
     ]
     ys = [y_ring(p).variable(t) for t in range(4)]

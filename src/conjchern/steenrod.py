@@ -1,15 +1,21 @@
-"""The mod-p cohomology of a product of cyclic groups as a free
+"""The mod-p cohomology of the rank-2l elementary abelian group V, a free
 graded-commutative algebra, with Bockstein, reduced powers, and the Milnor
 primitives Q_i.
 
-Generators come in pairs: an exterior generator of degree 1 and a polynomial
-generator of degree 2 linked by the Bockstein.  Reduced powers are realized
-through the total operation, the ring endomorphism fixing the exterior
-generators and sending each polynomial generator t to t + t^p; the degree-k
-operation is the component raising degree by 2k(p-1), which power_op
-enumerates directly in one budgeted loop over the exponents.  milnor_chain
-lists Q_0(x), ..., Q_i(x) by Milnor's recursion without a cache.  No
-Adem-relation rewriting is needed on this algebra.
+CohAlgebra(p, l) is H^*(BV; F_p) for an odd prime p, with fixed generator
+names: the pairs (a_k, xi_k) and (b_k, eta_k), k = 1..l, each an exterior
+generator of degree 1 and a polynomial generator of degree 2 linked by the
+Bockstein.  Its polynomial part F_p[xi_1, eta_1, ..., xi_l, eta_l] is the
+ring of chern.ChernContext(p, l), and even_to_poly rewrites an even class
+there.
+
+Reduced powers are realized through the total operation, the ring
+endomorphism fixing the exterior generators and sending each polynomial
+generator t to t + t^p; the degree-k operation is the component raising
+degree by 2k(p-1), which power_op enumerates directly in one budgeted loop
+over the exponents.  milnor_chain lists Q_0(x), ..., Q_i(x) by Milnor's
+recursion without a cache.  No Adem-relation rewriting is needed on this
+algebra.
 
 CohClass is a sparse sum like poly.Poly and inherits from their common base
 its addition, scaling, equality, context check and canonical text; it adds
@@ -60,52 +66,36 @@ def _sign_table(m: int) -> tuple:
 
 
 class CohAlgebra(_ExponentLayout):
-    """Lambda(a_1..a_m) tensor F_p[x_1..x_m] over an odd prime p.
+    """Lambda(a_1, b_1, ..., a_l, b_l) tensor F_p[xi_1, eta_1, ..., xi_l, eta_l]
+    over an odd prime p: the cohomology of BV for V of rank m = 2l.
 
-    The exterior generator a_k has degree 1, the polynomial generator x_k
-    degree 2, and the Bockstein sends a_k to x_k.  The algebra also keeps,
-    per polynomial generator, the shift of its exponent field and the key
+    Generator pair 2k-1 is (a_k, xi_k) and pair 2k is (b_k, eta_k); the
+    exterior generator has degree 1, the polynomial one degree 2, and the
+    Bockstein sends the first to the second.  The algebra also keeps, per
+    polynomial generator, the shift of its exponent field and the key
     increment of its t^(p-1), by which the reduced powers step over the
     Lucas table of an exponent.
     """
 
     __slots__ = ("m", "odd_names", "even_names", "_signs", "_positions")
 
-    def __init__(self, p: int, m: int, odd_names=None, even_names=None):
+    def __init__(self, p: int, l: int):
         check_modulus(p)
         if p == 2:
             raise ValueError("the algebra is defined here for odd primes")
-        if m < 1:
-            raise ValueError("need at least one generator pair")
+        if l < 1:
+            raise ValueError("l must be >= 1")
+        m = 2 * l
         self._lay_out(p, m)
         self.m = m
-        self.odd_names = tuple(odd_names) if odd_names else tuple(
-            f"a{k}" for k in range(1, m + 1)
-        )
-        self.even_names = tuple(even_names) if even_names else tuple(
-            f"x{k}" for k in range(1, m + 1)
-        )
-        if len(self.odd_names) != m or len(self.even_names) != m:
-            raise ValueError("generator name lists must have length m")
-        names = self.odd_names + self.even_names
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
-        self._identity = (p, m, self.odd_names, self.even_names)
+        self.odd_names = tuple(f"{v}{k}" for k in range(1, l + 1) for v in ("a", "b"))
+        self.even_names = tuple(f"{v}{k}" for k in range(1, l + 1) for v in ("xi", "eta"))
+        self._identity = (p, m)
         self._signs = _sign_table(m)
         self._positions = [(s, (p - 1) * u << m) for s, u in zip(self._shifts, self._units)]
 
-    @classmethod
-    def bv(cls, p: int, l: int) -> CohAlgebra:
-        """The algebra for a rank-2l elementary abelian group: pair 2k-1 is
-        (a_k, xi_k) and pair 2k is (b_k, eta_k)."""
-        odd, even = [], []
-        for k in range(1, l + 1):
-            odd += [f"a{k}", f"b{k}"]
-            even += [f"xi{k}", f"eta{k}"]
-        return cls(p, 2 * l, odd_names=odd, even_names=even)
-
     def __repr__(self):
-        return f"CohAlgebra(p={self.p}, m={self.m})"
+        return f"CohAlgebra(p={self.p}, l={self.m // 2})"
 
     def term(self, odd, even, coeff: int = 1) -> CohClass:
         return CohClass(self, {(tuple(odd), tuple(even)): coeff})
@@ -320,17 +310,12 @@ def milnor_q(i: int, x: CohClass) -> CohClass:
 
 def x_class(p: int, l: int) -> CohClass:
     """sum_j a_j eta_j - xi_j b_j: the canonical degree-3 class of BV^{2l}."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    alg = CohAlgebra.bv(p, l)
+    alg = CohAlgebra(p, l)
     out = alg.zero()
-    for j in range(1, l + 1):
-        a_slot, b_slot = 2 * j - 1, 2 * j
-        eta = [0] * alg.m
-        eta[b_slot - 1] = 1
-        xi = [0] * alg.m
-        xi[a_slot - 1] = 1
-        out = out + alg.term((a_slot,), eta) - alg.term((b_slot,), xi)
+    for s in range(0, 2 * l, 2):  # pair j at the 0-based positions s and s + 1
+        eta, xi = [0] * alg.m, [0] * alg.m
+        eta[s + 1] = xi[s] = 1
+        out = out + alg.term((s + 1,), eta) - alg.term((s + 2,), xi)
     return out
 
 
@@ -339,30 +324,22 @@ def r_closed(p: int, i: int, l: int) -> CohClass:
     Milnor primitive applied to the canonical degree-3 class."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    alg = CohAlgebra.bv(p, l)
+    alg = CohAlgebra(p, l)
     q = p**i
     out = alg.zero()
-    for j in range(1, l + 1):
-        xi_slot, eta_slot = 2 * j - 1, 2 * j
-        hi = [0] * alg.m
-        hi[xi_slot - 1] = q
-        hi[eta_slot - 1] = 1
-        lo = [0] * alg.m
-        lo[xi_slot - 1] = 1
-        lo[eta_slot - 1] = q
+    for s in range(0, 2 * l, 2):  # xi_j and eta_j at the 0-based positions s and s + 1
+        hi, lo = [0] * alg.m, [0] * alg.m
+        hi[s : s + 2] = q, 1
+        lo[s : s + 2] = 1, q
         out = out + alg.term((), hi) - alg.term((), lo)
     return out
 
 
-def even_to_poly(x: CohClass, ring: PolyRing | None = None) -> Poly:
-    """Rewrite a purely even class as a polynomial with degrees halved."""
+def even_to_poly(x: CohClass) -> Poly:
+    """Rewrite a purely even class as a polynomial in its algebra's even
+    generators, with degrees halved."""
     alg = x.algebra
-    if ring is None:
-        ring = PolyRing(alg.p, alg.even_names)
-    if ring.arity != alg.m or ring.p != alg.p:
-        raise ContextMismatch("target ring does not match the even generators")
+    ring = PolyRing(alg.p, alg.even_names)
     # the even part of a key is the key of the same monomial in ring
     m = alg.m
     low = (1 << m) - 1
@@ -382,8 +359,7 @@ def verify_jacobian_independence(p: int, l: int) -> list:
     respect to (xi_1, eta_1, ..., xi_l, eta_l)."""
 
     def run():
-        ring = PolyRing(p, CohAlgebra.bv(p, l).even_names)
-        rs = [even_to_poly(r_closed(p, i, l), ring) for i in range(1, 2 * l + 1)]
+        rs = [even_to_poly(r_closed(p, i, l)) for i in range(1, 2 * l + 1)]
         det = jacobian_det(rs, range(2 * l))
         if det.is_zero():
             return False, "Jacobian determinant vanished"
@@ -431,7 +407,7 @@ def verify_steenrod(p: int, l: int, trials: int = 200, seed: int = 0) -> list:
     The derivation check reads the chains Q_0..Q_3 of x*y, x and y, the
     anticommutation check the chains of each Q_j(x); the total power is
     computed apart from power_op, so it stays an independent route."""
-    alg = CohAlgebra.bv(p, l)
+    alg = CohAlgebra(p, l)
     rng = random.Random(seed)
 
     def q_on_x(i):

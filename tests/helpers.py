@@ -106,7 +106,7 @@ def balanced_linear_form_product(ring):
         for c in range(1, p):
             images = list(ident)
             images[m] = ident[m] + ident[k] * c
-            factors.append(f.compose(images, ring))
+            factors.append(f.compose(images))
         while len(factors) > 1:
             nxt = [a * b for a, b in zip(factors[::2], factors[1::2])]
             if len(factors) % 2:
@@ -257,7 +257,7 @@ def dense_gl_action(f, a):
             if a.entries[i][j]:
                 form = form + ring.monomial({i: 1}, a.entries[i][j])
         images.append(form)
-    return f.compose(images, ring)
+    return f.compose(images)
 
 
 # -- oracles on exponent tuples for the packed-key kernels ----------------------

@@ -94,7 +94,7 @@ def test_pair_block_relabeling_symmetry():
     ]
     for d in sorted(graded.parts):
         part = graded.part(d)
-        assert part.compose(swap, ring) == part
+        assert part.compose(swap) == part
 
 
 def test_two_routes_product_vs_dickson_assembly():
@@ -117,7 +117,7 @@ def test_rank_two_product_matches_balanced_oracle():
     tring = PolyRing(3, ctx.ring.variables + ("T",))
     oracle = balanced_linear_form_product(tring)
     terms = {
-        m + (graded.top + 1 - d,): c
+        m + (3**4 - d,): c
         for d, part in graded.parts.items()
         for m, c in part.terms.items()
     }
@@ -168,7 +168,6 @@ def test_rank_two_product_size_and_degrees():
     graded = total_conj_chern(ChernContext(3, 2))
     assert sum(len(part.terms) for part in graded.parts.values()) == 1316
     assert sorted(graded.parts) == [0, 54, 72, 78, 80]
-    assert graded.top == 80
 
 
 def test_size_guard_detail_states_the_cost():
@@ -191,9 +190,9 @@ def flipped_gamma(monkeypatch):
     def broken(ctx):
         graded = original(ctx)
         parts = dict(graded.parts)
-        d = graded.top + 1 - ctx.p
+        d = ctx.p ** (2 * ctx.l) - ctx.p
         parts[d] = -parts[d]
-        return GradedChern(ring=graded.ring, top=graded.top, parts=parts)
+        return GradedChern(graded.ring, parts)
 
     monkeypatch.setattr(chern, "total_conj_chern", broken)
 
@@ -217,6 +216,28 @@ def test_cli_exits_one_on_flipped_part(flipped_gamma, capsys):
 
 def failed_lines(out):
     return [line for line in out.splitlines() if "FAIL" in line and "/" in line]
+
+
+def test_doubled_top_part_fails_top_gamma_power(monkeypatch, capsys):
+    """The top graded part scaled by 2: it is no longer Delta_{2,2}^(p-1)."""
+    original = chern.total_conj_chern
+
+    def doubled(ctx):
+        graded = original(ctx)
+        parts = dict(graded.parts)
+        d = ctx.p ** (2 * ctx.l) - 1
+        parts[d] = parts[d] * 2
+        return GradedChern(graded.ring, parts)
+
+    monkeypatch.setattr(chern, "total_conj_chern", doubled)
+    code = cli.main(["--suite", "chern", "--p", "3", "--l", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    (line,) = [s for s in failed_lines(out) if "chern/top-gamma-power" in s]
+    assert line.endswith(
+        "first differing terms: xi1^6*eta1^2: 2 != 1; xi1^4*eta1^4: 2 != 1; xi1^2*eta1^6: 2 != 1"
+    )
 
 
 def swapped_order(monkeypatch, last_image):
@@ -309,10 +330,10 @@ def test_gamma_top_failure_diffs_the_pair_that_disagrees(monkeypatch, capsys):
 
     def top_from_planted(ctx):
         graded = original_chern(ctx)
-        r1 = even_to_poly(planted(ctx.p, 1, 1), ctx.ring)
+        r1 = even_to_poly(planted(ctx.p, 1, 1))
         parts = dict(graded.parts)
-        parts[graded.top] = r1 ** (ctx.p - 1)
-        return GradedChern(ring=graded.ring, top=graded.top, parts=parts)
+        parts[ctx.p**2 - 1] = r1 ** (ctx.p - 1)
+        return GradedChern(graded.ring, parts)
 
     monkeypatch.setattr(chern, "r_closed", planted)
     monkeypatch.setattr(chern, "total_conj_chern", top_from_planted)
@@ -338,11 +359,13 @@ def test_dropped_multiset_scalar_fails_the_gamma_degrees(monkeypatch, capsys):
         return scalars
 
     chern.total_conj_chern.cache_clear()
+    dickson.f_n_product.cache_clear()
     monkeypatch.setattr(dickson, "_shift_scalars", one_fewer)
     try:
         code = cli.main(["--suite", "chern", "--p", "3", "--l", "2"])
     finally:
         chern.total_conj_chern.cache_clear()
+        dickson.f_n_product.cache_clear()
     out = capsys.readouterr().out
     assert dropped == [(2, 0, 0, 0, 1)]
     assert code == 1

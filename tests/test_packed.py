@@ -42,7 +42,7 @@ def ring5():
 
 
 def algebra5():
-    return CohAlgebra(5, 2)
+    return CohAlgebra(5, 1)
 
 
 # Each sum type with a maker of its context, two distinct monomials (the
@@ -167,7 +167,7 @@ def test_one_past_the_limit_raises_size_guard():
 def test_coh_mul_matches_the_tuple_oracle():
     rng = random.Random(77)
     for p, l in [(3, 1), (3, 2), (5, 2), (2147483647, 1)]:
-        alg = CohAlgebra.bv(p, l)
+        alg = CohAlgebra(p, l)
         for _ in range(80):
             x = random_homogeneous(rng, alg, max_even_exp=3)
             y = random_homogeneous(rng, alg, max_even_exp=3)
@@ -177,7 +177,7 @@ def test_coh_mul_matches_the_tuple_oracle():
 
 
 def test_coh_operations_at_the_limit():
-    alg = CohAlgebra(3, 2)
+    alg = CohAlgebra(3, 1)
     limit = alg._limit
     t1 = even_gen(alg, 1)
     a2 = odd_gen(alg, 2)

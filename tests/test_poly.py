@@ -255,16 +255,16 @@ def test_compose_matches_naive_oracle():
     for _ in range(50):
         f = random_poly(rng, ring, max_terms=3, max_exp=3)
         images = [random_nonzero_poly(rng, target, 2, 2) for _ in range(2)]
-        assert f.compose(images, target) == naive_compose(f, images, target)
+        assert f.compose(images) == naive_compose(f, images, target)
         # single-term images exercise the exponent-mapping fast path
         fast = [target.monomial({rng.randrange(3): rng.randrange(1, 3)}, 2) for _ in range(2)]
-        assert f.compose(fast, target) == naive_compose(f, fast, target)
+        assert f.compose(fast) == naive_compose(f, fast, target)
 
 
 def test_compose_variable_permutation():
     ring = PolyRing(3, ("x1", "x2"))
     f = tx("x1^2 + 2*x2")
-    flipped = f.compose([ring.variable("x2"), ring.variable("x1")], ring)
+    flipped = f.compose([ring.variable("x2"), ring.variable("x1")])
     assert flipped == tx("x2^2 + 2*x1")
 
 

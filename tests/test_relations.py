@@ -29,7 +29,7 @@ from conjchern.relations import (
     verify_r_delta,
     y_ring,
 )
-from helpers import passed, poly_of, weighted_degrees
+from helpers import even_gen, passed, poly_of, weighted_degrees
 
 U, V, W = partitions22((0, 1, 2, 3))
 
@@ -143,7 +143,7 @@ def test_quadratic_scaling_specific_value():
     ring = y_ring(3)
     base = r_j_poly(4, 3)
     images = [ring.monomial({t: 1}, 2) for t in range(4)]
-    assert base.compose(images, ring) == base * 4
+    assert base.compose(images) == base * 4
 
 
 # -- the substitution identities ---------------------------------------------------
@@ -252,6 +252,24 @@ def test_dropped_partition_term_fails_the_substitution_checks(monkeypatch, capsy
     assert set(failed) == expected
     for detail in failed.values():
         assert "first differing terms: " in detail
+
+
+def test_wrong_degree_term_in_r2_fails_substitution_grading(monkeypatch, capsys):
+    """r_closed gains the term xi_1 at i = 2, of half-degree 1, not p^2 + 1."""
+    original = relations.r_closed
+
+    def planted(p, i, l):
+        r = original(p, i, l)
+        return r + even_gen(r.algebra, 1) if i == 2 else r
+
+    monkeypatch.setattr(relations, "r_closed", planted)
+    code = cli.main(["--suite", "relations", "--p", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: fail" in out.lower()
+    assert failed_lines(out)["relations/substitution-grading"].endswith(
+        "r_2 is not homogeneous of degree p^2+1"
+    )
 
 
 def test_inhomogeneous_r_j_fails_quadratic_scaling(monkeypatch, capsys):

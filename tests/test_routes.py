@@ -71,7 +71,7 @@ SHARED = {
     ),
     *(f"poly.Poly.{name}" for name in ("__mul__", "__pow__", "frobenius", "compose")),
     "steenrod._sign_table",
-    *(f"steenrod.CohAlgebra.{name}" for name in ("__init__", "bv", "term", "_encode")),
+    *(f"steenrod.CohAlgebra.{name}" for name in ("__init__", "term", "_encode")),
     "steenrod.CohClass.__mul__",
     *(f"dickson.DicksonContext.{name}" for name in ("__init__", "__eq__", "__hash__")),
     "relations.y_ring",
