@@ -6,7 +6,7 @@ decision, never an approximation.
 """
 
 from ._version import __version__
-from .chern import ChernContext, GradedChern, total_conj_chern
+from .chern import GradedChern, total_conj_chern
 from .cyclo import CycMatrix, a_matrix, conj_act, gen_matrices
 from .dickson import (
     DicksonContext,
@@ -14,6 +14,7 @@ from .dickson import (
     delta_full,
     delta_ni,
     dickson_c_from_f,
+    f_n_coefficients,
     f_n_product,
     gl_action,
     random_gl,
@@ -43,7 +44,6 @@ from .steenrod import (
 __all__ = [
     "__version__",
     "Check",
-    "ChernContext",
     "CohAlgebra",
     "CohClass",
     "ConjChernError",
@@ -63,6 +63,7 @@ __all__ = [
     "determinant",
     "dickson_c_from_f",
     "even_to_poly",
+    "f_n_coefficients",
     "f_n_product",
     "gen_matrices",
     "gl_action",

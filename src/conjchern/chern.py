@@ -2,11 +2,11 @@
 
 Restricted to V of rank 2l, the total class is the product of the linear
 factors 1 + sum(i_k xi_k + j_k eta_k) over all nonzero tuples of F_p^{2l}.
-It is read off the Dickson product f_{2l} of dickson.f_n_product, the
-product of X - sum(k_i x_i) over all tuples, with x_{2k-1}, x_{2k} read as
-xi_k, eta_k: the graded part of degree d is the coefficient of
-X^{p^{2l} - d}.  The ring of the classes is the polynomial part of
-steenrod.CohAlgebra(p, l).  The paper identifies these parts with
+It is the Dickson product f_{2l} with x_{2k-1}, x_{2k} read as xi_k, eta_k:
+the graded part of degree d is the coefficient of X^{p^{2l} - d}, read from
+dickson.f_n_coefficients and re-wrapped, terms shared, over the ring of
+steenrod.CohAlgebra(p, l), which every function here takes, for l in 1..3.
+The paper identifies these parts with
 the Dickson invariants C_{2l,k} = Delta_{2l,k} / Delta_{2l,2l} in the class
 variables; the checks compare them with the Moore minors cross-multiplied,
 so no quotient is formed.  Degrees follow the half-degree
@@ -16,35 +16,12 @@ topological degree 2.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
-from .dickson import DicksonContext, _nonzero, delta_ni, f_n_product
-from .poly import Poly, PolyRing, _split_last, agree, diff_detail
+from .dickson import DicksonContext, _nonzero, delta_ni, f_n_coefficients
+from .poly import Poly, PolyRing, agree, diff_detail
 from .report import timed_check, two_routes
 from .steenrod import CohAlgebra, even_to_poly, r_closed
-
-
-class ChernContext:
-    """p, l, and the ring F_p[xi_1, eta_1, ..., xi_l, eta_l] of the even
-    generators of CohAlgebra(p, l), which checks p and l."""
-
-    __slots__ = ("p", "l", "ring")
-
-    def __init__(self, p: int, l: int):
-        self.p = p
-        self.l = l
-        self.ring = PolyRing(p, CohAlgebra(p, l).even_names)
-
-    def __eq__(self, other):
-        if isinstance(other, ChernContext):
-            return self.p == other.p and self.l == other.l
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.l))
-
-    def __repr__(self):
-        return f"ChernContext(p={self.p}, l={self.l})"
 
 
 class GradedChern:
@@ -60,66 +37,71 @@ class GradedChern:
         return self.parts.get(d, self.ring.zero())
 
 
-@lru_cache(maxsize=None)
-def total_conj_chern(ctx: ChernContext) -> GradedChern:
+def _dickson_context(alg: CohAlgebra) -> DicksonContext:
+    """The Dickson context of rank 2l over alg's prime.  DicksonContext
+    builds ranks up to 6, so l > 3 is refused here, in terms of l."""
+    if alg.m > 6:
+        raise ValueError(f"l must be in 1..3 for the Chern classes, got {alg.m // 2}")
+    return DicksonContext(alg.p, alg.m)
+
+
+def total_conj_chern(alg: CohAlgebra) -> GradedChern:
     """The exact product of the p^{2l} linear factors (the zero tuple
-    contributes the factor 1), split into graded parts: f_{2l} read in the
-    class variables."""
-    top = ctx.p ** (2 * ctx.l)
-    coeffs = _split_last(f_n_product(DicksonContext(ctx.p, 2 * ctx.l)), ctx.ring)
-    return GradedChern(ctx.ring, {top - e: part for e, part in coeffs.items()})
+    contributes the factor 1), split into graded parts: the coefficients of
+    f_{2l} over alg.ring, each sharing its term dict with the cached one."""
+    top = alg.p**alg.m
+    coeffs = f_n_coefficients(_dickson_context(alg))
+    parts = {top - e: Poly._raw(alg.ring, c._terms) for e, c in coeffs.items()}
+    return GradedChern(alg.ring, parts)
 
 
-def _dickson_images(ctx: ChernContext, swap_last_pair: bool = False):
+def _dickson_images(alg: CohAlgebra, swap_last_pair: bool = False):
     """The substitution (eta_1, xi_1, eta_2, xi_2, ...) feeding the invariants;
     optionally with the final pair in the (xi_l, eta_l) order instead."""
-    images = []
-    for k in range(ctx.l):
-        xi = ctx.ring.variable(2 * k)
-        eta = ctx.ring.variable(2 * k + 1)
-        if swap_last_pair and k == ctx.l - 1:
-            images += [xi, eta]
-        else:
-            images += [eta, xi]
+    # xi_k and eta_k are the variables 2k - 2 and 2k - 1 of alg.ring, so
+    # s ^ 1 swaps each pair
+    images = [alg.ring.variable(s ^ 1) for s in range(alg.m)]
+    if swap_last_pair:
+        images[-2:] = reversed(images[-2:])
     return images
 
 
-def delta_on_classes(ctx: ChernContext, i: int, swap_last_pair: bool = False) -> Poly:
+def delta_on_classes(alg: CohAlgebra, i: int, swap_last_pair: bool = False) -> Poly:
     """The Moore minor Delta_{2l,i} evaluated at (eta_1, xi_1, ..., eta_l, xi_l),
     or with the final pair in the (xi_l, eta_l) order."""
-    dctx = DicksonContext(ctx.p, 2 * ctx.l)
-    return delta_ni(dctx, i).compose(_dickson_images(ctx, swap_last_pair))
+    return delta_ni(_dickson_context(alg), i).compose(_dickson_images(alg, swap_last_pair))
 
 
-def _top_minor(ctx: ChernContext, swap_last_pair: bool = False) -> Poly:
+def _top_minor(alg: CohAlgebra, swap_last_pair: bool = False) -> Poly:
     """Delta_{2l,2l} in the class variables, the denominator of every C_{2l,k}."""
     order = "swapped class variables" if swap_last_pair else "class variables"
-    n = 2 * ctx.l
-    return _nonzero(delta_on_classes(ctx, n, swap_last_pair), f"Delta_{{{n},{n}}} of the {order}")
+    n = alg.m
+    return _nonzero(delta_on_classes(alg, n, swap_last_pair), f"Delta_{{{n},{n}}} of the {order}")
 
 
-def verify_conj_chern(ctx: ChernContext) -> list:
+def verify_conj_chern(alg: CohAlgebra) -> list:
     """Every graded part of the product equals the matching signed Dickson
     invariant in the class variables, and all other parts vanish."""
-    p, l = ctx.p, ctx.l
-    top = p ** (2 * l)
-    special = {top - p**k: k for k in range(2 * l + 1)}
+    _dickson_context(alg)  # refuses l > 3 before any check runs
+    p, m = alg.p, alg.m
+    top = p**m
+    special = {top - p**k: k for k in range(m + 1)}
 
     def part_times_denominator(d, k):
-        product = _top_minor(ctx) * total_conj_chern(ctx).part(d)
+        product = _top_minor(alg) * total_conj_chern(alg).part(d)
         return -product if k % 2 else product
 
     checks = [
         two_routes(
             f"gamma-degree-{d}",
             partial(part_times_denominator, d, k),
-            partial(delta_on_classes, ctx, k),
+            partial(delta_on_classes, alg, k),
         )
         for d, k in sorted(special.items(), reverse=True)
     ]
 
     def vanishing():
-        chern = total_conj_chern(ctx)
+        chern = total_conj_chern(alg)
         bad = [
             d
             for d in range(1, top + 1)
@@ -132,13 +114,13 @@ def verify_conj_chern(ctx: ChernContext) -> list:
     checks.append(timed_check("vanishing-elsewhere", vanishing))
 
     def order_invariance():
-        main_top, alt_top = _top_minor(ctx), _top_minor(ctx, swap_last_pair=True)
-        for k in range(2 * l + 1):
-            lhs = delta_on_classes(ctx, k) * alt_top
-            rhs = delta_on_classes(ctx, k, swap_last_pair=True) * main_top
+        main_top, alt_top = _top_minor(alg), _top_minor(alg, swap_last_pair=True)
+        for k in range(m + 1):
+            lhs = delta_on_classes(alg, k) * alt_top
+            rhs = delta_on_classes(alg, k, swap_last_pair=True) * main_top
             if lhs != rhs:
                 return False, (
-                    f"argument orders disagree for C_{{{2 * l},{k}}}; " + diff_detail(lhs, rhs)
+                    f"argument orders disagree for C_{{{m},{k}}}; " + diff_detail(lhs, rhs)
                 )
         return True, "both documented argument orders agree"
 
@@ -146,21 +128,21 @@ def verify_conj_chern(ctx: ChernContext) -> list:
     return checks
 
 
-def verify_top_chern(ctx: ChernContext) -> list:
+def verify_top_chern(alg: CohAlgebra) -> list:
     """The top graded part is the (p-1)-st power of the Moore determinant in
     the class variables, and the row-0 minor is its p-th power."""
-    p, l = ctx.p, ctx.l
-    top = p ** (2 * l)
+    _dickson_context(alg)  # refuses l > 3 before any check runs
+    p, m = alg.p, alg.m
     return [
         two_routes(
             "top-gamma-power",
-            lambda: total_conj_chern(ctx).part(top - 1),
-            lambda: delta_on_classes(ctx, 2 * l) ** (p - 1),
+            lambda: total_conj_chern(alg).part(p**m - 1),
+            lambda: delta_on_classes(alg, m) ** (p - 1),
         ),
         two_routes(
             "minor-frobenius-power",
-            partial(delta_on_classes, ctx, 0),
-            lambda: delta_on_classes(ctx, 2 * l) ** p,
+            partial(delta_on_classes, alg, 0),
+            lambda: delta_on_classes(alg, m) ** p,
         ),
     ]
 
@@ -168,12 +150,12 @@ def verify_top_chern(ctx: ChernContext) -> list:
 def verify_vistoli(p: int) -> list:
     """The rank-one closed forms of the two surviving Chern classes and the
     two product relations they impose on r_1 and r_2."""
-    ctx = ChernContext(p, 1)
-    xi, eta = ctx.ring.variable(0), ctx.ring.variable(1)
+    alg = CohAlgebra(p, 1)
+    xi, eta = alg.ring.variable(0), alg.ring.variable(1)
     mid, top = p * p - p, p * p - 1
 
     def gamma(d):
-        return total_conj_chern(ctx).part(d)
+        return total_conj_chern(alg).part(d)
 
     def r(i):
         return even_to_poly(r_closed(p, i, 1))

@@ -20,13 +20,13 @@ import argparse
 import os
 import sys
 
-from .chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
+from .chern import verify_conj_chern, verify_top_chern, verify_vistoli
 from .cyclo import verify_extraspecial, verify_weight_bases
 from .dickson import DicksonContext, verify_dickson
 from .fp import check_modulus
 from .relations import verify_chern_r_relations, verify_quadratic, verify_r_delta, verify_signs
 from .report import VerificationReport
-from .steenrod import verify_jacobian_independence, verify_steenrod
+from .steenrod import CohAlgebra, verify_jacobian_independence, verify_steenrod
 
 # Each suite's checks, from the parsed arguments, in report order.  The
 # entries are lambdas, not the verifiers themselves, so that they look each
@@ -36,8 +36,8 @@ _RUNNERS = {
     "rep": lambda a: verify_extraspecial(a.p) + verify_weight_bases(a.p, a.l),
     "steenrod": lambda a: verify_steenrod(a.p, a.l, a.trials, a.seed)
     + verify_jacobian_independence(a.p, a.l),
-    "chern": lambda a: verify_conj_chern(ChernContext(a.p, a.l))
-    + verify_top_chern(ChernContext(a.p, a.l)),
+    "chern": lambda a: verify_conj_chern(CohAlgebra(a.p, a.l))
+    + verify_top_chern(CohAlgebra(a.p, a.l)),
     "vistoli": lambda a: verify_vistoli(a.p),
     "signs": lambda a: verify_signs(),
     "relations": lambda a: verify_quadratic(a.p)

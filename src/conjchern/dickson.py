@@ -5,7 +5,10 @@ Frobenius-power rows (x_1^{p^r}, ..., x_n^{p^r}), the product f_n(X) of the
 linear forms X - sum(k_i x_i) over all tuples k in F_p^n, and the invariants
 C_{n,i}: the quotients Delta_{n,i} / Delta_{n,n} of Moore minors, and the
 signed coefficients of f_n(X).  The two constructions are independent
-computation routes and serve as mutual oracles.  No quotient is formed:
+computation routes and serve as mutual oracles.  f_n is kept in one form,
+f_n_coefficients, by powers of X; the factorization check multiplies each
+coefficient by Delta_{n,n} and joins the products back into the X-ring
+(poly._join_last).  No quotient is formed:
 over an integral domain a / b = c exactly when a = b c for nonzero b, so
 each check multiplies by its denominator minor and asserts that it is
 nonzero.
@@ -23,6 +26,7 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     _add_terms,
+    _join_last,
     _split_last,
     determinant,
     diff_detail,
@@ -65,11 +69,6 @@ class DicksonContext:
 
     def __repr__(self):
         return f"DicksonContext(p={self.p}, n={self.n})"
-
-    def to_xring(self, f: Poly) -> Poly:
-        """Embed an n-variable polynomial into the X-augmented ring."""
-        images = [self.xring.variable(v) for v in self.ring.variables]
-        return f.compose(images)
 
 
 def _moore_matrix(ctx: DicksonContext, row_powers, with_aux: bool) -> PolyMatrix:
@@ -187,23 +186,27 @@ def linear_form_product(ring: PolyRing) -> Poly:
     return f
 
 
-@lru_cache(maxsize=None)
 def f_n_product(ctx: DicksonContext) -> Poly:
     """The product of X - sum(k_i x_i) over all p^n coefficient tuples
-    (k -> -k permutes the tuples, so the sign inside the forms is immaterial)."""
+    (k -> -k permutes the tuples, so the sign inside the forms is immaterial).
+    Not cached: f_n_coefficients keeps f_n, by powers of X."""
     return linear_form_product(ctx.xring)
 
 
 @lru_cache(maxsize=None)
+def f_n_coefficients(ctx: DicksonContext) -> dict:
+    """f_n by powers of X: each exponent e mapped to the coefficient of X^e,
+    a Poly over ctx.ring.  The one cached form of f_n; the invariants, the
+    factorization check and the Chern classes all read it."""
+    return _split_last(f_n_product(ctx), ctx.ring)
+
+
 def dickson_c_from_f(ctx: DicksonContext, i: int) -> Poly:
     """C_{n,i} by the product route: signed coefficient of X^{p^i} in f_n."""
     if not 0 <= i <= ctx.n:
         raise IndexOutOfRange(f"index {i} not in 0..{ctx.n}")
-    coeffs = _split_last(f_n_product(ctx), ctx.ring)
-    poly = coeffs.get(ctx.p**i, ctx.ring.zero())
-    if (ctx.n + i) % 2:
-        poly = -poly
-    return poly
+    poly = f_n_coefficients(ctx).get(ctx.p**i, ctx.ring.zero())
+    return -poly if (ctx.n + i) % 2 else poly
 
 
 class GLMatrix:
@@ -392,13 +395,13 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
         two_routes(f"two-route-c{i}", partial(delta_ni, ctx, i), partial(times_denominator, i))
         for i in range(n + 1)
     ]
-    checks.append(
-        two_routes(
-            "delta-factorization",
-            partial(delta_full, ctx),
-            lambda: ctx.to_xring(delta_ni(ctx, n)) * f_n_product(ctx),
-        )
-    )
+
+    def times_f_n():  # Delta_{n,n} times each coefficient of f_n, joined by powers of X
+        minor = delta_ni(ctx, n)
+        parts = {e: minor * c for e, c in f_n_coefficients(ctx).items()}
+        return _join_last(parts, ctx.xring)
+
+    checks.append(two_routes("delta-factorization", partial(delta_full, ctx), times_f_n))
 
     def invariance():
         cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]

@@ -512,6 +512,16 @@ def _split_last(f: Poly, ring: PolyRing) -> dict:
     return {e: Poly._raw(ring, t) for e, t in parts.items()}
 
 
+def _join_last(parts: dict, ring: PolyRing) -> Poly:
+    """The inverse of _split_last: the Poly over ring in which the e-th power
+    of the last variable has the coefficient parts[e], a Poly over the ring
+    of the other variables."""
+    unit, w = ring._units[-1], ring._width
+    terms = {(k << w) + e * unit: c for e, part in parts.items() for k, c in part._terms.items()}
+    ring._fit(max(terms, default=0))
+    return Poly._raw(ring, terms)
+
+
 class PolyMatrix:
     """A rectangular matrix of polynomials over a common ring."""
 

@@ -16,12 +16,12 @@ from collections import namedtuple
 from functools import partial
 from itertools import combinations
 
-from .chern import ChernContext, delta_on_classes, total_conj_chern
+from .chern import delta_on_classes, total_conj_chern
 from .errors import IndexOutOfRange, SamePartition, VerificationFailure
 from .fp import check_modulus, primitive_root
 from .poly import Poly, PolyRing, _perm_sign
 from .report import timed_check, two_routes
-from .steenrod import even_to_poly, r_closed
+from .steenrod import CohAlgebra, even_to_poly, r_closed
 
 
 def index_set4(values) -> tuple:
@@ -207,7 +207,7 @@ def _at_r_classes(j: int, p: int) -> Poly:
 def verify_r_delta(p: int) -> list:
     """Substituting r_i for Y_i turns R_j into the Moore minor with the rows
     (eta_1, xi_1, eta_2, xi_2)."""
-    ctx = ChernContext(p, 2)
+    alg = CohAlgebra(p, 2)
 
     def grading():
         for i, r in enumerate(_r_classes(p), start=1):
@@ -221,7 +221,7 @@ def verify_r_delta(p: int) -> list:
             two_routes(
                 f"moore-minor-j{j}",
                 partial(_at_r_classes, j, p),
-                partial(delta_on_classes, ctx, j),
+                partial(delta_on_classes, alg, j),
             )
         )
     return checks
@@ -244,10 +244,10 @@ def verify_chern_r_relations(p: int) -> list:
     instance is the tautology gamma_0 = 1), and each literal display of R_j
     equal to its partition sum in the Y_i; together they give each display
     at r as (-1)^j gamma_{p^4 - p^j} times the display of R_4."""
-    ctx = ChernContext(p, 2)
+    alg = CohAlgebra(p, 2)
 
     def with_gamma(j):  # the left route, so a refused product SKIPs before any substitution
-        gamma = total_conj_chern(ctx).part(p**4 - p**j)
+        gamma = total_conj_chern(alg).part(p**4 - p**j)
         return gamma * _at_r_classes(4, p) * (-1) ** j
 
     checks = [

@@ -6,8 +6,8 @@ CohAlgebra(p, l) is H^*(BV; F_p) for an odd prime p, with fixed generator
 names: the pairs (a_k, xi_k) and (b_k, eta_k), k = 1..l, each an exterior
 generator of degree 1 and a polynomial generator of degree 2 linked by the
 Bockstein.  Its polynomial part F_p[xi_1, eta_1, ..., xi_l, eta_l] is the
-ring of chern.ChernContext(p, l), and even_to_poly rewrites an even class
-there.
+algebra's .ring, where even_to_poly rewrites an even class and the Chern
+classes of the chern module live.
 
 Reduced powers are realized through the total operation, the ring
 endomorphism fixing the exterior generators and sending each polynomial
@@ -71,13 +71,14 @@ class CohAlgebra(_ExponentLayout):
 
     Generator pair 2k-1 is (a_k, xi_k) and pair 2k is (b_k, eta_k); the
     exterior generator has degree 1, the polynomial one degree 2, and the
-    Bockstein sends the first to the second.  The algebra also keeps, per
-    polynomial generator, the shift of its exponent field and the key
-    increment of its t^(p-1), by which the reduced powers step over the
-    Lucas table of an exponent.
+    Bockstein sends the first to the second.  ring is the polynomial ring
+    F_p[xi_1, eta_1, ..., xi_l, eta_l] of the even generators.  The algebra
+    also keeps, per polynomial generator, the shift of its exponent field
+    and the key increment of its t^(p-1), by which the reduced powers step
+    over the Lucas table of an exponent.
     """
 
-    __slots__ = ("m", "odd_names", "even_names", "_signs", "_positions")
+    __slots__ = ("m", "odd_names", "even_names", "ring", "_signs", "_positions")
 
     def __init__(self, p: int, l: int):
         check_modulus(p)
@@ -90,6 +91,7 @@ class CohAlgebra(_ExponentLayout):
         self.m = m
         self.odd_names = tuple(f"{v}{k}" for k in range(1, l + 1) for v in ("a", "b"))
         self.even_names = tuple(f"{v}{k}" for k in range(1, l + 1) for v in ("xi", "eta"))
+        self.ring = PolyRing(p, self.even_names)
         self._identity = (p, m)
         self._signs = _sign_table(m)
         self._positions = [(s, (p - 1) * u << m) for s, u in zip(self._shifts, self._units)]
@@ -336,11 +338,10 @@ def r_closed(p: int, i: int, l: int) -> CohClass:
 
 
 def even_to_poly(x: CohClass) -> Poly:
-    """Rewrite a purely even class as a polynomial in its algebra's even
-    generators, with degrees halved."""
+    """Rewrite a purely even class as a polynomial over its algebra's ring,
+    with degrees halved."""
     alg = x.algebra
-    ring = PolyRing(alg.p, alg.even_names)
-    # the even part of a key is the key of the same monomial in ring
+    # the even part of a key is the key of the same monomial in alg.ring
     m = alg.m
     low = (1 << m) - 1
     terms: dict = {}
@@ -348,7 +349,7 @@ def even_to_poly(x: CohClass) -> Poly:
         if key & low:
             raise OddPartPresent(f"term with exterior factors {alg._decode(key)[0]}")
         terms[key >> m] = c
-    return Poly._raw(ring, terms)
+    return Poly._raw(alg.ring, terms)
 
 
 # -- verification -------------------------------------------------------------

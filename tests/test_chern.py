@@ -1,10 +1,10 @@
+from functools import partial
 from itertools import product
 
 import pytest
 
 from conjchern import chern, cli, dickson
 from conjchern.chern import (
-    ChernContext,
     GradedChern,
     delta_on_classes,
     total_conj_chern,
@@ -14,7 +14,8 @@ from conjchern.chern import (
 )
 from conjchern.errors import SizeGuard
 from conjchern.poly import PolyRing
-from conjchern.steenrod import even_to_poly
+from conjchern.dickson import DicksonContext, f_n_coefficients
+from conjchern.steenrod import CohAlgebra, even_to_poly
 from helpers import (
     balanced_linear_form_product,
     coh_power,
@@ -25,7 +26,7 @@ from helpers import (
     poly_of,
 )
 
-C31 = ChernContext(3, 1)
+C31 = CohAlgebra(3, 1)
 
 
 def tx(text, ctx=C31):
@@ -35,7 +36,7 @@ def tx(text, ctx=C31):
 def all_factors(ctx):
     """The nonzero linear factors 1 + L_v, for the naive product oracle."""
     out = []
-    for t in product(range(ctx.p), repeat=2 * ctx.l):
+    for t in product(range(ctx.p), repeat=ctx.m):
         if any(t):
             out.append(ctx.ring.one() + linear_form(t, ctx.ring))
     return out
@@ -46,7 +47,7 @@ def all_factors(ctx):
 
 def test_graded_product_matches_naive_oracle():
     for p in (3, 5):
-        ctx = ChernContext(p, 1)
+        ctx = CohAlgebra(p, 1)
         graded = total_conj_chern(ctx)
         total = sum(graded.parts.values(), ctx.ring.zero())
         assert total == naive_product(all_factors(ctx))
@@ -66,7 +67,7 @@ def test_rank_one_parts_frozen():
 
 def test_nonzero_degrees_follow_p_power_pattern():
     for p, l in [(3, 1), (5, 1), (3, 2)]:
-        ctx = ChernContext(p, l)
+        ctx = CohAlgebra(p, l)
         top = p ** (2 * l)
         graded = total_conj_chern(ctx)
         expected = {top - p**k for k in range(2 * l + 1)}
@@ -75,7 +76,7 @@ def test_nonzero_degrees_follow_p_power_pattern():
 
 
 def test_parts_are_homogeneous():
-    graded = total_conj_chern(ChernContext(3, 2))
+    graded = total_conj_chern(CohAlgebra(3, 2))
     for d, part in graded.parts.items():
         assert len(part.degrees()) <= 1
         if not part.is_zero():
@@ -83,7 +84,7 @@ def test_parts_are_homogeneous():
 
 
 def test_pair_block_relabeling_symmetry():
-    ctx = ChernContext(3, 2)
+    ctx = CohAlgebra(3, 2)
     ring = ctx.ring
     graded = total_conj_chern(ctx)
     swap = [
@@ -100,7 +101,7 @@ def test_pair_block_relabeling_symmetry():
 def test_two_routes_product_vs_dickson_assembly():
     # the full product equals sum_k (-1)^k C_{4,k}(eta1, xi1, eta2, xi2), where
     # C_{4,k} = Delta_{4,k} / Delta_{4,4}
-    ctx = ChernContext(3, 2)
+    ctx = CohAlgebra(3, 2)
     total = sum(total_conj_chern(ctx).parts.values(), ctx.ring.zero())
     assembled = ctx.ring.zero()
     for k in range(5):
@@ -112,7 +113,7 @@ def test_two_routes_product_vs_dickson_assembly():
 
 
 def test_rank_two_product_matches_balanced_oracle():
-    ctx = ChernContext(3, 2)
+    ctx = CohAlgebra(3, 2)
     graded = total_conj_chern(ctx)
     tring = PolyRing(3, ctx.ring.variables + ("T",))
     oracle = balanced_linear_form_product(tring)
@@ -126,7 +127,42 @@ def test_rank_two_product_matches_balanced_oracle():
 
 def test_size_guard():
     with pytest.raises(SizeGuard):
-        total_conj_chern(ChernContext(7, 2))
+        total_conj_chern(CohAlgebra(7, 2))
+
+
+def test_graded_parts_share_the_terms_of_the_cached_coefficients():
+    alg = CohAlgebra(3, 2)
+    graded = total_conj_chern(alg)
+    coeffs = f_n_coefficients(DicksonContext(3, 4))
+    assert graded.ring is alg.ring
+    assert set(graded.parts) == {81 - e for e in coeffs}
+    for e, c in coeffs.items():
+        assert graded.parts[81 - e].ring is alg.ring
+        assert graded.parts[81 - e]._terms is c._terms
+
+
+def test_one_chern_run_splits_f_4_once(split_rings, capsys):
+    assert cli.main(["--suite", "chern", "--p", "3", "--l", "2"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert split_rings == [DicksonContext(3, 4).ring]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [verify_conj_chern, verify_top_chern, total_conj_chern, partial(delta_on_classes, i=0)],
+)
+def test_l_above_three_is_refused_before_any_check(entry, monkeypatch):
+    """CohAlgebra(3, 4) is the Steenrod algebra of rank 8; the Chern classes
+    stop at rank 6, and the refusal names l, not the rank."""
+    alg = CohAlgebra(3, 4)
+
+    def no_check(name, *routes):
+        raise AssertionError(f"check {name} ran")
+
+    monkeypatch.setattr(chern, "two_routes", no_check)
+    monkeypatch.setattr(chern, "timed_check", no_check)
+    with pytest.raises(ValueError, match=r"^l must be in 1\.\.3 for the Chern classes, got 4$"):
+        entry(alg)
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -134,7 +170,7 @@ def test_size_guard():
 
 @pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (3, 2)])
 def test_verify_conj_chern(p, l):
-    checks = verify_conj_chern(ChernContext(p, l))
+    checks = verify_conj_chern(CohAlgebra(p, l))
     assert passed(checks)
     names = {c.name for c in checks}
     assert "vanishing-elsewhere" in names
@@ -143,7 +179,7 @@ def test_verify_conj_chern(p, l):
 
 @pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (3, 2)])
 def test_verify_top_chern(p, l):
-    assert passed(verify_top_chern(ChernContext(p, l)))
+    assert passed(verify_top_chern(CohAlgebra(p, l)))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -165,14 +201,14 @@ def test_graded_chern_part_outside_range():
 
 
 def test_rank_two_product_size_and_degrees():
-    graded = total_conj_chern(ChernContext(3, 2))
+    graded = total_conj_chern(CohAlgebra(3, 2))
     assert sum(len(part.terms) for part in graded.parts.values()) == 1316
     assert sorted(graded.parts) == [0, 54, 72, 78, 80]
 
 
 def test_size_guard_detail_states_the_cost():
     with pytest.raises(SizeGuard) as guard:
-        total_conj_chern(ChernContext(7, 2))
+        total_conj_chern(CohAlgebra(7, 2))
     assert str(guard.value) == (
         "the product of the 7^4 linear forms (1.41e+08 monomial pairs) would "
         "take about 94.2 s; the guard allows 6.67 s"
@@ -190,7 +226,7 @@ def flipped_gamma(monkeypatch):
     def broken(ctx):
         graded = original(ctx)
         parts = dict(graded.parts)
-        d = ctx.p ** (2 * ctx.l) - ctx.p
+        d = ctx.p**ctx.m - ctx.p
         parts[d] = -parts[d]
         return GradedChern(graded.ring, parts)
 
@@ -225,7 +261,7 @@ def test_doubled_top_part_fails_top_gamma_power(monkeypatch, capsys):
     def doubled(ctx):
         graded = original(ctx)
         parts = dict(graded.parts)
-        d = ctx.p ** (2 * ctx.l) - 1
+        d = ctx.p**ctx.m - 1
         parts[d] = parts[d] * 2
         return GradedChern(graded.ring, parts)
 
@@ -358,14 +394,12 @@ def test_dropped_multiset_scalar_fails_the_gamma_degrees(monkeypatch, capsys):
             del scalars[dropped[-1]]
         return scalars
 
-    chern.total_conj_chern.cache_clear()
-    dickson.f_n_product.cache_clear()
+    dickson.f_n_coefficients.cache_clear()
     monkeypatch.setattr(dickson, "_shift_scalars", one_fewer)
     try:
         code = cli.main(["--suite", "chern", "--p", "3", "--l", "2"])
     finally:
-        chern.total_conj_chern.cache_clear()
-        dickson.f_n_product.cache_clear()
+        dickson.f_n_coefficients.cache_clear()
     out = capsys.readouterr().out
     assert dropped == [(2, 0, 0, 0, 1)]
     assert code == 1

@@ -164,6 +164,25 @@ def test_one_past_the_limit_raises_size_guard():
         (x1**2).compose([R3.monomial({0: LIMIT // 2}) + x2, x2, x2])
 
 
+def test_split_and_join_last_one_below_the_limit():
+    """Keys of total degree LIMIT - 1 split off the last variable and joined
+    back; a join past the limit is refused."""
+    ring = PolyRing(3, ("x1", "x2"))
+    rng = random.Random(31)
+    for _ in range(20):
+        terms = {}
+        for _ in range(5):
+            a = rng.randrange(LIMIT)
+            b = rng.randrange(LIMIT - a)
+            terms[(a, b, LIMIT - 1 - a - b)] = rng.randrange(1, 3)
+        f = Poly(R3, terms) + R3.monomial({2: LIMIT - 1}) + 1
+        parts = poly._split_last(f, ring)
+        assert parts[LIMIT - 1] == ring.one() and parts[0] == ring.one()
+        assert poly._join_last(parts, R3) == f
+    with pytest.raises(SizeGuard):
+        poly._join_last({1: ring.monomial({0: LIMIT - 1})}, R3)
+
+
 def test_coh_mul_matches_the_tuple_oracle():
     rng = random.Random(77)
     for p, l in [(3, 1), (3, 2), (5, 2), (2147483647, 1)]:

@@ -8,6 +8,8 @@ from conjchern.poly import (
     PolyMatrix,
     PolyRing,
     _add_terms,
+    _join_last,
+    _split_last,
     determinant,
     jacobian_det,
 )
@@ -305,3 +307,15 @@ def test_diff_detail_reports_leading_difference():
     detail = diff_detail(a, b)
     assert detail.startswith("first differing terms: x2: 1 != 2")
     assert diff_detail(a, a) == "polynomials agree"
+
+
+def test_join_last_inverts_split_last():
+    rng = random.Random(29)
+    xring = PolyRing(5, ("x1", "x2", "X"))
+    ring = PolyRing(5, ("x1", "x2"))
+    for _ in range(50):
+        f = random_poly(rng, xring, max_terms=8, max_exp=6)
+        parts = _split_last(f, ring)
+        for e, part in parts.items():
+            assert part.terms == {m[:2]: c for m, c in f.terms.items() if m[2] == e}
+        assert _join_last(parts, xring) == f

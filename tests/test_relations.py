@@ -4,7 +4,6 @@ import pytest
 
 from conjchern import chern, cli, relations
 from conjchern.chern import (
-    ChernContext,
     verify_conj_chern,
     verify_top_chern,
     verify_vistoli,
@@ -29,6 +28,7 @@ from conjchern.relations import (
     verify_r_delta,
     y_ring,
 )
+from conjchern.steenrod import CohAlgebra
 from helpers import even_gen, passed, poly_of, weighted_degrees
 
 U, V, W = partitions22((0, 1, 2, 3))
@@ -181,7 +181,7 @@ def test_p7_runs_r_delta_and_guards_the_chern_product():
 
 
 def product_dependent_reports():
-    ctx = ChernContext(3, 2)
+    ctx = CohAlgebra(3, 2)
     return {
         "conj": verify_conj_chern(ctx),
         "top": verify_top_chern(ctx),

@@ -28,11 +28,11 @@ import pytest
 
 import conjchern
 from conjchern import cli, dickson, report
-from conjchern.chern import ChernContext, verify_conj_chern, verify_top_chern, verify_vistoli
+from conjchern.chern import verify_conj_chern, verify_top_chern, verify_vistoli
 from conjchern.dickson import DicksonContext, delta_ni, dickson_c_from_f, verify_dickson
 from conjchern.relations import verify_chern_r_relations, verify_r_delta
 from conjchern.report import PASS, Check
-from conjchern.steenrod import verify_steenrod
+from conjchern.steenrod import CohAlgebra, verify_steenrod
 
 pytestmark = pytest.mark.skipif(
     sys.version_info < (3, 11), reason="names functions by co_qualname (Python 3.11)"
@@ -74,6 +74,7 @@ SHARED = {
     *(f"steenrod.CohAlgebra.{name}" for name in ("__init__", "term", "_encode")),
     "steenrod.CohClass.__mul__",
     *(f"dickson.DicksonContext.{name}" for name in ("__init__", "__eq__", "__hash__")),
+    "chern._dickson_context",  # the DicksonContext of an algebra, once its l is checked
     "relations.y_ring",
     "report.refuse_above",
 }
@@ -168,8 +169,8 @@ def replace_two_routes(monkeypatch, stand_in) -> None:
 # --suite all --p 3 --l 2 (steenrod at l = 1, with the same check names).
 VERIFIERS = (
     partial(verify_dickson, DicksonContext(3, 2), trials=2),
-    partial(verify_conj_chern, ChernContext(3, 2)),
-    partial(verify_top_chern, ChernContext(3, 2)),
+    partial(verify_conj_chern, CohAlgebra(3, 2)),
+    partial(verify_top_chern, CohAlgebra(3, 2)),
     partial(verify_vistoli, 3),
     partial(verify_steenrod, 3, 1, trials=2),
     partial(verify_r_delta, 3),
