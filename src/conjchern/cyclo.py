@@ -5,16 +5,16 @@ Every matrix here has one entry w^k in each row and column and zeros
 elsewhere, stored as a permutation plus exponents mod p, so products,
 inverses, Kronecker products and equality are exact exponent arithmetic and
 every check below is a decision.  The one question that needs a
-determinant, whether the p^2 lines A_{i,j} span, is decided exactly from
-images of Z[w] in prime fields F_q with q = 1 (mod p), under Hadamard's
-bound on the norm of the determinant (see is_nonsingular).
+determinant, whether the p^2 lines A_{i,j} span, is decided by reading
+their coordinate matrix as p Vandermonde blocks with distinct nodes (see
+_span_failure): the A_{i,j} are Weyl's clock-and-shift matrices, whose span
+of M_p is classical (Schwinger, "Unitary operator bases", PNAS 46, 1960).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from math import prod
 
 from .errors import (
     IndexOutOfRange,
@@ -22,7 +22,7 @@ from .errors import (
     PrimeMismatch,
     VerificationFailure,
 )
-from .fp import check_modulus, is_prime
+from .fp import check_modulus
 from .report import REP_BUDGET, refuse_above, timed_check
 
 # Cost model of verify_extraspecial, fitted on a 2-core x86 box (Python
@@ -36,11 +36,6 @@ from .report import REP_BUDGET, refuse_above, timed_check
 # commutator-central up to 2 * 10^6 and omega-commutes up to about
 # 3.7 * 10^6.
 SECONDS_PER_MATRIX_ENTRY = 4e-7
-
-# The first modulus tried by is_nonsingular: small enough that the trial
-# division finding each prime q = 1 (mod p) is cheap, large enough that a
-# nonzero determinant rarely vanishes mod q.
-_FIRST_MODULUS = 2**14
 
 
 class CycMatrix:
@@ -190,99 +185,43 @@ def conj_act(g: CycMatrix, m: CycMatrix) -> CycMatrix:
     return g * m * g.inverse_monomial()
 
 
-def _components(rows, n: int) -> list:
-    """The connected components of the support graph of a matrix given by
-    sparse rows over the columns range(n), as (row indices, columns) pairs."""
-    m = len(rows)
-    parent = list(range(m + n))  # rows 0..m-1, columns m..m+n-1
+def _span_failure(p: int, base):
+    """Why the coordinate matrix of the lines A_{i,j} in base (keyed by
+    (i, j)) is not block-Vandermonde with distinct nodes, or None when it
+    is, so that its determinant is nonzero and the lines span M_p over Q(w).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, row in enumerate(rows):
-        for c in row:
-            a, b = find(r), find(m + c)
-            if a != b:
-                parent[a] = b
-
-    groups: dict = {}
-    for r in range(m):
-        groups.setdefault(find(r), ([], []))[0].append(r)
-    for c in range(n):
-        groups.setdefault(find(m + c), ([], []))[1].append(c)
-    return list(groups.values())
-
-
-def _split_primes(p: int):
-    """The primes q = 1 (mod p) from _FIRST_MODULUS up, each with an element
-    of order p in F_q."""
-    step = 2 * p
-    q = (_FIRST_MODULUS // step + 1) * step + 1
-    while True:
-        if is_prime(q):
-            g = 2
-            while (zeta := pow(g, (q - 1) // p, q)) == 1:
-                g += 1
-            yield q, zeta
-        q += step
-
-
-def _singular_mod(mat, q: int) -> bool:
-    """Whether the square matrix mat of residues mod the prime q is singular,
-    by Gaussian elimination in place."""
-    n = len(mat)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if mat[r][k]), None)
-        if pivot is None:
-            return True
-        mat[k], mat[pivot] = mat[pivot], mat[k]
-        row = mat[k]
-        inv = pow(row[k], -1, q)
-        for r in range(k + 1, n):
-            other = mat[r]
-            if f := other[k] * inv % q:
-                mat[r] = [(a - f * b) % q for a, b in zip(other, row)]
-    return False
-
-
-def is_nonsingular(p: int, rows) -> bool:
-    """Whether the square matrix over Z[w] with the given rows has a nonzero
-    determinant D.  Each row is a dict from column to the exponent k of its
-    entry w^k; the other entries are 0.
-
-    Up to sign, D is the product of the determinants of the connected
-    components of the support graph, so a component with more rows than
-    columns or fewer makes D = 0, and each square one is decided alone; let
-    D be its determinant.  An element zeta of order p in F_q, q a prime
-    = 1 (mod p), gives a ring map Z[w] -> F_q sending w to zeta, whose
-    kernel is a prime ideal of norm q.  If the component's image mod q is
-    nonsingular, D is not 0.  If it is singular, D lies in that kernel, so q
-    divides the integer norm N(D) = prod sigma(D) over the p - 1 complex
-    embeddings sigma.  Under each sigma every entry has absolute value 0 or
-    1, so Hadamard's inequality gives |sigma(D)| <= H, where H^2 is the
-    product of the row support sizes, and |N(D)| <= H^(p-1).  Once the
-    product of the distinct primes with a singular image exceeds H^(p-1),
-    N(D) = 0 and so D = 0.
+    The matrix has row (r, c), column (i, j), and there the entry (r, c) of
+    A_{i,j}.  Three readings decide its shape:
+    1. each A_{i,j} has the permutation of A_{i,0};
+    2. at each row r, the permutations of A_{0,0}..A_{p-1,0} put their
+       entries in distinct columns, so the rows (r, A_{i,0}.columns[r]) and
+       the columns (i, 0..p-1) form a square block for each i;
+    3. in block i, row r is w^(k_r + j s_r) in column j: the Vandermonde
+       matrix in the nodes w^(s_r), its rows scaled by w^(k_r), with
+       determinant w^(sum k_r) prod_{r < t} (w^(s_t) - w^(s_r)), nonzero
+       exactly when the steps s_r are distinct mod p.
+    A block of any other shape fails, named by i (and j), even where its
+    determinant would be nonzero.
     """
-    for rs, cols in _components(rows, len(rows)):
-        if len(rs) != len(cols):
-            return False
-        exponents = [[rows[r].get(c) for c in cols] for r in rs]
-        # (H^(p-1))^2: the product of the primes is compared squared
-        bound = prod(len(rows[r]) for r in rs) ** (p - 1)
-        primes = 1
-        for q, zeta in _split_primes(p):
-            powers = [pow(zeta, k, q) for k in range(p)]
-            image = [[0 if k is None else powers[k % p] for k in row] for row in exponents]
-            if not _singular_mod(image, q):
-                break
-            primes *= q
-            if primes * primes > bound:
-                return False
-    return True
+    for r, cols in enumerate(zip(*(base[i, 0].columns for i in range(p)))):
+        if len(set(cols)) != p:
+            return f"row {r}: the lines A_{{i,0}} share a column, so no blocks"
+    for i in range(p):
+        columns, first = base[i, 0].columns, base[i, 0].powers
+        steps = [(k - k0) % p for k, k0 in zip(base[i, 1].powers, first)]
+        expected = first  # the powers of column j, down the block's rows
+        for j in range(p):
+            line = base[i, j]
+            if line.columns != columns:
+                return f"A_{{{i},{j}}} does not share the permutation of A_{{{i},0}}"
+            if line.powers != expected:
+                return f"block {i}: column {j} is not a Vandermonde power"
+            expected = tuple([(k + s) % p for k, s in zip(expected, steps)])
+        rows_of = {}
+        for r, step in enumerate(steps):
+            if (t := rows_of.setdefault(step, r)) != r:
+                return f"block {i}: rows {t} and {r} share the Vandermonde node w^{step}"
+    return None
 
 
 def verify_extraspecial(p: int) -> list:
@@ -337,11 +276,12 @@ def verify_extraspecial(p: int) -> list:
 def verify_weight_basis(p: int, l: int) -> int:
     """Check the weight relations for every index tuple; at l = 1 first
     check that the eigen-lines span: the coordinate matrix, whose column
-    (i, j) holds the entries of A_{i,j}, is nonsingular over Z[w].
-    Returns the number of eigen-lines verified.
+    (i, j) holds the entries of A_{i,j}, is block-Vandermonde with distinct
+    nodes, so nonsingular over Z[w].  Returns the number of eigen-lines
+    verified.
 
-    Raises VerificationFailure on a zero coordinate determinant or on the
-    first relation that does not hold.
+    Raises VerificationFailure on a coordinate matrix of any other shape,
+    naming its block, or on the first relation that does not hold.
     """
     check_modulus(p)
     if l < 1:
@@ -349,21 +289,21 @@ def verify_weight_basis(p: int, l: int) -> int:
     # Cost model, fitted on a 2-core x86 box (Python 3.11).  Each of the
     # p^(2l) index tuples builds one monomial matrix of size p^l and
     # conjugates it by 2l generators: about 1 microsecond per p^(3l) *
-    # (2l + 1).  At l = 1 the matrices are small enough that each tuple's
-    # fixed cost, about 40 microseconds, shows, and the span decision adds
-    # about 0.06 microseconds per p^4 (p components of size p, each
-    # eliminated mod one prime).  Measured: (7, 2) 0.61 s, (3, 4) 4.3 s,
-    # (11, 2) 5.5 s, (5, 3) 7.8-10.8 s; at l = 1, p = 11: 10-15 ms, 23:
-    # 72-100 ms, 107: 11.1 s.  REP_BUDGET admits p <= 107 at l = 1 and
-    # p <= 11 at l = 2.  A singular coordinate matrix, which fails the check,
-    # costs more: its singular component is eliminated mod up to about
-    # p^2 log2(p) / 28 primes before the norm bound decides it.
-    seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
-    det = ""
+    # (2l + 1).  Measured: (7, 2) 0.40-0.61 s, (3, 4) 4.3 s, (11, 2)
+    # 4.8-5.5 s, (5, 3) 7.8-10.8 s.  At l = 1, building the p^2 lines,
+    # reading their p Vandermonde blocks and checking the p^2 tuples cost
+    # 1.2-1.5 microseconds per p^3, the most at the largest p, plus about
+    # 10 microseconds per tuple, which shows at small p.  Measured at l = 1:
+    # p = 23 22 ms, 107 1.4-2.5 s, 151 4.3 s, 193 8.8-11.0 s, 197
+    # 11.2-11.9 s, 199 13.5-14.0 s.  REP_BUDGET admits p <= 197 at l = 1
+    # and p <= 11 at l = 2.  A failing span decision stops before the
+    # tuples, so it costs less than a passing one.
     if l == 1:
-        seconds += p**2 * 4e-5 + p**4 * 6e-8
-        det = f" and a {p * p}x{p * p} coordinate determinant"
-    work = f"{p ** (2 * l)} index tuples of size-{p**l} matrices{det}"
+        seconds = p**3 * 1.5e-6 + p**2 * 1e-5
+        work = f"{p * p} index tuples of size-{p} matrices and {p} Vandermonde blocks"
+    else:
+        seconds = p ** (3 * l) * (2 * l + 1) * 1e-6
+        work = f"{p ** (2 * l)} index tuples of size-{p**l} matrices"
     refuse_above(work, seconds, REP_BUDGET)
     sigma, tau = gen_matrices(p)
     identity = CycMatrix.identity(p, p)
@@ -376,13 +316,8 @@ def verify_weight_basis(p: int, l: int) -> int:
         generators.append(reduce(CycMatrix.kron, slots_tau))
 
     base = {(i, j): a_matrix(i, j, p) for i in range(p) for j in range(p)}
-    if l == 1:
-        coordinates = [{} for _ in range(p * p)]  # row r * p + c: entry (r, c)
-        for line, a in enumerate(base.values()):
-            for r, (c, k) in enumerate(zip(a.columns, a.powers)):
-                coordinates[r * p + c][line] = k
-        if not is_nonsingular(p, coordinates):
-            raise VerificationFailure("coordinate determinant of the A_{i,j} is zero")
+    if l == 1 and (failure := _span_failure(p, base)):
+        raise VerificationFailure(failure)
     verified = 0
     for idx in product(range(p), repeat=2 * l):
         pairs = [idx[2 * k : 2 * k + 2] for k in range(l)]

@@ -219,7 +219,7 @@ def dense_scale(p, a, k):
 def brute_force_det(p, rows):
     """The determinant of a square matrix of ZW or int entries, as a ZW: the
     Leibniz sum over the permutations through nonzero entries, each signed
-    by its inversions.  The oracle for cyclo.is_nonsingular."""
+    by its inversions.  The oracle for the span decision of cyclo."""
     n = len(rows)
 
     def expand(r, used, sign):

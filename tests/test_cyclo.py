@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,11 +10,11 @@ from conjchern.cyclo import (
     a_matrix,
     conj_act,
     gen_matrices,
-    is_nonsingular,
     verify_extraspecial,
     verify_weight_basis,
 )
 from conjchern.errors import NotMonomial, PrimeMismatch, SizeGuard, VerificationFailure
+from conjchern.report import REP_BUDGET
 from helpers import (
     ZW,
     brute_force_det,
@@ -175,88 +176,117 @@ def test_weight_characters_pairwise_distinct():
                     assert a[0] != b[0] or a[1] != b[1]
 
 
-# -- the nonsingularity decision --------------------------------------------------
+# -- the span decision ------------------------------------------------------------
 
 
-def random_exponents(rng, p, n, density):
-    """An n x n matrix of exponents k of w^k, None for a zero entry."""
-    return [
-        [rng.randrange(p) if rng.random() < density else None for _ in range(n)]
-        for _ in range(n)
+def true_basis(p):
+    return {(i, j): a_matrix(i, j, p) for i in range(p) for j in range(p)}
+
+
+def coordinate_det(p, base):
+    """The brute-force determinant of the p^2 x p^2 coordinate matrix whose
+    row (r, c) and column (i, j) hold the entry (r, c) of base[i, j]."""
+    lines = [base[i, j] for i in range(p) for j in range(p)]
+    rows = [
+        [w(p, a.powers[r]) if a.columns[r] == c else 0 for a in lines]
+        for r in range(p)
+        for c in range(p)
     ]
+    return brute_force_det(p, rows)
 
 
-def decide(p, exponents):
-    """is_nonsingular on the exponent matrix, and whether the brute-force
-    determinant of the same matrix is nonzero."""
-    rows = [{c: k for c, k in enumerate(row) if k is not None} for row in exponents]
-    entries = [[0 if k is None else w(p, k) for k in row] for row in exponents]
-    return is_nonsingular(p, rows), bool(brute_force_det(p, entries))
+def vandermonde_plant(rng, p, repeat):
+    """Lines whose coordinate matrix is block-Vandermonde: block i has the
+    permutation r -> pi(r) + shift_i (a Latin square over i), row scalings
+    w^(k_r) and steps s_r, pairwise distinct except, if repeat, in one
+    block, where two rows share a step.  Returns the lines and that block."""
+    pi = rng.sample(range(p), p)
+    shifts = rng.sample(range(p), p)
+    repeated = rng.randrange(p) if repeat else None
+    base = {}
+    for i in range(p):
+        columns = [(pi[r] + shifts[i]) % p for r in range(p)]
+        scalings = [rng.randrange(p) for _ in range(p)]
+        steps = rng.sample(range(p), p)
+        if i == repeated:
+            a, b = rng.sample(range(p), 2)
+            steps[b] = steps[a]
+        for j in range(p):
+            base[i, j] = CycMatrix(p, columns, [k + j * s for k, s in zip(scalings, steps)])
+    return base, repeated
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_nonsingular_matches_brute_force(p):
-    rng = random.Random(77 + p)
-    outcomes = set()
-    for n in range(1, 8):
-        for _ in range(12 if n < 6 else 3):
-            exponents = random_exponents(rng, p, n, rng.choice((0.4, 0.7, 1.0)))
-            got, want = decide(p, exponents)
-            assert got == want
-            outcomes.add(want)
-    assert outcomes == {False, True}
+def repeated_node(original, block):
+    """original with row 1 of every A_{block,j} planted as w times row 0, so
+    rows 0 and 1 of that block share the node w^(block - 1) (w^(p-1) at
+    block 0)."""
 
+    def lines(i, j, p):
+        a = original(i, j, p)
+        if i != block:
+            return a
+        return CycMatrix(p, a.columns, [a.powers[0], a.powers[0] + 1, *a.powers[2:]])
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_planted_singular_matrices_are_decided_zero(p):
-    """Row b is w^k times row a, so the determinant is 0 though no row need
-    be zero: every image mod q is singular, and only the norm bound ends the
-    search."""
-    rng = random.Random(91 + p)
-    for n in range(2, 8):
-        for _ in range(3):
-            exponents = random_exponents(rng, p, n, 0.8)
-            a, b = rng.sample(range(n), 2)
-            k = rng.randrange(p)
-            exponents[b] = [None if e is None else (e + k) % p for e in exponents[a]]
-            assert decide(p, exponents) == (False, False)
-
-
-def test_norm_bound_ends_the_search(monkeypatch):
-    """A 7 x 7 matrix at p = 7 with no zero entry and two equal rows: H^2 =
-    7^7, so the primes must multiply past H^(p-1) = 7^21, about 2^58.9.
-    Four primes above 2^14 reach about 2^56, five 2^70."""
-    drawn = []
-    original = cyclo._split_primes
-
-    def counted(p):
-        for q, zeta in original(p):
-            drawn.append(q)
-            yield q, zeta
-
-    monkeypatch.setattr(cyclo, "_split_primes", counted)
-    rows = [{c: (r * c) % 7 for c in range(7)} for r in range(6)]
-    assert not is_nonsingular(7, rows + [dict(rows[2])])
-    assert len(drawn) == 5 and all(q % 7 == 1 and q > 2**14 for q in drawn)
-    drawn.clear()
-    assert is_nonsingular(7, rows + [{c: (c * c) % 7 for c in range(7)}])
-    assert len(drawn) == 1
+    return lines
 
 
 def test_coordinate_matrix_at_p3_matches_brute_force():
     """The 9 x 9 matrix whose column (i, j) holds the entries of A_{i,j}."""
     p = 3
-    lines = [a_matrix(i, j, p) for i in range(p) for j in range(p)]
-    exponents = [
-        [a.powers[r] if a.columns[r] == c else None for a in lines]
-        for r in range(p)
-        for c in range(p)
-    ]
-    assert decide(p, exponents) == (True, True)
+    base = true_basis(p)
+    assert cyclo._span_failure(p, base) is None
+    assert coordinate_det(p, base)
 
 
-def test_zero_row_determinant():
-    assert not is_nonsingular(3, [{}, {1: 0}])
+def test_span_decision_is_sound_on_planted_matrices():
+    """Seeded plants of the 9 x 9 coordinate matrix at p = 3 against the
+    Leibniz determinant.  A PASS must mean a nonzero determinant, and a
+    repeated node a zero one.  The decision reads a shape, so it may FAIL a
+    nonsingular plant, and the random plants show that it does."""
+    p = 3
+    rng = random.Random(2024)
+    for _ in range(30):
+        base, repeated = vandermonde_plant(rng, p, repeat=rng.random() < 0.5)
+        failure = cyclo._span_failure(p, base)
+        if repeated is None:
+            assert failure is None and coordinate_det(p, base)
+        else:
+            assert failure.startswith(f"block {repeated}: rows ")
+            assert not coordinate_det(p, base)
+    stricter = 0
+    for _ in range(30):
+        base = true_basis(p)
+        for _ in range(rng.randrange(1, 3)):
+            key = (rng.randrange(p), rng.randrange(p))
+            base[key] = random_monomial(rng, p, p)
+        failure = cyclo._span_failure(p, base)
+        det = coordinate_det(p, base)
+        assert failure is not None or det
+        stricter += failure is not None and bool(det)
+    assert stricter
+
+
+def test_span_failure_names_each_shape():
+    p = 5
+
+    def planted(i, j, columns=None, row0=0):
+        base = true_basis(p)
+        a = base[i, j]
+        powers = [a.powers[0] + row0, *a.powers[1:]]
+        base[i, j] = CycMatrix(p, columns or a.columns, powers)
+        return cyclo._span_failure(p, base)
+
+    assert planted(2, 0, columns=a_matrix(3, 0, p).columns) == (
+        "row 0: the lines A_{i,0} share a column, so no blocks"
+    )
+    assert planted(1, 3, columns=a_matrix(2, 0, p).columns) == (
+        "A_{1,3} does not share the permutation of A_{1,0}"
+    )
+    assert planted(2, 3, row0=1) == "block 2: column 3 is not a Vandermonde power"
+    base = {(i, j): repeated_node(a_matrix, 4)(i, j, p) for i in range(p) for j in range(p)}
+    assert cyclo._span_failure(p, base) == (
+        "block 4: rows 0 and 1 share the Vandermonde node w^3"
+    )
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -305,10 +335,10 @@ def test_weight_basis_guard_detail_states_the_cost():
         "the guard allows 12 s"
     )
     with pytest.raises(SizeGuard) as l1:
-        verify_weight_basis(109, 1)
+        verify_weight_basis(199, 1)
     assert str(l1.value) == (
-        "11881 index tuples of size-109 matrices and a 11881x11881 coordinate "
-        "determinant would take about 12.8 s; the guard allows 12 s"
+        "39601 index tuples of size-199 matrices and 199 Vandermonde blocks "
+        "would take about 12.2 s; the guard allows 12 s"
     )
 
 
@@ -379,8 +409,9 @@ def test_rep_suite_fails_on_broken_tau(monkeypatch):
 
 
 def test_rep_suite_fails_on_coinciding_weight_lines(monkeypatch, capsys):
-    """A_{1,2} replaced by A_{1,1}: two columns of one component of the
-    coordinate matrix coincide, so its determinant is 0."""
+    """A_{1,2} replaced by A_{1,1}: two columns of block 1 of the coordinate
+    matrix coincide, so its determinant is 0, and column 2 is no power of
+    the block's nodes."""
     original = cyclo.a_matrix
 
     def broken(i, j, p):
@@ -392,7 +423,39 @@ def test_rep_suite_fails_on_coinciding_weight_lines(monkeypatch, capsys):
     assert code == 1
     line = [s for s in out.splitlines() if "rep/weight-basis-l1" in s][0]
     assert "FAIL" in line
-    assert "coordinate determinant of the A_{i,j} is zero" in line
+    assert "block 1: column 2 is not a Vandermonde power" in line
+
+
+def test_rep_suite_fails_on_a_non_vandermonde_entry(monkeypatch, capsys):
+    original = cyclo.a_matrix
+
+    def broken(i, j, p):
+        m = original(i, j, p)
+        if (i, j) != (2, 3):
+            return m
+        return CycMatrix(p, m.columns, [m.powers[0] + 1, *m.powers[1:]])
+
+    monkeypatch.setattr(cyclo, "a_matrix", broken)
+    assert cli.main(["--suite", "rep", "--p", "5", "--l", "1"]) == 1
+    line = [s for s in capsys.readouterr().out.splitlines() if "weight-basis-l1" in s][0]
+    assert "FAIL" in line and "block 2: column 3 is not a Vandermonde power" in line
+
+
+def test_repeated_node_fails_fast_at_the_largest_admitted_prime(monkeypatch, capsys):
+    """The node repeats in the last block, so the decision reads every
+    block before it FAILs.  It stops before the index tuples, so it stays
+    within the budget that admits the passing run: on a 2-core x86 box the
+    failing run took 3.2 s and the passing one 11.7 s."""
+    p = 197
+    monkeypatch.setattr(cyclo, "a_matrix", repeated_node(cyclo.a_matrix, p - 1))
+    start = time.perf_counter()
+    code = cli.main(["--suite", "rep", "--p", str(p), "--l", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    line = [s for s in capsys.readouterr().out.splitlines() if "weight-basis-l1" in s][0]
+    assert "FAIL" in line
+    assert f"block {p - 1}: rows 0 and 1 share the Vandermonde node w^{p - 2}" in line
+    assert elapsed < REP_BUDGET
 
 
 def test_rep_suite_passes_at_p23(capsys):

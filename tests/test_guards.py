@@ -49,7 +49,7 @@ GUARDS = {
         47,
         53,
     ),
-    "weight-basis-l1": ((cyclo, "is_nonsingular"), weight_basis(1), 107, 109),
+    "weight-basis-l1": ((cyclo, "gen_matrices"), weight_basis(1), 197, 199),
     "weight-basis-l2": ((cyclo, "gen_matrices"), weight_basis(2), 11, 13),
     "order": ((cyclo, "gen_matrices"), named(verify_extraspecial, "sigma-order"), 737263, 737279),
     "commutator": (

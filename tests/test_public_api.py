@@ -1,6 +1,7 @@
 """The public surface: README's quick tour runs as written, every name that
-conjchern exports is used by the library itself, not only by its tests, and
-no module imports a name it never reads."""
+conjchern exports is used by the library itself, not only by its tests, no
+top-level definition is left without a reader, and no module imports a name
+it never reads."""
 
 import ast
 import re
@@ -45,6 +46,23 @@ def test_every_export_has_a_library_use():
         if path.name != "__init__.py":
             used |= _used_names(ast.parse(path.read_text(), str(path)))
     assert sorted(set(conjchern.__all__) - used) == []
+
+
+def test_every_top_level_definition_is_read():
+    """Each top-level function and class of the package is read somewhere in
+    src/ outside its own definition, or exported through __all__, so no
+    helper outlives its last caller."""
+    used = set(conjchern.__all__)
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used |= _used_names(tree)
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []
 
 
 def test_every_import_is_read():
