@@ -1,8 +1,11 @@
 """Command-line front door: named verification suites with machine-readable
 reports and deterministic exit codes.
 
-This module parses the arguments, maps each suite name to the verifiers
-that make its checks, and builds the run's one report.  Each verifier
+This module parses the arguments, maps each suite name to its home module
+and the verifiers there that make its checks, and builds the run's one
+report.  It imports no layer module itself: a suite's module, and the report
+module, load the first time a run needs them, so a usage error or a
+one-suite run never compiles the layers it does not use.  Each verifier
 returns its checks named without the suite prefix; run_suite adds the
 `<suite>/` prefix.
 
@@ -17,32 +20,41 @@ value, or 'auto', the real elapsed times are kept.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from .chern import verify_conj_chern, verify_top_chern, verify_vistoli
-from .cyclo import verify_extraspecial, verify_weight_bases
-from .dickson import DicksonContext, verify_dickson
 from .fp import check_modulus
-from .relations import verify_chern_r_relations, verify_quadratic, verify_r_delta, verify_signs
-from .report import VerificationReport
-from .steenrod import CohAlgebra, verify_jacobian_independence, verify_steenrod
 
-# Each suite's checks, from the parsed arguments, in report order.  The
-# entries are lambdas, not the verifiers themselves, so that they look each
-# verifier up when called and a rebound (traced) verifier is the one that runs.
+# Each suite's home module, and its checks from that module and the parsed
+# arguments, in report order.  run_suite imports the module the first time
+# its suite runs, so a run loads only the layers its suites use, and each
+# verifier is looked up on the module at call time, so a rebound (traced)
+# verifier is the one that runs.
 _RUNNERS = {
-    "dickson": lambda a: verify_dickson(DicksonContext(a.p, a.n), a.trials, a.seed),
-    "rep": lambda a: verify_extraspecial(a.p) + verify_weight_bases(a.p, a.l),
-    "steenrod": lambda a: verify_steenrod(a.p, a.l, a.trials, a.seed)
-    + verify_jacobian_independence(a.p, a.l),
-    "chern": lambda a: verify_conj_chern(CohAlgebra(a.p, a.l))
-    + verify_top_chern(CohAlgebra(a.p, a.l)),
-    "vistoli": lambda a: verify_vistoli(a.p),
-    "signs": lambda a: verify_signs(),
-    "relations": lambda a: verify_quadratic(a.p)
-    + verify_r_delta(a.p)
-    + verify_chern_r_relations(a.p),
+    "dickson": (
+        "dickson",
+        lambda m, a: m.verify_dickson(m.DicksonContext(a.p, a.n), a.trials, a.seed),
+    ),
+    "rep": ("cyclo", lambda m, a: m.verify_extraspecial(a.p) + m.verify_weight_bases(a.p, a.l)),
+    "steenrod": (
+        "steenrod",
+        lambda m, a: m.verify_steenrod(a.p, a.l, a.trials, a.seed)
+        + m.verify_jacobian_independence(a.p, a.l),
+    ),
+    "chern": (
+        "chern",
+        lambda m, a: m.verify_conj_chern(m.CohAlgebra(a.p, a.l))
+        + m.verify_top_chern(m.CohAlgebra(a.p, a.l)),
+    ),
+    "vistoli": ("chern", lambda m, a: m.verify_vistoli(a.p)),
+    "signs": ("relations", lambda m, a: m.verify_signs()),
+    "relations": (
+        "relations",
+        lambda m, a: m.verify_quadratic(a.p)
+        + m.verify_r_delta(a.p)
+        + m.verify_chern_r_relations(a.p),
+    ),
 }
 SUITES = tuple(_RUNNERS)
 ODD_ONLY = {"rep", "steenrod", "chern", "vistoli", "relations"}
@@ -90,19 +102,25 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def run_suite(args) -> VerificationReport:
+def _layer(name: str):
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+def run_suite(args):
     """Run the named suite, or each suite that --p admits for 'all', into the
-    run's one report: each check name gains its suite's prefix here."""
+    run's one VerificationReport: each check name gains its suite's prefix
+    here."""
     if args.suite == "all":
         names = [s for s in SUITES if args.p != 2 or s not in ODD_ONLY]
     else:
         names = [args.suite]
     checks = []
     for name in names:
-        for check in _RUNNERS[name](args):
+        module, runner = _RUNNERS[name]
+        for check in runner(_layer(module), args):
             check.name = f"{name}/{check.name}"
             checks.append(check)
-    return VerificationReport(
+    return _layer("report").VerificationReport(
         suite=args.suite,
         params={
             "p": args.p,

@@ -67,8 +67,9 @@ class CycMatrix:
 
     @classmethod
     def _raw(cls, p: int, columns, powers) -> CycMatrix:
-        """A matrix built from valid ones, so its columns are a permutation
-        and its prime is checked; only the powers are reduced mod p."""
+        """A matrix whose columns are a permutation by construction and
+        whose odd prime is checked: a product, Kronecker product or inverse
+        of valid ones, or an A_{i,j}.  Only the powers are reduced mod p."""
         m = object.__new__(cls)
         m.p = p
         m.columns = tuple(columns)
@@ -174,10 +175,12 @@ def a_matrix(i: int, j: int, p: int) -> CycMatrix:
     check_modulus(p)
     if not (0 <= i < p and 0 <= j < p):
         raise IndexOutOfRange(f"indices ({i}, {j}) not in [0, {p})")
+    if p == 2:
+        raise ValueError("cyclotomic arithmetic here needs an odd prime")
     # A_{i,0} has the identity I_i in the top-right block and I_{p-i}
     # in the lower-left block, i.e. a one at column (r - i) mod p
     columns = [(r - i) % p for r in range(p)]
-    return CycMatrix(p, columns, [(p - 1 - c) * j for c in columns])
+    return CycMatrix._raw(p, columns, [(p - 1 - c) * j for c in columns])
 
 
 def conj_act(g: CycMatrix, m: CycMatrix) -> CycMatrix:

@@ -89,6 +89,38 @@ def test_cli_import_needs_no_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
+# Each start of the CLI in a fresh child: the verify arguments that run after
+# `import conjchern.cli` (None: the import alone), the exit code, and the
+# layer modules loaded then.  A suite imports only the layers that it uses.
+LAYERS = ("poly", "dickson", "chern", "steenrod", "cyclo", "relations")
+STARTS = [
+    (None, None, []),
+    (["--suite", "dickson", "--p", "3", "--n", "2", "--format", "json"], 0, ["dickson", "poly"]),
+    (["--suite", "chern", "--p", "4"], 2, []),
+]
+
+
+@pytest.mark.parametrize("argv, code, loaded", STARTS)
+def test_cli_loads_only_the_layers_its_suite_uses(argv, code, loaded):
+    child = (
+        "import contextlib, io, json, sys\n"
+        "import conjchern.cli\n"
+        "code = None\n"
+        f"if {argv!r} is not None:\n"
+        "    quiet = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        "        try:\n"
+        f"            code = conjchern.cli.main({argv!r})\n"
+        "        except SystemExit as exit:\n"
+        "            code = exit.code\n"
+        f"layers = [m for m in {LAYERS!r} if 'conjchern.' + m in sys.modules]\n"
+        "print(json.dumps([code, sorted(layers)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, loaded]
+
+
 # -- CLI behavior -------------------------------------------------------------------
 
 

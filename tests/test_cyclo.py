@@ -95,6 +95,11 @@ def test_a_matrix_index_range():
         a_matrix(3, 0, 3)
 
 
+def test_a_matrix_refuses_two():
+    with pytest.raises(ValueError, match="odd prime"):
+        a_matrix(0, 0, 2)
+
+
 def test_a_matrix_factorization():
     for p in (3, 5):
         for i in range(p):

@@ -1,11 +1,18 @@
-"""The public surface: README's quick tour runs as written, every name that
-conjchern exports is used by the library itself, not only by its tests, no
-top-level definition is left without a reader, and no module imports a name
-it never reads."""
+"""The public surface: README's quick tour runs as written, each export is
+the object of its home module and loads that module only when first read,
+every name that conjchern exports is used by the library itself, not only by
+its tests, no top-level definition is left without a reader, and no module
+imports a name it never reads."""
 
 import ast
+import importlib
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import conjchern
 
@@ -19,6 +26,42 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_each_export_is_the_object_of_its_home_module():
+    """The package reads each name from its home module on first access, so
+    the exported object is the one that module defines."""
+    assert conjchern.__version__ is importlib.import_module("conjchern._version").__version__
+    for name in set(conjchern.__all__) - {"__version__"}:
+        obj = getattr(conjchern, name)
+        assert obj.__module__.startswith("conjchern.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from conjchern import *", namespace)
+    assert {name: namespace.get(name) for name in conjchern.__all__} == {
+        name: getattr(conjchern, name) for name in conjchern.__all__
+    }
+
+
+def test_package_import_loads_no_layer_and_lists_every_export():
+    """A fresh `import conjchern` imports only its version module, and dir()
+    lists every export before any is read."""
+    code = (
+        "import json, sys, conjchern; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('conjchern.')), "
+        "sorted(set(conjchern.__all__) - set(dir(conjchern)))]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["conjchern._version"], []]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'conjchern' has no attribute 'verify_all'"):
+        conjchern.verify_all
 
 
 def _used_names(tree) -> set:
@@ -51,7 +94,9 @@ def test_every_export_has_a_library_use():
 def test_every_top_level_definition_is_read():
     """Each top-level function and class of the package is read somewhere in
     src/ outside its own definition, or exported through __all__, so no
-    helper outlives its last caller."""
+    helper outlives its last caller.  The import system, not src/, reads the
+    package's module __getattr__ and __dir__ (PEP 562), so exactly those two
+    count as read."""
     used = set(conjchern.__all__)
     defined = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -62,7 +107,9 @@ def test_every_top_level_definition_is_read():
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         ]
-    assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+    hooks = {"__init__.py: __getattr__", "__init__.py: __dir__"}
+    unread = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert [entry for entry in unread if entry not in hooks] == []
 
 
 def test_every_import_is_read():
