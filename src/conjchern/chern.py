@@ -9,14 +9,16 @@ steenrod.CohAlgebra(p, l), which every function here takes, for l in 1..3.
 The paper identifies these parts with
 the Dickson invariants C_{2l,k} = Delta_{2l,k} / Delta_{2l,2l} in the class
 variables; the checks compare them with the Moore minors cross-multiplied,
-so no quotient is formed.  Degrees follow the half-degree
-convention: each ring variable counts 1, standing for a cohomology class of
-topological degree 2.
+so no quotient is formed.  Each cross-multiplication goes through
+part_times, a memo keyed by the values of both operands, which the relations
+module reads when its own R_4(r) equals Delta_{4,4}.  Degrees follow the
+half-degree convention: each ring variable counts 1, standing for a
+cohomology class of topological degree 2.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .dickson import DicksonContext, _nonzero, delta_ni, f_n_coefficients
 from .poly import Poly, PolyRing, agree, diff_detail
@@ -79,6 +81,13 @@ def _top_minor(alg: CohAlgebra, swap_last_pair: bool = False) -> Poly:
     return _nonzero(delta_on_classes(alg, n, swap_last_pair), f"Delta_{{{n},{n}}} of the {order}")
 
 
+@lru_cache(maxsize=None)
+def part_times(part: Poly, factor: Poly) -> Poly:
+    """part * factor, remembered by the values of both operands: a changed
+    operand is a new key, so a fault in either is computed, not recalled."""
+    return part * factor
+
+
 def verify_conj_chern(alg: CohAlgebra) -> list:
     """Every graded part of the product equals the matching signed Dickson
     invariant in the class variables, and all other parts vanish."""
@@ -88,7 +97,7 @@ def verify_conj_chern(alg: CohAlgebra) -> list:
     special = {top - p**k: k for k in range(m + 1)}
 
     def part_times_denominator(d, k):
-        product = _top_minor(alg) * total_conj_chern(alg).part(d)
+        product = part_times(total_conj_chern(alg).part(d), _top_minor(alg))
         return -product if k % 2 else product
 
     checks = [

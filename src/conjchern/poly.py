@@ -14,7 +14,8 @@ into the next field.  A result that would not fit raises SizeGuard.  The
 field width depends only on p, so equal sums have equal keys.
 
 Poly shares its sum arithmetic, equality, context check and canonical text
-with steenrod.CohClass through the base class _SparseSum; diff_detail and
+with steenrod.CohClass through the base class _SparseSum, whose sums and
+differences each take one pass of _add_terms; diff_detail and
 agree, the outcome of a check that two sums are equal, serve both.  The
 .terms of either is a read-only view keyed by exponent tuples.
 """
@@ -298,10 +299,16 @@ class _SparseSum:
     __radd__ = __add__
 
     def __sub__(self, other):
+        """The negated terms of other, summed onto a copy of self's terms in
+        one pass."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        ctx = self._ctx
+        p = ctx.p
+        negated = ((k, p - c) for k, c in other._terms.items())
+        return self._raw(ctx, _add_terms(negated, p, self._terms))
 
     def __rsub__(self, other):
         return (-self) + other

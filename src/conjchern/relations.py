@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import combinations
 
-from .chern import delta_on_classes, total_conj_chern
+from .chern import delta_on_classes, part_times, total_conj_chern
 from .errors import IndexOutOfRange, SamePartition, VerificationFailure
 from .fp import check_modulus, primitive_root
 from .poly import Poly, PolyRing, _perm_sign
@@ -248,7 +248,9 @@ def verify_chern_r_relations(p: int) -> list:
 
     def with_gamma(j):  # the left route, so a refused product SKIPs before any substitution
         gamma = total_conj_chern(alg).part(p**4 - p**j)
-        return gamma * _at_r_classes(4, p) * (-1) ** j
+        # R_4(r) is Delta_{4,4} (moore-minor-j4), so after the chern suite
+        # the memo holds this product unless R_4(r) or gamma has changed
+        return part_times(gamma, _at_r_classes(4, p)) * (-1) ** j
 
     checks = [
         two_routes(f"chern-relation-j{j}", partial(with_gamma, j), partial(_at_r_classes, j, p))

@@ -13,9 +13,10 @@ Reduced powers are realized through the total operation, the ring
 endomorphism fixing the exterior generators and sending each polynomial
 generator t to t + t^p; the degree-k operation is the component raising
 degree by 2k(p-1), which power_op enumerates directly in one budgeted loop
-over the exponents.  milnor_chain lists Q_0(x), ..., Q_i(x) by Milnor's
-recursion without a cache.  No Adem-relation rewriting is needed on this
-algebra.
+over the exponents, skipping the terms of degree below k.  milnor_chain
+lists Q_0(x), ..., Q_i(x) by Milnor's recursion without a cache, and skips
+the subtrees of the zero class.  No Adem-relation rewriting is needed on
+this algebra.
 
 CohClass is a sparse sum like poly.Poly and inherits from their common base
 its addition, scaling, equality, context check and canonical text; it adds
@@ -252,21 +253,29 @@ def power_op(k: int, x: CohClass) -> CohClass:
     emitted the moment the budget is spent.  A pick never exceeds its
     exponent, so the exponents of the positions not yet walked, read off the
     key's degree field, bound what a partial pick can still spend; one that
-    cannot spend its budget is dropped.  Inhomogeneous classes need no
-    split, since every term is shifted by the same degree."""
+    cannot spend its budget is dropped, a term of degree below k at once,
+    and a term stops when no partial pick is left.  At the last position the
+    pick is forced to the budget left, so it is looked up, not walked to.
+    Inhomogeneous classes need no split, since every term is shifted by the
+    same degree."""
     if k < 0:
         raise ValueError("negative power operation index")
     alg = x.algebra
     p, m = alg.p, alg.m
     alg._fit((max(x._terms, default=0) >> m) + (k * (p - 1) << alg._dshift))
+    if not x._terms:
+        return x
     positions, fmask, dshift = alg._positions, alg._fmask, alg._dshift
+    *walked, (last_s, last_unit) = positions
 
     def terms():
         for key, c in x._terms.items():
             even = key >> m
             rest = even >> dshift  # the degree field: the sum of the exponents
+            if rest < k:
+                continue
             states = [(k, key, c)]
-            for s, unit in positions:
+            for s, unit in walked:
                 e = even >> s & fmask
                 rest -= e  # now the sum over the positions after this one
                 table = _binom_support(e, p, k)
@@ -280,7 +289,14 @@ def power_op(k: int, x: CohClass) -> CohClass:
                             break
                         if left - j <= rest:
                             grown.append((left - j, kk + j * unit, coeff * b) if j else state)
+                if not grown:
+                    break
                 states = grown
+            else:
+                table = _binom_support(even >> last_s & fmask, p, k)
+                for left, kk, coeff in states:
+                    if b := table.get(left):
+                        yield kk + left * last_unit, coeff * b
 
     return CohClass._raw(alg, _add_terms(terms(), p))
 
@@ -292,11 +308,15 @@ def milnor_chain(i: int, x: CohClass) -> list:
     The chain of x to i - 1 gives the first term, and its last entry is the
     Q_{i-1} that P^{p^{i-1}} is applied to; the chain of P^{p^{i-1}} x gives
     the second.  No (index, class) pair recurs in this tree, so nothing is
-    cached, and a changed power_op or bockstein is always seen."""
+    cached, and a changed power_op or bockstein is always seen.  The chain
+    of the zero class is i + 1 zeros by linearity, so a zero subtree is not
+    walked."""
     if i < 0:
         raise ValueError("negative Milnor index")
     if i > MAX_MILNOR_INDEX:
         raise DepthGuard(f"Milnor index {i} exceeds the depth guard {MAX_MILNOR_INDEX}")
+    if not x._terms:
+        return [x] * (i + 1)
     if i == 0:
         return [bockstein(x)]
     k = x.algebra.p ** (i - 1)

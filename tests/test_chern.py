@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 from functools import partial
 from itertools import product
 
@@ -25,6 +28,7 @@ from helpers import (
     passed,
     poly_of,
 )
+from test_cli import GOLDEN_REPORTS
 
 C31 = CohAlgebra(3, 1)
 
@@ -409,3 +413,30 @@ def test_dropped_multiset_scalar_fails_the_gamma_degrees(monkeypatch, capsys):
     assert all("first differing terms: " in line for line in gamma)
     for name in ("argument-order-invariance", "minor-frobenius-power"):
         assert [s for s in out.splitlines() if f"chern/{name}" in s and "PASS" in s]
+
+
+# -- the shared product memo -------------------------------------------------------
+
+
+def test_one_all_run_takes_each_gamma_product_once(capsys):
+    """The chern suite computes the five products gamma_d * Delta_{4,4}; the
+    relations suite, whose own R_4(r) equals Delta_{4,4}, reads all five
+    back, and the report keeps its golden bytes."""
+    argv, digest = GOLDEN_REPORTS["all-p3-l2"]
+    chern.part_times.cache_clear()
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    info = chern.part_times.cache_info()
+    assert code == 0
+    assert (info.misses, info.hits) == (5, 5)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_standalone_chern_report_is_byte_identical():
+    """Alone, the chern suite takes every product on the miss path."""
+    argv = ["--suite", "chern", "--p", "3", "--l", "2", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "conjchern", *argv], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "22351c5ca96c1d9af2ea0fcad39943f12dabbd3fa731b4c5b8f52a87b741ff88"
+    )

@@ -59,6 +59,29 @@ def test_ring_mismatch():
         tx("x1") + other.variable("y1")
     with pytest.raises(RingMismatch):
         tx("x1") * other.variable("y1")
+    with pytest.raises(RingMismatch):
+        tx("x1") - other.variable("y1")
+    with pytest.raises(RingMismatch):
+        R3.zero() - other.zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_difference_is_the_sum_with_the_negation(p):
+    """a - b, one pass over the terms of b, against a + (-b): on random sums
+    with shared keys, zero operands and ints on either side."""
+    ring = PolyRing(p, ("x1", "x2"))
+    rng = random.Random(700 + p)
+    zero = ring.zero()
+    for _ in range(300):
+        a = random_poly(rng, ring, max_terms=4, max_exp=2)
+        b = random_poly(rng, ring, max_terms=4, max_exp=2)
+        c = rng.randrange(-2 * p, 2 * p)
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+        assert a - a == zero and (a - a).terms == {}
+        assert a - zero == a and zero - a == -a
+        assert a - c == a + ring.constant(-c)
+        assert c - a == ring.constant(c) + (-a)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

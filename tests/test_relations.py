@@ -1,9 +1,13 @@
+import hashlib
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
 from conjchern import chern, cli, relations
 from conjchern.chern import (
+    GradedChern,
     verify_conj_chern,
     verify_top_chern,
     verify_vistoli,
@@ -363,3 +367,71 @@ def test_relations_at_the_largest_admitted_prime_skip_only_the_product():
     assert skipped == {f"chern-relation-j{j}" for j in range(5)}
     assert {c.status for c in checks if c.name not in skipped} == {"pass"}
     assert {c.detail for c in checks[:5]} == {f"all {BIG_P} scalars"}
+
+
+# -- after a warm product memo ----------------------------------------------------
+
+
+def relations_after_chern(monkeypatch, capsys, name, planted):
+    """Run the chern suite, which fills chern.part_times with the products
+    gamma_d * Delta_{4,4}; then plant `planted` as relations.<name> and run
+    the relations suite.  Returns its exit code, its FAILed checks with
+    their details, and the memo's (hits, misses) of that run."""
+    assert cli.main(["--suite", "chern", "--p", "3", "--l", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(relations, name, planted(getattr(relations, name)))
+    before = chern.part_times.cache_info()
+    code = cli.main(["--suite", "relations", "--p", "3"])
+    after = chern.part_times.cache_info()
+    out = capsys.readouterr().out
+    failed = {n.removeprefix("relations/"): d for n, d in failed_lines(out).items()}
+    return code, failed, (after.hits - before.hits, after.misses - before.misses)
+
+
+def test_a_changed_r4_after_a_warm_memo_is_still_seen(monkeypatch, capsys):
+    """R_4(r) doubled: each product with it is a new key of the memo, so the
+    relations with gamma_{p^4 - p^j}, j < 4, FAIL; a memo keyed by the
+    degree alone would hand back the chern suite's products and pass them."""
+
+    def doubled_r4(original):
+        return lambda j, p: original(j, p) * 2 if j == 4 else original(j, p)
+
+    code, failed, memo = relations_after_chern(monkeypatch, capsys, "_at_r_classes", doubled_r4)
+    assert code == 1
+    assert set(failed) == {"moore-minor-j4", *(f"chern-relation-j{j}" for j in range(4))}
+    for detail in failed.values():
+        assert "first differing terms: " in detail
+    assert memo == (0, 5)
+
+
+def test_a_changed_gamma_after_a_warm_memo_is_still_seen(monkeypatch, capsys):
+    """gamma_{p^4 - p} with its sign flipped: only its product misses the
+    memo, and only chern-relation-j1 FAILs."""
+
+    def flipped_gamma(original):
+        def flipped(alg):
+            graded = original(alg)
+            parts = dict(graded.parts)
+            d = alg.p**alg.m - alg.p
+            parts[d] = -parts[d]
+            return GradedChern(graded.ring, parts)
+
+        return flipped
+
+    code, failed, memo = relations_after_chern(
+        monkeypatch, capsys, "total_conj_chern", flipped_gamma
+    )
+    assert code == 1
+    assert set(failed) == {"chern-relation-j1"}
+    assert "first differing terms: " in failed["chern-relation-j1"]
+    assert memo == (4, 1)
+
+
+def test_standalone_relations_report_is_byte_identical():
+    """Alone, the relations suite takes every product on the miss path."""
+    argv = ["--suite", "relations", "--p", "3", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "conjchern", *argv], capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "ad494fcbcf7388328846abe8cd6eaa66036456bed696cf41025736be04e4d9d6"
+    )

@@ -80,6 +80,29 @@ def test_context_mismatch():
     other = CohAlgebra(5, 1)
     with pytest.raises(ContextMismatch):
         odd_gen(A31, 1) * odd_gen(other, 1)
+    with pytest.raises(ContextMismatch):
+        odd_gen(A31, 1) - odd_gen(other, 1)
+    with pytest.raises(ContextMismatch):
+        A31.zero() - other.zero()
+
+
+def test_difference_is_the_sum_with_the_negation():
+    """a - b, one pass over the terms of b, against a + (-b): on random sums
+    of classes with shared keys, zero operands and ints on either side."""
+    rng = random.Random(149)
+    for alg in (A31, CohAlgebra(5, 2)):
+        zero = alg.zero()
+        for _ in range(100):
+            x = random_homogeneous(rng, alg, max_even_exp=2)
+            y = random_homogeneous(rng, alg, max_even_exp=2)
+            a, b = x + y * 2, y - x
+            c = rng.randrange(-2 * alg.p, 2 * alg.p)
+            assert a - b == a + (-b)
+            assert (a - b) + b == a
+            assert a - a == zero and (a - a).terms == {}
+            assert a - zero == a and zero - a == -a
+            assert a - c == a + alg.constant(-c)
+            assert c - a == alg.constant(c) + (-a)
 
 
 # -- Bockstein ----------------------------------------------------------------
@@ -141,6 +164,37 @@ def test_unstable_behavior_on_even_powers():
         x = coh_power(xi, k)
         assert power_op(k, x) == coh_power(x, 5)
         assert power_op(k + 1, x).is_zero()
+
+
+def test_p0_is_identity_on_exterior_classes():
+    """Every term of an exterior class has polynomial degree 0, which is not
+    below k = 0, so P^0 keeps each of them."""
+    alg = CohAlgebra(3, 2)
+    a1, b1, a2, b2 = (odd_gen(alg, k) for k in range(1, 5))
+    for x in (a1, a1 * b1, a1 + b2 * 2, a1 * a2 + b1 * b2 + a1 * b1 * a2 * b2, alg.one()):
+        assert power_op(0, x) == x
+
+
+def test_power_op_skips_the_terms_below_its_degree():
+    alg = CohAlgebra(3, 2)
+    xi1, eta1, xi2 = even_gen(alg, 1), even_gen(alg, 2), even_gen(alg, 3)
+    low = coh_power(xi1, 2) * odd_gen(alg, 4) + xi1 * eta1 * odd_gen(alg, 4)
+    assert power_op(3, low).is_zero()
+    assert power_op(3, alg.zero()).is_zero()
+    high = coh_power(xi1, 2) * xi2 * odd_gen(alg, 1)
+    assert not power_op(3, high).is_zero()
+    assert power_op(3, low + high) == power_op(3, high)
+
+
+def test_the_zero_class_keeps_its_guards():
+    zero = A31.zero()
+    with pytest.raises(ValueError):
+        power_op(-1, zero)
+    with pytest.raises(ValueError):
+        steenrod.milnor_chain(-1, zero)
+    with pytest.raises(DepthGuard):
+        steenrod.milnor_chain(7, zero)
+    assert steenrod.milnor_chain(3, zero) == [zero] * 4
 
 
 def test_p0_is_identity():
@@ -382,8 +436,10 @@ def test_fault_after_a_clean_run_is_still_seen(monkeypatch, capsys):
 
 
 def test_milnor_chain_recomputes_on_every_call(monkeypatch):
-    """The chain to Q_3 takes 2 + 4 + 8 reduced powers and 8 Bocksteins,
-    and a second call takes as many again: nothing is cached."""
+    """The chain to Q_3 takes 2 + 2 + 2 reduced powers and 2 Bocksteins:
+    x has polynomial degree 1, so P^3 x and P^9 x are zero and their
+    subtrees are not walked.  A second call takes as many again: nothing is
+    cached."""
     x = x_class(3, 2)
     want = [milnor_q(j, x) for j in range(4)]
     calls = {"power_op": 0, "bockstein": 0}
@@ -398,9 +454,9 @@ def test_milnor_chain_recomputes_on_every_call(monkeypatch):
     chain = steenrod.milnor_chain(3, x)
     assert chain == want
     assert chain[-1] == r_closed(3, 3, 2)
-    assert calls == {"power_op": 14, "bockstein": 8}
+    assert calls == {"power_op": 6, "bockstein": 2}
     assert steenrod.milnor_chain(3, x) == want
-    assert calls == {"power_op": 28, "bockstein": 16}
+    assert calls == {"power_op": 12, "bockstein": 4}
 
 
 def test_suite_fails_when_p0_drops_a_term(monkeypatch, capsys):
