@@ -19,8 +19,8 @@ _HOMES = {
     "chern": ("GradedChern", "total_conj_chern"),
     "cyclo": ("CycMatrix", "a_matrix", "conj_act", "gen_matrices"),
     "dickson": (
-        "DicksonContext", "GLMatrix", "delta_full", "delta_ni", "dickson_c_from_f",
-        "f_n_coefficients", "f_n_product", "gl_action", "random_gl",
+        "DicksonContext", "delta_full", "delta_ni", "dickson_c_from_f",
+        "f_n_coefficients", "f_n_product",
     ),
     "errors": ("ConjChernError",),
     "poly": ("Poly", "PolyMatrix", "PolyRing", "determinant", "jacobian_det"),

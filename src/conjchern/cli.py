@@ -34,7 +34,7 @@ from .fp import check_modulus
 _RUNNERS = {
     "dickson": (
         "dickson",
-        lambda m, a: m.verify_dickson(m.DicksonContext(a.p, a.n), a.trials, a.seed),
+        lambda m, a: m.verify_dickson(m.DicksonContext(a.p, a.n)),
     ),
     "rep": ("cyclo", lambda m, a: m.verify_extraspecial(a.p) + m.verify_weight_bases(a.p, a.l)),
     "steenrod": (
@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=int, default=3, help="prime (default 3)")
     parser.add_argument("--l", type=int, default=1, choices=(1, 2))
     parser.add_argument("--n", type=int, default=2, choices=(1, 2, 3, 4))
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--trials", type=int, default=50, help="random trials; only the steenrod suite reads it"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the trials; only the steenrod suite reads it"
+    )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument(

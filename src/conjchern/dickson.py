@@ -1,4 +1,4 @@
-"""Moore matrices, Dickson invariants, and randomized GL-invariance checks.
+"""Moore matrices, Dickson invariants, and their GL-invariance.
 
 Over F_p[x_1..x_n] the key objects are the Moore determinants built from the
 Frobenius-power rows (x_1^{p^r}, ..., x_n^{p^r}), the product f_n(X) of the
@@ -16,10 +16,9 @@ nonzero.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache, partial
 
-from .errors import IndexOutOfRange, RingMismatch, SingularMatrix, VerificationFailure
+from .errors import IndexOutOfRange, VerificationFailure
 from .fp import _binom_support, _pick_count, check_modulus
 from .poly import (
     Poly,
@@ -42,6 +41,14 @@ from .report import PAIRS_PER_SECOND, POLY_BUDGET, refuse_above, timed_check, tw
 # by one entry per factor; at about 1.1 million steps a second (p =
 # 1009..10007, 2-core x86, Python 3.11) the estimate states them as 2p^2/3
 # pairs.
+#
+# Cost of gl-invariance, in the Lucas picks that its substitutions expand and
+# build (_substitution_picks, an exact count): the check ran at 2.2-2.6
+# million picks a second at n = 2 (p = 31..67), 3.4-4.0 million at n = 3
+# (p = 5..13), 2.5-3.3 million at n = 4 (p = 3, 5), 2.5 million at n = 5
+# (p = 3) and 1.9-2.1 million at p = 2, n = 5, 6 (2-core x86, Python 3.11),
+# so at PICKS_PER_SECOND the estimate is 0.75-1.6 times the time.
+PICKS_PER_SECOND = 2_500_000
 
 
 class DicksonContext:
@@ -209,83 +216,6 @@ def dickson_c_from_f(ctx: DicksonContext, i: int) -> Poly:
     return -poly if (ctx.n + i) % 2 else poly
 
 
-class GLMatrix:
-    """An invertible n x n matrix over F_p, with its elementary factors."""
-
-    __slots__ = ("p", "n", "entries", "factors")
-
-    def __init__(self, entries, p: int):
-        check_modulus(p)
-        rows = tuple(tuple(v % p for v in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        try:
-            self.factors = _elementary_factors(rows, p)
-        except SingularMatrix:
-            raise ValueError("matrix is singular mod p") from None
-        self.p = p
-        self.n = n
-        self.entries = rows
-
-    def __eq__(self, other):
-        if isinstance(other, GLMatrix):
-            return self.p == other.p and self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.entries))
-
-    def __repr__(self):
-        return f"GLMatrix({self.entries}, p={self.p})"
-
-
-def random_gl(n: int, p: int, seed: int) -> GLMatrix:
-    """Deterministic-per-seed invertible matrix: uniform entries, rejection."""
-    check_modulus(p)
-    rng = random.Random(seed)
-    while True:
-        try:
-            return GLMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)], p)
-        except ValueError:  # singular mod p: draw again
-            pass
-
-
-def _elementary_factors(entries, p: int) -> list:
-    """Factor the square matrix entries over F_p as E_1 E_2 ... E_m, each
-    (i, j, c) meaning the identity with its (i, j) entry replaced by c if
-    i == j (a scaling) or increased by c otherwise (a transvection).
-
-    Gauss-Jordan reduction by row operations without swaps: a zero pivot is
-    fixed by adding a lower row that is nonzero in its column, and a column
-    without one raises SingularMatrix.  If the row operations are L_1, ...,
-    L_m in order, the matrix is L_1^-1 ... L_m^-1; each inverse is recorded.
-    """
-    n = len(entries)
-    rows = [list(r) for r in entries]
-    factors = []
-
-    def add_row(t, r, c):  # row t += c * row r
-        rows[t] = [(x + c * y) % p for x, y in zip(rows[t], rows[r])]
-        factors.append((t, r, -c % p))
-
-    for col in range(n):
-        if not rows[col][col]:
-            lower = next((r for r in range(col + 1, n) if rows[r][col]), None)
-            if lower is None:
-                raise SingularMatrix(f"no pivot in column {col} mod {p}")
-            add_row(col, lower, 1)
-        pivot = rows[col][col]
-        if pivot != 1:
-            inverse = pow(pivot, -1, p)
-            rows[col] = [x * inverse % p for x in rows[col]]
-            factors.append((col, col, pivot))
-        for t in range(n):
-            if t != col and rows[t][col]:
-                add_row(t, col, -rows[t][col])
-    return factors
-
-
 def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     """Substitute x_j -> x_j + c*x_i, expanding each (x_j + c*x_i)^e over the
     Lucas table of e."""
@@ -310,31 +240,9 @@ def _transvection(f: Poly, j: int, i: int, c: int) -> Poly:
     return Poly._raw(ring, _add_terms(terms(), p))
 
 
-def _trial_picks(cs) -> int:
-    """The Lucas picks that gl_action expands, and builds, in one random trial
-    on the polynomials cs without a memo: a random matrix has about n - 1
-    transvections into each x_j, each expanding every term x_j^e over the
-    picks of e and building their list once per distinct e.  On the terms of
-    cs this is within 5% of the count in the trials at n = 2, p = 13..101,
-    and up to 1.25 times high at n = 3, 4 (1.55 at p <= 5); at
-    PAIRS_PER_SECOND it states 0.7-1.3 times the time of a trial (2-core x86,
-    Python 3.11).  The trials of one check share a memo, which skips every
-    repeated (polynomial, factor) substitution, so on a passing check the
-    estimate is an upper bound."""
-    ring = cs[0].ring
-    p, fmask = ring.p, ring._fmask
-
-    picks = partial(_pick_count, p=p)
-    total = 0
-    for c in cs:
-        for s in ring._shifts:
-            exps = [k >> s & fmask for k in c._terms]
-            total += sum(map(picks, exps)) + sum(map(picks, set(exps)))
-    return (ring.arity - 1) * total
-
-
 def _apply_factor(f: Poly, i: int, j: int, c: int) -> Poly:
-    """The substitution of one elementary factor (i, j, c) of a GLMatrix."""
+    """The substitution of one elementary matrix (i, j, c) of
+    _elementary_matrices."""
     if i != j:
         return _transvection(f, j, i, c)
     ring = f.ring
@@ -343,50 +251,42 @@ def _apply_factor(f: Poly, i: int, j: int, c: int) -> Poly:
     return f.compose(images)
 
 
-def gl_action(f: Poly, a: GLMatrix, memo: dict | None = None) -> Poly:
-    """Substitute x_j -> sum_i a[i][j] x_i (the matrix acts on the column of
-    variables); extends multiplicatively to all polynomials.
-
-    Computed exactly from the elementary factors a = E_1 ... E_m: since
-    act(f, A*B) = act(act(f, B), A), their one-variable substitutions apply
-    last factor first.
-
-    memo maps (polynomial, factor) to the result of that one substitution,
-    a pure function of the two; pass one dict to the calls of a single check
-    so that its trials compute each distinct substitution once.  A result
-    equal to its input is stored as the input object, so an invariant keeps
-    one copy.  Without a memo every substitution is computed.
-    """
-    ring = f.ring
-    if ring.arity != a.n or ring.p != a.p:
-        raise RingMismatch("polynomial ring does not match the matrix")
-    for factor in reversed(a.factors):
-        if memo is None:
-            f = _apply_factor(f, *factor)
-            continue
-        key = (f, factor)
-        moved = memo.get(key)
-        if moved is None:
-            moved = _apply_factor(f, *factor)
-            if moved == f:
-                moved = f
-            memo[key] = moved
-        f = moved
-    return f
+def _elementary_matrices(n: int, p: int) -> list:
+    """Every elementary matrix of GL_n(F_p) as (i, j, c): the identity with
+    its (i, j) entry increased by c != 0 if i != j, the transvection
+    x_j -> x_j + c x_i, or replaced by c != 0, 1 if i == j, the scaling
+    x_j -> c x_j.  Gauss-Jordan reduction writes every invertible matrix as
+    a product of them, so they generate GL_n(F_p)."""
+    return [(i, j, c) for j in range(n) for i in range(n) for c in range(1 + (i == j), p)]
 
 
-def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list:
+def _substitution_picks(cs, factors) -> int:
+    """The Lucas picks that substituting each factor into each polynomial of
+    cs expands, and builds: a transvection into x_j expands every term x_j^e
+    over the picks of e and builds their list once per distinct e, and a
+    scaling maps each term to one term."""
+    ring = cs[0].ring
+    p, fmask = ring.p, ring._fmask
+    picks = partial(_pick_count, p=p)
+    into = [0] * ring.arity  # the picks of one transvection into each x_j
+    for c in cs:
+        for j, s in enumerate(ring._shifts):
+            exps = [k >> s & fmask for k in c._terms]
+            into[j] += sum(map(picks, exps)) + sum(map(picks, set(exps)))
+    terms = sum(len(c._terms) for c in cs)
+    return sum(into[j] if i != j else terms for i, j, _ in factors)
+
+
+def verify_dickson(ctx: DicksonContext) -> list:
     """Check the two invariant routes, the Moore factorization, and
-    GL-invariance under seeded random matrices.
+    GL-invariance under every elementary matrix.
 
     two-route-c<i> states C_{n,i} = Delta_{n,i} / Delta_{n,n} cross-multiplied:
-    Delta_{n,i} == Delta_{n,n} C_{n,i}, with C_{n,i} read from f_n.  The trials
-    of gl-invariance share one substitution memo.  Its guard counts the picks
-    of every trial as if each ran without the memo, so on a passing check the
-    time it states is an upper bound."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = ctx.n
+    Delta_{n,i} == Delta_{n,n} C_{n,i}, with C_{n,i} read from f_n.
+    gl-invariance substitutes each elementary matrix into each C_{n,i}.
+    Substitution is a group action and the elementary matrices generate
+    GL_n(F_p), so a C that each of them fixes is fixed by the whole group."""
+    n, p = ctx.n, ctx.p
 
     def times_denominator(i):
         return _nonzero(delta_ni(ctx, n), f"Delta_{{{n},{n}}}") * dickson_c_from_f(ctx, i)
@@ -405,19 +305,21 @@ def verify_dickson(ctx: DicksonContext, trials: int = 50, seed: int = 0) -> list
 
     def invariance():
         cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
-        picks = trials * _trial_picks(cs)
-        work = f"{trials} random matrices ({picks:.3g} Lucas picks)"
-        refuse_above(work, picks / PAIRS_PER_SECOND, POLY_BUDGET)
-        memo: dict = {}
-        for t in range(trials):
-            a = random_gl(n, ctx.p, seed + t)
-            for i, c in enumerate(cs):
-                moved = gl_action(c, a, memo)
+        factors = _elementary_matrices(n, p)
+        picks = _substitution_picks(cs, factors)
+        work = f"{len(factors)} elementary matrices ({picks:.3g} Lucas picks)"
+        refuse_above(work, picks / PICKS_PER_SECOND, POLY_BUDGET)
+        names = ctx.ring.variables
+        for i, c in enumerate(cs):
+            for factor in factors:
+                moved = _apply_factor(c, *factor)
                 if moved != c:
-                    return False, f"trial {t}: C_{{{n},{i}}} moved; " + diff_detail(
-                        moved, c
-                    )
-        return True, f"{trials} random matrices fixed every C"
+                    r, j, s = factor
+                    x = names[j]
+                    image = f"{s}*{x}" if r == j else f"{x} + {s}*{names[r]}"
+                    return False, f"{x} -> {image} moves C_{{{n},{i}}}; " + diff_detail(moved, c)
+        group = f"GL_{n}(F_{p})"
+        return True, f"{len(factors)} elementary matrices, which generate {group}, fix every C"
 
     checks.append(timed_check("gl-invariance", invariance))
     return checks

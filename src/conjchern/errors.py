@@ -21,10 +21,6 @@ class SizeGuard(ConjChernError):
     """A computation was refused because it exceeds the configured size limits."""
 
 
-class SingularMatrix(ConjChernError):
-    """A matrix that must be invertible mod p has no pivot in some column."""
-
-
 class IndexOutOfRange(ConjChernError):
     """An index parameter lies outside its documented range."""
 

@@ -245,12 +245,15 @@ def verify_chern_r_relations(p: int) -> list:
     equal to its partition sum in the Y_i; together they give each display
     at r as (-1)^j gamma_{p^4 - p^j} times the display of R_4."""
     alg = CohAlgebra(p, 2)
+    r4 = []  # R_4(r), composed once, by the first left route that gets past the product
 
     def with_gamma(j):  # the left route, so a refused product SKIPs before any substitution
         gamma = total_conj_chern(alg).part(p**4 - p**j)
+        if not r4:
+            r4.append(_at_r_classes(4, p))
         # R_4(r) is Delta_{4,4} (moore-minor-j4), so after the chern suite
         # the memo holds this product unless R_4(r) or gamma has changed
-        return part_times(gamma, _at_r_classes(4, p)) * (-1) ** j
+        return part_times(gamma, r4[0]) * (-1) ** j
 
     checks = [
         two_routes(f"chern-relation-j{j}", partial(with_gamma, j), partial(_at_r_classes, j, p))

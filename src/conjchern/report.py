@@ -123,8 +123,8 @@ def timed_check(name: str, fn) -> Check:
 # The rate and the two time budgets of the size guards: Poly.__mul__ visits
 # 1.3-2.1 million monomial pairs a second in the linear-form products at
 # (p, m) = (3, 4), (5, 3), (7, 3), (5, 4) and (3, 5) (2-core x86, Python
-# 3.11).  POLY_BUDGET bounds the linear-form product and the GL trials of
-# dickson: 10^7 pairs at PAIRS_PER_SECOND, about 6.67 s.  REP_BUDGET, in
+# 3.11).  POLY_BUDGET bounds the linear-form product and the GL-invariance
+# check of dickson: 10^7 pairs at PAIRS_PER_SECOND, about 6.67 s.  REP_BUDGET, in
 # seconds, bounds each check of cyclo.
 PAIRS_PER_SECOND = 1_500_000
 POLY_BUDGET = 10**7 / PAIRS_PER_SECOND

@@ -5,7 +5,6 @@ from functools import reduce
 from operator import add
 
 from conjchern.cyclo import CycMatrix
-from conjchern.dickson import GLMatrix
 from conjchern.poly import Poly
 from conjchern.steenrod import CohClass
 
@@ -236,26 +235,70 @@ def brute_force_det(p, rows):
     return expand(0, frozenset(), 1)
 
 
-def gl_product(a, b):
-    """The matrix product a b of two GLMatrix over one F_p, row by column."""
-    n, p = a.n, a.p
-    rows = [
-        [sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) % p for j in range(n)]
+def gl_product(a, b, p):
+    """The matrix product a b of two square matrices over F_p, each a tuple
+    of rows, row by column."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
         for i in range(n)
-    ]
-    return GLMatrix(rows, p)
+    )
+
+
+def elementary_matrix(n, factor):
+    """The n x n matrix of an elementary factor (i, j, c): the identity with
+    its (i, j) entry replaced by c if i == j, or increased by c otherwise."""
+    i, j, c = factor
+    rows = [[int(r == k) for k in range(n)] for r in range(n)]
+    rows[i][j] = c if i == j else rows[i][j] + c
+    return tuple(map(tuple, rows))
+
+
+def elementary_word(rows, p):
+    """Factors (i, j, c) whose elementary matrices multiply, in order, to
+    the square matrix rows over F_p, or None if rows is singular mod p.
+
+    Gauss-Jordan reduction by row operations without swaps: a zero pivot is
+    fixed by adding a lower row that is nonzero in its column.  If the row
+    operations are L_1, ..., L_m in order, rows is L_1^-1 ... L_m^-1; each
+    inverse is recorded."""
+    n = len(rows)
+    rows = [[v % p for v in row] for row in rows]
+    word = []
+
+    def add_row(t, r, c):  # row t += c * row r
+        rows[t] = [(x + c * y) % p for x, y in zip(rows[t], rows[r])]
+        word.append((t, r, -c % p))
+
+    for col in range(n):
+        if not rows[col][col]:
+            lower = next((r for r in range(col + 1, n) if rows[r][col]), None)
+            if lower is None:
+                return None
+            add_row(col, lower, 1)
+        pivot = rows[col][col]
+        if pivot != 1:
+            inverse = pow(pivot, -1, p)
+            rows[col] = [x * inverse % p for x in rows[col]]
+            word.append((col, col, pivot))
+        for t in range(n):
+            if t != col and rows[t][col]:
+                add_row(t, col, -rows[t][col])
+    return word
 
 
 def dense_gl_action(f, a):
-    """x_j -> sum_i a[i][j] x_i as dense linear forms through compose: the
-    oracle for dickson.gl_action."""
+    """x_j -> sum_i a[i][j] x_i for the square matrix a over f's prime, a
+    tuple of rows, as dense linear forms through compose: the oracle for
+    the elementary substitutions of dickson."""
     ring = f.ring
+    n = len(a)
     images = []
-    for j in range(a.n):
+    for j in range(n):
         form = ring.zero()
-        for i in range(a.n):
-            if a.entries[i][j]:
-                form = form + ring.monomial({i: 1}, a.entries[i][j])
+        for i in range(n):
+            if a[i][j]:
+                form = form + ring.monomial({i: 1}, a[i][j])
         images.append(form)
     return f.compose(images)
 

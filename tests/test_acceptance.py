@@ -97,10 +97,10 @@ def test_criterion_02_moore_factorization():
 def test_criterion_03_gl_invariance():
     def run():
         for p, n in DICKSON_GRID:
-            checks = verify_dickson(DicksonContext(p, n), trials=50, seed=42)
+            checks = verify_dickson(DicksonContext(p, n))
             assert_report(checks)
 
-    criterion(3, "GL-invariance, 50 seeded matrices per (p, n)", 60, run)
+    criterion(3, "GL-invariance under every elementary matrix", 60, run)
 
 
 def test_criterion_04_representation_relations():

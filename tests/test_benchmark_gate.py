@@ -40,7 +40,9 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 # least library time: over traced runs at seed 12 on a 2-core box its
 # coverage had a median of 0.992 (lowest 0.988, 118 runs) before the
 # gl-invariance trials shared a substitution memo, and of 0.980 (lowest
-# 0.973, 157 runs) with it.  A coverage shortfall alone is retried, up to
+# 0.973, 157 runs) with it.  Deciding gl-invariance over every elementary
+# matrix put it at 0.974 (seed 7, 254 runs; 251 above 0.963, and three
+# stalls at 0.879-0.937).  A coverage shortfall alone is retried, up to
 # COVERAGE_TRIES traced runs; every other problem fails at once.
 COVERAGE_TRIES = 3
 

@@ -162,11 +162,11 @@ def test_json_schema_and_determinism_small():
 GOLDEN_REPORTS = {
     "all-p3-l2": (
         ["--suite", "all", "--p", "3", "--l", "2", "--seed", "7"],
-        "4c8c8a6a59f920942efeb6985093907bd62f1645c4a8dfaebad03bc60b0379ab",
+        "499cfe9753ebaf68d9216020e27109617f1a416aab075604ae415aec55dcda4f",
     ),
     "dickson-p13-n2": (
         ["--suite", "dickson", "--p", "13", "--n", "2", "--seed", "7"],
-        "406bab00a1a084d29c153abd65339c564c6b6a8da277a49d416385f69881bd44",
+        "e2dccf5a34c814e6604acac878a8f05ef995fedae3ee2f3eca3d69217b3dd668",
     ),
 }
 
@@ -294,6 +294,17 @@ def test_dickson_suite_with_parameters():
     assert data["overall"] == "pass"
 
 
+def test_dickson_checks_ignore_seed_and_trials(capsys):
+    """gl-invariance decides the whole group, so only the echoed parameters
+    of a dickson report depend on --seed and --trials."""
+    checks = []
+    argv = ["--suite", "dickson", "--p", "13", "--n", "2", "--format", "json"]
+    for extra in ([], ["--seed", "7"], ["--seed", "11", "--trials", "3"]):
+        assert cli.main(argv + extra) == 0
+        checks.append(json.loads(capsys.readouterr().out)["checks"])
+    assert checks[0] == checks[1] == checks[2]
+
+
 def test_threads_flag_accepted():
     proc = run_cli("--suite", "signs", "--threads", "auto", "--format", "json")
     assert proc.returncode == 0
@@ -390,27 +401,27 @@ def gl_invariance_at(p):
 
 
 def test_gl_invariance_guard_ends_a_large_prime_in_seconds():
-    """A GL trial costs about p^3 at n = 2: unguarded, --p 401 ran past 60 s.
-    Now gl-invariance is SKIPPED with its estimate.  Above p = 271 the
-    product guard refuses it first, since it reads its C from f_2, so the
-    trial guard is seen at p = 101."""
+    """At n = 2 the elementary matrices cost about p^4 picks: unguarded,
+    --p 101 would take about a minute.  Now gl-invariance is SKIPPED with
+    its estimate.  Above p = 271 the product guard refuses it first, since
+    it reads its C from f_2, so its own guard is seen at p = 101."""
     check = gl_invariance_at(101)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices (7.07e+07 Lucas picks) would take about 47.2 s; "
+        "398 elementary matrices (1.42e+08 Lucas picks) would take about 56.6 s; "
         "the guard allows 6.67 s"
     )
 
 
 def test_gl_invariance_refusal_rounds_its_seconds():
-    """At --p 53 the 50 trials come to 10,494,400 picks, 6.996 s: just over
-    the guard's 10^7 picks (6.67 s), so the stated time must read 7 s, not a
-    floored 6 s that would sit below what the guard allows; both times have
-    three significant digits."""
-    check = gl_invariance_at(53)
+    """At --p 59 the 230 elementary matrices come to 16,713,504 picks,
+    6.685 s: just over the guard's 6.67 s, so the stated time must read
+    6.69 s, not a floored 6 s that would sit below what the guard allows;
+    both times have three significant digits."""
+    check = gl_invariance_at(59)
     assert check["status"] == "skipped"
     assert check["detail"] == (
-        "50 random matrices (1.05e+07 Lucas picks) would take about 7 s; "
+        "230 elementary matrices (1.67e+07 Lucas picks) would take about 6.69 s; "
         "the guard allows 6.67 s"
     )
 

@@ -1,28 +1,28 @@
 import random
 from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
 from conjchern import cli, dickson
 from conjchern.dickson import (
     DicksonContext,
-    GLMatrix,
     delta_full,
     delta_ni,
     dickson_c_from_f,
     f_n_coefficients,
     f_n_product,
-    gl_action,
     linear_form_product,
-    random_gl,
     verify_dickson,
 )
-from conjchern.errors import IndexOutOfRange, SingularMatrix, SizeGuard
+from conjchern.errors import IndexOutOfRange, SizeGuard
 from conjchern.fp import _binom_support
-from conjchern.poly import Poly
+from conjchern.poly import Poly, diff_detail
 from helpers import (
     balanced_linear_form_product,
     dense_gl_action,
+    elementary_matrix,
+    elementary_word,
     gl_product,
     naive_product,
     passed,
@@ -154,7 +154,7 @@ def test_f_n_is_split_once_per_context(split_rings):
     for _ in range(2):
         for i in range(ctx.n + 1):
             dickson_c_from_f(ctx, i)
-    assert passed(verify_dickson(ctx, trials=2))
+    assert passed(verify_dickson(ctx))
     assert split_rings == [ctx.ring]
 
 
@@ -169,7 +169,7 @@ def test_factorization_identity():
 
 def permutation_det_mod(rows, p):
     """Leibniz expansion over all permutations: the oracle for the
-    invertibility decision of GLMatrix."""
+    determinant of a matrix mod p."""
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):
@@ -181,108 +181,84 @@ def permutation_det_mod(rows, p):
     return total % p
 
 
-def accepts(rows, p) -> bool:
-    """Whether GLMatrix takes rows as an invertible matrix mod p."""
-    try:
-        GLMatrix(rows, p)
-    except ValueError as exc:
-        assert str(exc) == "matrix is singular mod p"
-        return False
-    return True
+def random_gl_rows(rng, n, p):
+    """A seeded random invertible n x n matrix over F_p, as a tuple of rows:
+    uniform entries, drawn again while singular."""
+    while True:
+        rows = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        if permutation_det_mod(rows, p):
+            return rows
 
 
-@pytest.mark.parametrize("n,p", [(3, 3), (3, 7), (4, 2), (4, 5)])
-def test_int_det_mod_matches_permutation_expansion(n, p):
-    """GLMatrix accepts a matrix exactly when its Leibniz determinant is
-    nonzero mod p."""
-    rng = random.Random(97 * n + p)
-    for _ in range(60):
-        # zeros are common so that singular matrices and zero pivots occur
-        entries = [0, 0] + list(range(p))
-        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-        assert accepts(rows, p) == (permutation_det_mod(rows, p) != 0)
+def identity(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
-def test_glmatrix_refuses_singular_matrices():
-    assert accepts(((1, 0), (0, 1)), 3)
-    assert not accepts(((1, 2), (2, 4)), 5)
-    assert accepts(((0, 1), (2, 0)), 3)  # determinant -2 mod 3
-    assert not accepts(((3, 6), (1, 2)), 3)  # reduces to a zero row
+def closure(n, p, factors):
+    """Every product of the matrices of factors over F_p.  In a finite group
+    the products of a set are the subgroup that it generates."""
+    gens = [elementary_matrix(n, factor) for factor in factors]
+    reached = frontier = {identity(n)}
+    while frontier:
+        frontier = {gl_product(a, g, p) for a in frontier for g in gens} - reached
+        reached = reached | frontier
+    return reached
 
 
-def test_random_gl_deterministic_and_invertible():
-    for seed in range(1000):
-        m = random_gl(2, 3, seed)
-        assert permutation_det_mod(m.entries, 3) != 0
-    assert random_gl(3, 5, 123) == random_gl(3, 5, 123)
-    assert random_gl(1, 3, 7).entries[0][0] != 0
-    with pytest.raises(ValueError, match="modulus must be prime"):
-        random_gl(2, 4, 0)  # refused, not redrawn forever
+def gl_order(n, p):
+    """|GL_n(F_p)|, the product of p^n - p^k over k < n."""
+    return prod(p**n - p**k for k in range(n))
 
 
-# The entries of random_gl(2, p, seed) for seeds 0..99, row by row, one base-p
-# digit each (a = 10, b = 11, c = 12), as drawn when the invertibility test was
-# a determinant.  They cover the 50 trials of --suite dickson --n 2 at every
-# seed up to 50, at p = 3 (--suite all --p 3) and p = 13.
-DRAWN = {
-    3: (
-        "11010111022102201002101220111012011012112011121121010210022210011112211110012011"
-        "22010121221010022120100112201211021120122120221220012022212021021001220211020110"
-        "12202002200201201222011020221012210201101112022010222012012110122012012220020220"
-        "11201112112112011022111201101121212202110121122002201021220112111110011012020112"
-        "11122110012110022101022002120112202202212221201112222022200110021121011012011102"
-    ),
-    13: (
-        "6c6029cc01153982341b94b5c917526a35627954906778c774a8c2a319bc308b577486c421a7a0c8"
-        "bacc26b62309c410b6926c03b3a3a7b41b2881598c49071c132492a3859085c2500ca919a66c3460"
-        "79806532a10b04bc688b14501609516885281561745a388240b893782784132b807a0599933b31a7"
-        "4492728392137a1671a96448146311c6b7bba01c14b7589c1c9b4187981579675763c453b4b62759"
-        "468b87582c787712b4c03b91cc082b3863521c9b3b17192a689879b58214c88b55a636c559056639"
-    ),
-}
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
+def test_elementary_matrices_generate_gl(p, n):
+    """The n(n-1)(p-1) transvections and n(p-2) scalings, each listed once,
+    multiply to |GL_n(F_p)| matrices, each of nonzero determinant: the
+    whole group."""
+    factors = dickson._elementary_matrices(n, p)
+    assert len(set(factors)) == len(factors) == n * (n - 1) * (p - 1) + n * (p - 2)
+    group = closure(n, p, factors)
+    assert len(group) == gl_order(n, p)
+    assert all(permutation_det_mod(a, p) for a in group)
 
 
-@pytest.mark.parametrize("p", sorted(DRAWN))
-def test_random_gl_draws_the_recorded_matrices(p):
-    digits = "".join(
-        "0123456789abc"[v] for seed in range(100) for row in random_gl(2, p, seed).entries
-        for v in row
-    )
-    assert digits == DRAWN[p]
-
-
-def test_identity_matrix_fixes_everything():
-    ctx = DicksonContext(3, 2)
-    eye = GLMatrix(((1, 0), (0, 1)), 3)
-    f = poly_of(ctx.ring, "x1^2 + 2*x1*x2")
-    assert gl_action(f, eye) == f
+def test_transvections_alone_generate_only_sl():
+    """Without its scalings the set reaches only the determinant-1 half of
+    GL_2(F_3), so a check on the transvections alone decides SL_2 only."""
+    transvections = [(i, j, c) for i, j, c in dickson._elementary_matrices(2, 3) if i != j]
+    group = closure(2, 3, transvections)
+    assert len(group) == gl_order(2, 3) // 2
+    assert {permutation_det_mod(a, 3) for a in group} == {1}
 
 
 def test_gl_action_composition_axiom():
+    """Substitution is a right action: acting by a b is acting by b, then by
+    a.  So a C fixed by each generator is fixed by each of their products."""
     ctx = DicksonContext(3, 2)
     rng = random.Random(2024)
     f = poly_of(ctx.ring, "x1^3 + x1*x2 + 2*x2^2")
     for _ in range(25):
-        a = random_gl(2, 3, rng.randrange(10**6))
-        b = random_gl(2, 3, rng.randrange(10**6))
-        assert gl_action(f, gl_product(a, b)) == gl_action(gl_action(f, b), a)
+        a = random_gl_rows(rng, 2, 3)
+        b = random_gl_rows(rng, 2, 3)
+        assert dense_gl_action(f, gl_product(a, b, 3)) == dense_gl_action(
+            dense_gl_action(f, b), a
+        )
 
 
 def test_gl_action_multiplicative():
+    """Each elementary substitution carries a product to the product of the
+    images."""
     ctx = DicksonContext(3, 2)
-    a = random_gl(2, 3, 5)
     f = poly_of(ctx.ring, "x1 + x2")
     g = poly_of(ctx.ring, "x1^2 + 2*x2")
-    assert gl_action(f * g, a) == gl_action(f, a) * gl_action(g, a)
-
-
-def identity(n, p):
-    return GLMatrix([[int(r == c) for c in range(n)] for r in range(n)], p)
+    apply = dickson._apply_factor
+    for factor in dickson._elementary_matrices(2, 3):
+        assert apply(f * g, *factor) == apply(f, *factor) * apply(g, *factor)
 
 
 def moved_polys(ring, a, rng, count):
     """Seeded random polynomials that a moves: an invariant input would pass
-    whatever the order of the elementary factors."""
+    whatever the substitution."""
     found = []
     while len(found) < count:
         f = random_nonzero_poly(rng, ring, max_terms=5, max_exp=2 * ring.p + 1)
@@ -293,14 +269,14 @@ def moved_polys(ring, a, rng, count):
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 3), (7, 2), (13, 2), (5, 1), (3, 1)])
 def test_gl_action_matches_dense_oracle(p, n):
+    """Each elementary substitution is the dense linear substitution of its
+    matrix."""
     ring = DicksonContext(p, n).ring
     rng = random.Random(100 * p + n)
-    for _ in range(10):
-        a = random_gl(n, p, rng.randrange(10**6))
-        if a == identity(n, p):
-            continue
+    for factor in dickson._elementary_matrices(n, p):
+        a = elementary_matrix(n, factor)
         for f in moved_polys(ring, a, rng, 3):
-            assert gl_action(f, a) == dense_gl_action(f, a), (a, f)
+            assert dickson._apply_factor(f, *factor) == dense_gl_action(f, a), (factor, f)
 
 
 @pytest.mark.parametrize(
@@ -314,40 +290,45 @@ def test_gl_action_matches_dense_oracle(p, n):
     ],
 )
 def test_gl_action_special_matrices_match_dense_oracle(p, rows):
-    a = GLMatrix(rows, p)
-    ring = DicksonContext(p, a.n).ring
-    for f in moved_polys(ring, a, random.Random(p), 10):
-        assert gl_action(f, a) == dense_gl_action(f, a), f
+    """A matrix acts as the elementary substitutions of its Gauss-Jordan
+    word, last factor first."""
+    word = elementary_word(rows, p)
+    ring = DicksonContext(p, len(rows)).ring
+    for f in moved_polys(ring, rows, random.Random(p), 10):
+        moved = f
+        for factor in reversed(word):
+            moved = dickson._apply_factor(moved, *factor)
+        assert moved == dense_gl_action(f, rows), f
 
 
 def test_elementary_factors_multiply_back_to_the_matrix():
+    """Gauss-Jordan reduction writes each invertible matrix as a product of
+    the elementary matrices that gl-invariance substitutes, and finds no
+    word for a singular one."""
+    rng = random.Random(20)
     for p, n in [(2, 3), (3, 3), (5, 4), (13, 2)]:
-        for seed in range(20):
-            a = random_gl(n, p, seed)
-            product_ = identity(n, p)
-            for i, j, c in a.factors:
-                e = [list(row) for row in identity(n, p).entries]
-                e[i][j] = c if i == j else e[i][j] + c
-                product_ = gl_product(product_, GLMatrix(e, p))
+        factors = set(dickson._elementary_matrices(n, p))
+        for _ in range(20):
+            a = random_gl_rows(rng, n, p)
+            product_ = identity(n)
+            for factor in elementary_word(a, p):
+                assert factor in factors
+                product_ = gl_product(product_, elementary_matrix(n, factor), p)
             assert product_ == a
-
-
-def test_gl_action_without_a_pivot_is_a_library_error():
-    """A matrix without elementary factors never reaches gl_action: the
-    factorization raises a library error, and GLMatrix refuses the matrix."""
-    with pytest.raises(SingularMatrix, match="no pivot in column 1"):
-        dickson._elementary_factors(((1, 2), (2, 1)), 3)
-    assert not accepts(((1, 2), (2, 1)), 3)
+    assert elementary_word(((1, 2), (2, 1)), 3) is None
 
 
 def test_invariance_under_random_matrices():
+    """The dense oracle of what gl-invariance decides through the
+    generators: random invertible matrices fix every C_{n,i}."""
+    rng = random.Random(9000)
     for p, n in [(3, 2), (2, 2), (5, 2)]:
         ctx = DicksonContext(p, n)
         cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
-        for t in range(20):
-            a = random_gl(n, p, 9000 + t)
+        for _ in range(20):
+            a = random_gl_rows(rng, n, p)
             for c in cs:
-                assert gl_action(c, a) == c
+                assert dense_gl_action(c, a) == c
 
 
 def test_invariance_under_permutation_matrices():
@@ -357,20 +338,33 @@ def test_invariance_under_permutation_matrices():
         ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
     ]
     for rows in perms:
-        a = GLMatrix(rows, 3)
         for i in range(4):
             c = dickson_c_from_f(ctx, i)
-            assert gl_action(c, a) == c
+            assert dense_gl_action(c, rows) == c
 
 
 def test_verify_dickson_reports():
-    for p, n, trials in [(3, 2, 50), (2, 2, 50), (5, 2, 20)]:
-        checks = verify_dickson(DicksonContext(p, n), trials=trials, seed=11)
+    for p, n in [(3, 2), (2, 2), (5, 2)]:
+        checks = verify_dickson(DicksonContext(p, n))
         assert passed(checks)
         names = {c.name for c in checks}
         assert "delta-factorization" in names
         assert "gl-invariance" in names
         assert f"two-route-c{n}" in names
+    check = {c.name: c for c in verify_dickson(DicksonContext(3, 2))}["gl-invariance"]
+    assert check.detail == "6 elementary matrices, which generate GL_2(F_3), fix every C"
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 2), (3, 3), (2, 4)])
+def test_gl_invariance_names_the_group_it_decides(p, n):
+    """The PASS detail counts the n(n-1)(p-1) transvections and n(p-2)
+    scalings; GL_1(F_2) is trivial, and the empty set generates it."""
+    check = {c.name: c for c in verify_dickson(DicksonContext(p, n))}["gl-invariance"]
+    count = n * (n - 1) * (p - 1) + n * (p - 2)
+    assert (check.status, check.detail) == (
+        "pass",
+        f"{count} elementary matrices, which generate GL_{n}(F_{p}), fix every C",
+    )
 
 
 # -- the subspace recursion ------------------------------------------------------
@@ -438,7 +432,7 @@ def perturbed_f(monkeypatch):
 
 
 def test_verify_dickson_fails_on_perturbed_product(perturbed_f):
-    checks = verify_dickson(DicksonContext(3, 2), trials=2, seed=1)
+    checks = verify_dickson(DicksonContext(3, 2))
     status = {c.name: c for c in checks}
     assert not passed(checks)
     assert status["two-route-c2"].status == "fail"
@@ -452,15 +446,16 @@ def test_verify_dickson_fails_on_perturbed_product(perturbed_f):
 
 
 def test_cli_exits_one_on_perturbed_product(perturbed_f, capsys):
-    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2", "--trials", "2"])
+    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2"])
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: fail" in out.lower()
 
 
 def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
-    """C_{2,1} at p = 3 replaced by x2^6, homogeneous of its degree 6; the
-    seed-0 trial-0 matrix x2 -> x1 + x2 moves it."""
+    """C_{2,1} at p = 3 replaced by x2^6, homogeneous of its degree 6: the
+    scalings and the transvections into x1 fix it, and the first
+    transvection into x2, x2 -> x2 + x1, moves it."""
     original = dickson.dickson_c_from_f
 
     def planted(ctx, i):
@@ -476,7 +471,7 @@ def test_cli_fails_gl_invariance_on_planted_non_invariant(monkeypatch, capsys):
     line = next(row for row in out.splitlines() if "dickson/gl-invariance" in row)
     assert " FAIL " in line
     assert line.endswith(
-        "trial 0: C_{2,1} moved; first differing terms: x1^6: 1 != 0; x1^3*x2^3: 2 != 0"
+        "x2 -> x2 + 1*x1 moves C_{2,1}; first differing terms: x1^6: 1 != 0; x1^3*x2^3: 2 != 0"
     )
 
 
@@ -489,11 +484,11 @@ def test_a_zero_denominator_minor_fails_every_two_route_check(monkeypatch, capsy
         return ctx.ring.zero() if i == ctx.n else original(ctx, i)
 
     monkeypatch.setattr(dickson, "delta_ni", planted)
-    checks = {c.name: c for c in verify_dickson(DicksonContext(3, 2), trials=2)}
+    checks = {c.name: c for c in verify_dickson(DicksonContext(3, 2))}
     for i in range(3):
         check = checks[f"two-route-c{i}"]
         assert (check.status, check.detail) == ("fail", "the Moore minor Delta_{2,2} is zero")
-    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2", "--trials", "2"])
+    code = cli.main(["--suite", "dickson", "--p", "3", "--n", "2"])
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: FAIL" in out
@@ -511,7 +506,7 @@ def test_rank_one_product_guard_refuses_before_the_scalars(monkeypatch):
         raise AssertionError("_shift_scalars ran past the guard")
 
     monkeypatch.setattr(dickson, "_shift_scalars", never)
-    checks = verify_dickson(DicksonContext(10007, 1), trials=2, seed=0)
+    checks = verify_dickson(DicksonContext(10007, 1))
     status = {c.name: c for c in checks}
     assert set(status) == {"two-route-c0", "two-route-c1", "delta-factorization", "gl-invariance"}
     for name in status:
@@ -523,39 +518,41 @@ def test_rank_one_product_guard_refuses_before_the_scalars(monkeypatch):
 
 
 def test_rank_one_product_passes_below_its_guard():
-    checks = verify_dickson(DicksonContext(1009, 1), trials=2, seed=0)
+    checks = verify_dickson(DicksonContext(1009, 1))
     assert {c.status for c in checks} == {"pass"}
 
 
-def test_invariance_guard_refuses_before_the_first_trial(monkeypatch):
-    """A trial costs about p^3 at n = 2, so the default 50 trials are refused
-    at p = 101 (an estimated 47 s) and admitted at p = 31."""
+def test_invariance_guard_refuses_before_the_first_substitution(monkeypatch):
+    """At n = 2 each of the 2(p - 1) transvections expands about p^3 picks,
+    so the check is refused at p = 101 (an estimated 57 s) and admitted at
+    p = 31."""
 
-    def never(f, a):
-        raise AssertionError("gl_action ran past the guard")
+    def never(f, i, j, c):
+        raise AssertionError("_apply_factor ran past the guard")
 
-    monkeypatch.setattr(dickson, "gl_action", never)
-    checks = verify_dickson(DicksonContext(101, 2), trials=50, seed=0)
+    monkeypatch.setattr(dickson, "_apply_factor", never)
+    checks = verify_dickson(DicksonContext(101, 2))
     check = {c.name: c for c in checks}["gl-invariance"]
     assert check.status == "skipped"
     assert check.detail == (
-        "50 random matrices (7.07e+07 Lucas picks) would take about 47.2 s; "
+        "398 elementary matrices (1.42e+08 Lucas picks) would take about 56.6 s; "
         "the guard allows 6.67 s"
     )
     monkeypatch.undo()
-    checks = verify_dickson(DicksonContext(31, 2), trials=50, seed=0)
+    checks = verify_dickson(DicksonContext(31, 2))
     assert {c.name: c.status for c in checks}["gl-invariance"] == "pass"
 
 
 @pytest.mark.parametrize("p,n", [(13, 2), (31, 2), (3, 3), (5, 3)])
-def test_trial_picks_bound_the_expanded_picks(p, n, monkeypatch):
-    """The estimate of the guard against the picks that _transvection expands
-    and builds over ten random trials: within 5% at n = 2, and at most 1.25
-    times high at n = 3."""
+def test_substitution_picks_count_the_expanded_picks(p, n, monkeypatch):
+    """The estimate of the guard is the exact count of the work: the picks
+    that _transvection expands and builds, and one per term that a scaling
+    maps, over every factor and every C."""
     ctx = DicksonContext(p, n)
     cs = [dickson_c_from_f(ctx, i) for i in range(n + 1)]
+    factors = dickson._elementary_matrices(n, p)
     expanded = [0]
-    transvection = dickson._transvection
+    transvection, compose = dickson._transvection, Poly.compose
 
     def counted(f, j, i, c):
         shift, fmask = f.ring._shifts[j], f.ring._fmask
@@ -564,99 +561,59 @@ def test_trial_picks_bound_the_expanded_picks(p, n, monkeypatch):
         expanded[0] += sum(len(_binom_support(e, p)) for e in set(exps))
         return transvection(f, j, i, c)
 
+    def counted_compose(f, images):
+        expanded[0] += len(f.terms)
+        return compose(f, images)
+
     monkeypatch.setattr(dickson, "_transvection", counted)
-    for t in range(10):
-        a = random_gl(n, p, t)
-        for c in cs:
-            gl_action(c, a)
-    ratio = 10 * dickson._trial_picks(cs) / expanded[0]
-    assert (0.95 <= ratio <= 1.05) if n == 2 else (1 <= ratio <= 1.25), ratio
+    monkeypatch.setattr(Poly, "compose", counted_compose)
+    for c in cs:
+        for factor in factors:
+            dickson._apply_factor(c, *factor)
+    assert dickson._substitution_picks(cs, factors) == expanded[0]
 
 
-# -- the substitution memo of gl-invariance -------------------------------------------
+# -- the exact decision of gl-invariance ----------------------------------------------
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (13, 2)])
-def test_shared_memo_matches_the_memo_less_and_dense_actions(p, n):
-    """One memo over 20 matrices, on random polynomials that the matrices
-    move and on an invariant, whose unmoved results the memo stores as the
-    input object."""
+def test_each_factor_is_substituted_into_each_c_once(monkeypatch):
+    """A passing check at (13, 2) substitutes each of the 46 elementary
+    matrices into each of the three C_{2,i} once, and nothing else."""
+    ctx = DicksonContext(13, 2)
+    assert passed(verify_dickson(ctx))  # fills the caches of the other checks
+    seen = []
+    apply = dickson._apply_factor
+
+    def counted(f, i, j, c):
+        seen.append((f, (i, j, c)))
+        return apply(f, i, j, c)
+
+    monkeypatch.setattr(dickson, "_apply_factor", counted)
+    assert passed(verify_dickson(ctx))
+    factors = dickson._elementary_matrices(2, 13)
+    assert len(factors) == 46
+    cs = [dickson_c_from_f(ctx, i) for i in range(3)]
+    assert seen == [(c, factor) for c in cs for factor in factors]
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 3)])
+def test_planted_moore_minor_fails_on_a_scaling(p, n, monkeypatch, capsys):
+    """Delta_{n,n} is multiplied by the determinant: each transvection fixes
+    it and each scaling x_j -> c x_j multiplies it by c.  Planted as C_{n,0},
+    it is SL- but not GL-invariant, so gl-invariance FAILs on the first
+    scaling, which the detail names, and the CLI exits 1."""
     ctx = DicksonContext(p, n)
-    rng = random.Random(10 * p + n)
-    fs = [random_nonzero_poly(rng, ctx.ring, max_terms=5, max_exp=2 * p + 1) for _ in range(3)]
-    fs.append(dickson_c_from_f(ctx, 0))
-    memo = {}
-    moved = set()
-    for seed in range(20):
-        a = random_gl(n, p, seed)
-        for k, f in enumerate(fs):
-            got = gl_action(f, a, memo)
-            assert got == gl_action(f, a) == dense_gl_action(f, a), (a, f)
-            if got != f:
-                moved.add(k)
-    assert moved == {0, 1, 2}
-    invariant = fs[-1]
-    assert all(got is invariant for (f, _), got in memo.items() if f is invariant)
-
-
-def test_shared_memo_still_fails_a_later_trial(monkeypatch):
-    """C_{2,1} at p = 3 planted as x1^2 + x2^2: the swap of trials 0 and 1
-    fixes it and x2 -> x1 + x2 in trial 2 moves it.  The memo filled by the
-    first two trials must not hide the move, and the detail is the one of the
-    memo-less action."""
-    ctx = DicksonContext(3, 2)
-    swap = GLMatrix(((0, 1), (1, 0)), 3)
-    shear = GLMatrix(((1, 1), (0, 1)), 3)
-    matrices = [swap, swap, shear]
+    minor = delta_ni(ctx, n)
+    for i, j, c in dickson._elementary_matrices(n, p):
+        assert dickson._apply_factor(minor, i, j, c) == (minor * c if i == j else minor)
     original = dickson.dickson_c_from_f
 
     def planted(ctx_, i):
-        if (ctx_.p, ctx_.n, i) == (3, 2, 1):
-            return poly_of(ctx_.ring, "x1^2 + x2^2")
-        return original(ctx_, i)
-
-    def invariance():
-        return {c.name: c for c in verify_dickson(ctx, trials=3)}["gl-invariance"]
+        return delta_ni(ctx_, ctx_.n) if i == 0 else original(ctx_, i)
 
     monkeypatch.setattr(dickson, "dickson_c_from_f", planted)
-    monkeypatch.setattr(dickson, "random_gl", lambda n, p, seed: matrices[seed])
-    with_memo = invariance()
-    action = dickson.gl_action
-    monkeypatch.setattr(dickson, "gl_action", lambda f, a, memo=None: action(f, a))
-    without_memo = invariance()
-    assert with_memo.status == without_memo.status == "fail"
-    assert with_memo.detail.startswith("trial 2: C_{2,1} moved; ")
-    assert with_memo.detail == without_memo.detail
-
-
-def test_memo_computes_each_distinct_substitution_once(monkeypatch):
-    """At (13, 2) every intermediate of a passing check is one of the C, so
-    the check substitutes at most once per distinct (C, factor) pair."""
-    ctx = DicksonContext(13, 2)
-    factors = {f for seed in range(50) for f in random_gl(2, 13, seed).factors}
-    assert passed(verify_dickson(ctx))  # fills the caches of the other checks
-    calls = [0]
-    transvection, compose = dickson._transvection, Poly.compose
-
-    def counted_transvection(f, j, i, c):
-        calls[0] += 1
-        return transvection(f, j, i, c)
-
-    def counted_compose(f, images):
-        calls[0] += 1
-        return compose(f, images)
-
-    def substitutions():
-        calls[0] = 0
-        checks = verify_dickson(ctx)
-        assert {c.name: c.status for c in checks}["gl-invariance"] == "pass"
-        return calls[0]
-
-    monkeypatch.setattr(dickson, "_transvection", counted_transvection)
-    monkeypatch.setattr(Poly, "compose", counted_compose)
-    with_memo = substitutions()
-    action = dickson.gl_action
-    monkeypatch.setattr(dickson, "gl_action", lambda f, a, memo=None: action(f, a))
-    without_memo = substitutions()
-    assert 0 < with_memo <= 3 * len(factors)
-    assert with_memo < without_memo, (with_memo, without_memo)
+    check = {c.name: c for c in verify_dickson(ctx)}["gl-invariance"]
+    assert check.status == "fail"
+    assert check.detail == f"x1 -> 2*x1 moves C_{{{n},0}}; " + diff_detail(minor * 2, minor)
+    assert cli.main(["--suite", "dickson", "--p", str(p), "--n", str(n)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out

@@ -44,10 +44,10 @@ GUARDS = {
     "product-m3": ((dickson, "_shift_scalars"), product(3), 19, 23),
     "product-m4": ((dickson, "_shift_scalars"), product(4), 5, 7),
     "trials-n2": (
-        (dickson, "gl_action"),
+        (dickson, "_apply_factor"),
         named(lambda p: verify_dickson(DicksonContext(p, 2)), "gl-invariance"),
-        47,
         53,
+        59,
     ),
     "weight-basis-l1": ((cyclo, "gen_matrices"), weight_basis(1), 197, 199),
     "weight-basis-l2": ((cyclo, "gen_matrices"), weight_basis(2), 11, 13),

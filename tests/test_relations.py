@@ -168,6 +168,36 @@ def test_chern_relations_p3():
     ]
 
 
+def r4_compositions(monkeypatch, p):
+    """The checks of verify_chern_r_relations(p), and how many times it
+    composed R_4 at the r_i."""
+    calls = [0]
+    original = relations._at_r_classes
+
+    def counted(j, p_):
+        calls[0] += j == 4
+        return original(j, p_)
+
+    monkeypatch.setattr(relations, "_at_r_classes", counted)
+    return verify_chern_r_relations(p), calls[0]
+
+
+def test_chern_relations_compose_r4_once_per_call(monkeypatch):
+    """The five left routes share one R_4(r), composed by the first of them;
+    the right route of chern-relation-j4 composes its own.  Each call
+    composes anew."""
+    for _ in range(2):
+        checks, composed = r4_compositions(monkeypatch, 3)
+        assert passed(checks)
+        assert composed == 2
+
+
+def test_refused_product_skips_before_composing_r4(monkeypatch):
+    checks, composed = r4_compositions(monkeypatch, 7)
+    assert [c.status for c in checks[:5]] == ["skipped"] * 5
+    assert composed == 0
+
+
 def test_p7_runs_r_delta_and_guards_the_chern_product():
     """Only the chern-relation checks need the 7^4 product; the literal
     displays are compared with the partition sums in the Y_i."""

@@ -168,7 +168,7 @@ def replace_two_routes(monkeypatch, stand_in) -> None:
 # Every verifier that makes two-sided checks, at the configuration of verify
 # --suite all --p 3 --l 2 (steenrod at l = 1, with the same check names).
 VERIFIERS = (
-    partial(verify_dickson, DicksonContext(3, 2), trials=2),
+    partial(verify_dickson, DicksonContext(3, 2)),
     partial(verify_conj_chern, CohAlgebra(3, 2)),
     partial(verify_top_chern, CohAlgebra(3, 2)),
     partial(verify_vistoli, 3),
